@@ -142,6 +142,11 @@ def _cmd_verify(args) -> int:
     summary = run_verification_sweep(
         m_max=args.m_max, q_max=args.q_max,
         oracle_n_max=args.oracle_n_max, fault_inject=args.fault_inject)
+    if summary.spec_count == 0:
+        print(f"error: no family instance has m <= {args.m_max} and "
+              f"q <= {args.q_max}; an empty sweep verifies nothing",
+              file=sys.stderr)
+        return 2
     payload = summary.as_dict()
     meta = _meta_block("verify", {
         "m_max": args.m_max, "q_max": args.q_max,
@@ -205,6 +210,17 @@ def _cmd_oracle(args) -> int:
     return 0 if report.match and report.matches_closed_form else 1
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eaqmds",
@@ -233,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the property sweep")
     p_verify.add_argument("--m-max", type=int, default=5)
     p_verify.add_argument("--q-max", type=int, default=250)
-    p_verify.add_argument("--oracle-n-max", type=int, default=DEFAULT_N_MAX,
+    p_verify.add_argument("--oracle-n-max", type=_non_negative_int,
+                          default=DEFAULT_N_MAX,
                           help="rank-oracle size guard; 0 skips the oracle")
     p_verify.add_argument("--fault-inject", action="store_true",
                           help="mutate one defining set to prove checks can fail")
@@ -245,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--m", type=int, required=True)
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--alpha", type=int, required=True)
-    p_oracle.add_argument("--oracle-n-max", type=int, default=DEFAULT_N_MAX)
+    p_oracle.add_argument("--oracle-n-max", type=_non_negative_int,
+                          default=DEFAULT_N_MAX)
     add_common(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
 

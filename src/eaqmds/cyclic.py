@@ -6,6 +6,21 @@ projected down after an exact subfield check.  From the generator
 polynomial g(x) | x^n - 1 the module derives the check polynomial, the
 generator and parity-check matrices, and (for toy sizes) a brute-force
 minimum distance.
+
+Two paths build the same objects.  The object path (``Polynomial``,
+``MatrixGF``) works for any coset structure and is the reference.  The
+digit path (``generator_digits``, ``check_digits``, ``parity_check_digits``,
+``generator_matrix_digits``) is what the rank oracle runs on: it holds
+polynomials as (degree + 1, e) and matrices as (rows, n, e) int64 arrays
+of GF(q^2) digits, as ``_gflinalg`` does.  It relies on q^2 = -1 mod n,
+which holds for every family length n | q^2 + 1: then every coset is
+{i, n - i}, and its minimal polynomial is the quadratic
+
+    (x - lam^i)(x - lam^-i) = x^2 - Tr_i x + 1,   Tr_i = lam^i + lam^-i,
+
+where Tr_i = lam^i + (lam^i)^(q^2) is the trace of lam^i down to GF(q^2).
+So g(x) is a product of |Z|/2 quadratics, one multiply each, and no
+tower polynomial is ever formed.
 """
 
 from __future__ import annotations
@@ -14,6 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
+import numpy as np
+
+from . import _gflinalg as gfa
 from .fields import Field, FieldElement, in_subfield, project
 from .cosets import Coset, ResidueSet, is_coset_closed
 
@@ -301,3 +319,162 @@ def brute_min_distance(gen: MatrixGF, guard: int = 10**6) -> int:
     if best is None:
         raise ValueError("code has no nonzero codewords")
     return best
+
+
+# ---------------------------------------------------------------------------
+# digit path: the rank oracle's builders
+
+
+def _tower_digits(x: FieldElement) -> np.ndarray:
+    """Digits of a tower element: both base-field coefficients, low first."""
+    return np.asarray([d for c in x.coeffs for d in c.coeffs], dtype=np.int64)
+
+
+def _times_matrix(a: FieldElement) -> np.ndarray:
+    """The GF(p)-linear map x -> x a on tower digits, as a right factor."""
+    tower = a.field
+    sub = tower.base
+    e = sub.degree
+    rows = []
+    for k in range(2 * e):
+        unit = [0] * (2 * e)
+        unit[k] = 1
+        basis = FieldElement(tower, (sub.element(unit[:e]), sub.element(unit[e:])))
+        rows.append(_tower_digits(basis * a))
+    return np.stack(rows)
+
+
+def _scalar_matrix(c: np.ndarray, field: Field) -> np.ndarray:
+    """The map x -> x c on digits of the flat field, as a right factor."""
+    return np.einsum("v,uvw->uw", c, gfa.reduction_tensor(field)) % field.p
+
+
+def _matrix_power(m: np.ndarray, k: int, p: int) -> np.ndarray:
+    """m^k mod p by repeated squaring, for k >= 0."""
+    out = np.eye(len(m), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ m % p
+        m = m @ m % p
+        k >>= 1
+    return out
+
+
+def _root_pairs(step: np.ndarray, p: int, n: int, reps):
+    """Tower digits of (lam^r, lam^-r) for each r of the ascending ``reps``.
+
+    ``step`` is the matrix of x -> x lam, with lam^n = 1, so that lam^-r =
+    lam^(n-r).  Consecutive representatives cost one step each way: a
+    multiply of the previous digits by ``step`` or by its inverse
+    ``step^(n-1)``.
+    """
+    one = np.zeros(len(step), dtype=np.int64)
+    one[0] = 1
+    down_step = _matrix_power(step, n - 1, p)
+    prev = None
+    for r in reps:
+        if prev is not None and r == prev + 1:
+            up = up @ step % p
+            down = down @ down_step % p
+        else:
+            up = one @ _matrix_power(step, r, p)
+            down = one @ _matrix_power(step, (n - r) % n, p)
+        prev = r
+        yield up, down
+
+
+def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
+    """g(x) as a (|Z| + 1, e) digit array over GF(q^2), low degree first.
+
+    Equals ``generator_polynomial(lam, z)`` digit for digit.  Each coset
+    {i, n - i} of Z contributes x^2 - Tr_i x + 1 (x - lam^i when i = n - i),
+    and its coefficient is checked to lie in GF(q^2) before projection, so
+    a set that is not coset-closed for this root fails loudly.  Requires
+    q^2 = -1 mod n and lam^n = 1.
+    """
+    tower = lam.field
+    if tower.base is None:
+        raise ValueError("root of unity must live in a tower extension")
+    subfield = tower.base
+    n = z.n
+    qsq = subfield.order % n
+    if not is_coset_closed(n, qsq, z):
+        raise ValueError("defining set is not a union of cyclotomic cosets")
+    if (qsq + 1) % n:
+        raise ValueError(f"q^2 is not -1 mod {n}; the cosets are not {{i, n - i}}")
+    p, e = subfield.p, subfield.degree
+    step = _times_matrix(lam)
+    if not np.array_equal(_matrix_power(step, n, p), np.eye(2 * e, dtype=np.int64)):
+        raise ValueError(f"element is not an n-th root of unity for n = {n}")
+    reps = [i for i in z.members if 2 * i <= n]
+    g = np.zeros((1, e), dtype=np.int64)
+    g[0, 0] = 1
+    for i, (up, down) in zip(reps, _root_pairs(step, p, n, reps)):
+        single = i == (n - i) % n
+        coeff = up if single else (up + down) % p
+        if coeff[e:].any():
+            coset = {i, (n - i) % n}
+            raise ValueError(
+                f"coefficient of coset {sorted(coset)} escapes the subfield; "
+                "the coset is not closed for this root")
+        scaled = g @ _scalar_matrix(coeff[:e], subfield)
+        out = np.zeros((len(g) + (1 if single else 2), e), dtype=np.int64)
+        if single:                       # x - lam^i
+            out[1:] += g
+            out[:-1] -= scaled
+        else:                            # x^2 - Tr_i x + 1
+            out[:-2] += g
+            out[1:-1] -= scaled
+            out[2:] += g
+        g = out % p
+    return g
+
+
+def check_digits(g: np.ndarray, field: Field, n: int) -> np.ndarray:
+    """h(x) = (x^n - 1) / g(x) by long division on digits; g must be monic.
+
+    Equals ``check_polynomial`` digit for digit; raises unless the
+    remainder is zero.
+    """
+    p, e = field.p, field.degree
+    dg = len(g) - 1
+    if not 0 <= dg <= n or g[-1, 0] != 1 or g[-1, 1:].any():
+        raise ValueError("generator must be monic of degree at most n")
+    rem = np.zeros((n + 1, e), dtype=np.int64)
+    rem[0, 0] = p - 1
+    rem[n, 0] = 1
+    quot = np.zeros((n - dg + 1, e), dtype=np.int64)
+    for i in range(n, dg - 1, -1):
+        c = rem[i]
+        if not c.any():
+            continue
+        quot[i - dg] = c
+        rem[i - dg:i + 1] = (rem[i - dg:i + 1] - g @ _scalar_matrix(c, field)) % p
+    if rem[:dg].any():
+        raise ValueError("generator does not divide x^n - 1")
+    return quot
+
+
+def _toeplitz(coeffs: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """(rows, n, e) array whose row r holds ``coeffs`` from column r on."""
+    out = np.zeros((rows, n, coeffs.shape[1]), dtype=np.int64)
+    r = np.arange(rows)[:, None]
+    out[r, r + np.arange(len(coeffs))[None, :]] = coeffs
+    return out
+
+
+def generator_matrix_digits(g: np.ndarray, n: int) -> np.ndarray:
+    """``generator_matrix`` as a (k, n, e) digit array, k = n - deg g."""
+    k = n - (len(g) - 1)
+    if k < 1:
+        raise ValueError("generator degree leaves no dimension")
+    return _toeplitz(g, k, n)
+
+
+def parity_check_digits(g: np.ndarray, field: Field, n: int) -> np.ndarray:
+    """``parity_check_matrix`` as a (deg g, n, e) digit array.
+
+    Row i is the reversed check polynomial h_k, ..., h_0 shifted i places.
+    """
+    h = check_digits(g, field, n)
+    return _toeplitz(h[::-1], n - (len(h) - 1), n)

@@ -479,10 +479,17 @@ def find_primitive_element(field: Field) -> FieldElement:
 
     Order is certified by g^((N-1)/r) != 1 for every prime r | N-1,
     where N is the field order.
+
+    On a tower level the scan starts at index ``field.base.order``: every
+    lower index has top coefficient zero, so it is an element of the base
+    field GF(Q), whose order divides Q - 1 < N - 1.  None of those can be
+    primitive, so skipping them returns the same canonical element as a
+    scan from index 2.
     """
     n = field.order - 1
     checks = [(n // r) for r in prime_factors(n)]
-    for i in range(2, field.order):
+    start = 2 if field.base is None else field.base.order
+    for i in range(start, field.order):
         g = field.from_index(i)
         if all(g**e != field.one for e in checks):
             return g

@@ -3,8 +3,18 @@
 The decomposition route counts c = |Z1| with pure residue arithmetic;
 this module recomputes c as the rank of H H† over GF(q^2), where H is the
 parity-check matrix of the actual cyclic code and H† its conjugate
-transpose.  The two routes share no code path, so their agreement checks
-the decomposition lemma against the matrix-rank characterization.
+transpose (the Wilde-Brun entanglement formula).  The two routes share no
+code path, so their agreement checks the decomposition lemma against the
+matrix-rank characterization.
+
+The oracle runs on digit arrays from start to finish: g(x) is built as a
+product of one quadratic x^2 - Tr_i x + 1 per coset {i, n - i} of Z
+(q^2 = -1 mod n makes every coset such a pair, and Tr_i = lam^i + lam^-i
+lies in GF(q^2)), h = (x^n - 1) / g by digit long division, and H and G as
+Toeplitz digit arrays; see ``cyclic``.  The object-level builders there
+(``generator_polynomial``, ``parity_check_matrix``) are the reference the
+digit builders are tested against, and ``family_generator_polynomial``
+reaches them for a family instance.
 
 Exact elimination is O(n^3), so the oracle refuses lengths above a guard
 (default 300); larger family instances are covered by the closed-form
@@ -18,8 +28,8 @@ from functools import lru_cache
 
 from . import _gflinalg as gfa
 from .cosets import decompose
-from .cyclic import MatrixGF, Polynomial, generator_matrix, parity_check_matrix, \
-    generator_polynomial
+from .cyclic import MatrixGF, Polynomial, generator_digits, generator_matrix_digits, \
+    generator_polynomial, parity_check_digits
 from .families import FamilySpec, build_defining_set, closed_form
 from .fields import GF, Field, FieldElement, nth_root_of_unity, prime_power_base, \
     quadratic_extension
@@ -97,7 +107,10 @@ def code_context(q: int, n: int) -> tuple[Field, Field, FieldElement]:
 
 
 def family_generator_polynomial(spec: FamilySpec) -> Polynomial:
-    """g(x) of the family instance's cyclic code, over GF(q^2)."""
+    """g(x) of the family instance's cyclic code, over GF(q^2), as objects.
+
+    The reference path; the oracle itself builds g with ``generator_digits``.
+    """
     _, _, lam = code_context(spec.q, spec.n)
     record = build_defining_set(spec)
     return generator_polynomial(lam, record.defining_set)
@@ -134,16 +147,14 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     if n > n_max:
         raise OracleSizeError(
             f"n = {n} exceeds the rank oracle guard n_max = {n_max}")
-    subfield, _, _ = code_context(q, n)
-    g = family_generator_polynomial(spec)
-    h = parity_check_matrix(g, n)
-
-    hd = gfa.to_digits(h.entries, subfield)
+    subfield, _, lam = code_context(q, n)
+    record = build_defining_set(spec)
+    g = generator_digits(lam, record.defining_set)
+    hd = parity_check_digits(g, subfield, n)
     hdag = gfa.conjugate_transpose_digits(hd, subfield, q)
     product = gfa.matmul_digits(hd, hdag, subfield)
     rank = gfa.rank_digits(product, subfield)
 
-    record = build_defining_set(spec)
     dec = decompose(n, q, record.defining_set)
     return RankReport(
         case=spec.case, m=spec.m, q=spec.q, alpha=spec.alpha, n=n,
@@ -155,11 +166,9 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
 
 def generator_parity_orthogonal(spec: FamilySpec) -> bool:
     """Exact check that G H^T = 0 for the instance's code (plain transpose)."""
-    subfield, _, _ = code_context(spec.q, spec.n)
-    g = family_generator_polynomial(spec)
-    gmat = generator_matrix(g, spec.n)
-    hmat = parity_check_matrix(g, spec.n)
-    gd = gfa.to_digits(gmat.entries, subfield)
-    hd = gfa.to_digits(hmat.entries, subfield)
+    subfield, _, lam = code_context(spec.q, spec.n)
+    g = generator_digits(lam, build_defining_set(spec).defining_set)
+    gd = generator_matrix_digits(g, spec.n)
+    hd = parity_check_digits(g, subfield, spec.n)
     prod = gfa.matmul_digits(gd, hd.transpose(1, 0, 2), subfield)
     return not prod.any()

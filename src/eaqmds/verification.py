@@ -52,6 +52,8 @@ class SweepSummary:
 
     @property
     def ok(self) -> bool:
+        if self.spec_count == 0:  # an empty sweep verifies nothing
+            return False
         if any(f for _, f in self.check_counts.values()):
             return False
         if self.identity_counts[1]:

@@ -43,7 +43,7 @@ SWEEP_Q_MAX = 250
 ORACLE_N_MAX = 300
 
 
-def report(log: list, number: int, name: str, failures: list,
+def report(log: list, number: int | str, name: str, failures: list,
            elapsed: float, budget: float):
     status = "PASS" if not failures and elapsed < budget else "FAIL"
     line = (f"ACCEPTANCE {number} ({name}): {status} "
@@ -112,6 +112,28 @@ def test_criterion_3_rank_oracle(acceptance_log):
             failures.append(("length not covered", required))
     report(acceptance_log, 3, f"rank(HH+) == |Z1| on {count} instances, n <= {ORACLE_N_MAX}",
            failures, time.monotonic() - t0, 120.0)
+
+
+def test_criterion_3b_rank_oracle_published_rows_past_guard(acceptance_log):
+    # the default guard stays at 300; this widens coverage to the 19
+    # published rows with 300 < n <= 700 (n = 421, 449, 457, 533, 689)
+    t0 = time.monotonic()
+    failures = []
+    lengths = set()
+    count = 0
+    for case, rows in PUBLISHED_ROWS.items():
+        for m, q, n, alpha, kq, d, c in rows:
+            if not 300 < n <= 700:
+                continue
+            rep = entanglement_rank(spec_from_q(case, m, q, alpha), n_max=700)
+            if not (rep.rank_hh_dagger == c and rep.match and rep.matches_closed_form):
+                failures.append(((case, m, q, alpha), c, rep))
+            lengths.add(n)
+            count += 1
+    if count != 19 or lengths != {421, 449, 457, 533, 689}:
+        failures.append(("coverage", count, sorted(lengths)))
+    report(acceptance_log, "3b", f"rank(HH+) == published c on {count} rows, "
+              "300 < n <= 700", failures, time.monotonic() - t0, 60.0)
 
 
 def test_criterion_4_lemma_suite(acceptance_log):

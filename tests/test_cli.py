@@ -6,6 +6,7 @@ import pytest
 
 from eaqmds.cli import main
 from eaqmds.published_params import PUBLISHED_ROWS, ROW_COUNTS
+from eaqmds.verification import run_verification_sweep
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,34 @@ def test_verify_oracle_skipped(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["oracle"] == {"status": "skipped"}
+    assert payload["specs"] > 0 and payload["ok"] is True
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle", "--case", "1", "--m", "1", "--k", "1", "--alpha", "1"],
+    ["verify", "--m-max", "1", "--q-max", "10"],
+])
+def test_negative_oracle_guard_rejected_at_parse_time(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--oracle-n-max", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle-n-max" in captured.err and ">= 0" in captured.err
+
+
+@pytest.mark.parametrize("bounds", [["--m-max", "0"], ["--q-max", "3"]])
+def test_verify_empty_sweep_is_usage_error(bounds, capsys):
+    code, out, err = run_cli(capsys, "verify", *bounds)
+    assert code == 2
+    assert out == ""
+    assert "no family instance" in err
+
+
+def test_empty_sweep_summary_is_not_ok():
+    summary = run_verification_sweep(m_max=0, q_max=250)
+    assert summary.spec_count == 0
+    assert summary.ok is False
 
 
 def test_verify_fault_injection_fails(capsys):

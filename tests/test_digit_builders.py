@@ -1,0 +1,159 @@
+"""Digit builders of the rank oracle against the object-level reference.
+
+The oracle builds g, h, H and G on digit arrays and finds its root of
+unity with a primitive-element scan that skips the subfield.  These tests
+pin both to the object path and to a full scan, byte for byte, and show
+that faults on the digit path flip or stop the oracle.
+"""
+
+import numpy as np
+import pytest
+
+from eaqmds import _gflinalg as gfa
+from eaqmds import cyclic, rank_oracle
+from eaqmds.cosets import ResidueSet
+from eaqmds.cyclic import (
+    check_digits,
+    check_polynomial,
+    generator_digits,
+    generator_matrix,
+    generator_matrix_digits,
+    generator_polynomial,
+    parity_check_digits,
+    parity_check_matrix,
+)
+from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
+from eaqmds.fields import GF, find_primitive_element, prime_factors, \
+    quadratic_extension
+from eaqmds.rank_oracle import code_context, entanglement_rank
+
+ORACLE_SPECS = [s for s in sweep_specs(5, 250) if s.n <= 150]
+PUBLISHED_421 = spec_from_q(3, 1, 29, 3)   # [[421,129,189;84]]_29
+
+
+def spec_id(spec):
+    return f"case{spec.case}-m{spec.m}-k{spec.k}-a{spec.alpha}-n{spec.n}"
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + [PUBLISHED_421], ids=spec_id)
+def test_digit_builders_match_object_path(spec):
+    n = spec.n
+    subfield, _, lam = code_context(spec.q, n)
+    z = build_defining_set(spec).defining_set
+    g = generator_polynomial(lam, z)
+    gd = generator_digits(lam, z)
+    assert gd.dtype == np.int64
+    assert gd.tobytes() == gfa.to_digits([g.coeffs], subfield)[0].tobytes()
+    h = check_polynomial(g, n)
+    hd = check_digits(gd, subfield, n)
+    assert hd.tobytes() == gfa.to_digits([h.coeffs], subfield)[0].tobytes()
+    hmat = parity_check_digits(gd, subfield, n)
+    assert hmat.tobytes() == gfa.to_digits(
+        parity_check_matrix(g, n).entries, subfield).tobytes()
+    gmat = generator_matrix_digits(gd, n)
+    assert gmat.tobytes() == gfa.to_digits(
+        generator_matrix(g, n).entries, subfield).tobytes()
+
+
+def test_oracle_specs_are_the_benchmark_subset():
+    assert len(ORACLE_SPECS) == 29
+    assert PUBLISHED_421.n == 421
+
+
+def test_generator_digits_rejects_open_set():
+    _, _, lam = code_context(13, 85)
+    with pytest.raises(ValueError, match="cyclotomic cosets"):
+        generator_digits(lam, ResidueSet.of(85, [1]))
+
+
+def test_generator_digits_rejects_wrong_root():
+    # 17 | 13^2 + 1, and {8, 9} is a coset mod 17, but lam has order 85
+    _, _, lam = code_context(13, 85)
+    with pytest.raises(ValueError, match="root of unity"):
+        generator_digits(lam, ResidueSet.of(17, [8, 9]))
+
+
+def test_generator_digits_rejects_length_without_pair_cosets():
+    # 13^2 = 1 mod 7, so the cosets mod 7 are singletons, not {i, n - i}
+    _, _, lam = code_context(13, 85)
+    with pytest.raises(ValueError, match="not -1"):
+        generator_digits(lam, ResidueSet.of(7, [1]))
+
+
+def test_check_digits_rejects_non_divisor():
+    subfield, _, lam = code_context(13, 85)
+    gd = generator_digits(lam, ResidueSet.of(85, [42, 43]))
+    bad = gd.copy()
+    bad[0, 0] = (bad[0, 0] + 1) % subfield.p
+    with pytest.raises(ValueError, match="does not divide"):
+        check_digits(bad, subfield, 85)
+
+
+def test_singleton_coset_gives_linear_factor():
+    # 0 is its own coset {0}; its minimal polynomial is x - 1
+    subfield, _, lam = code_context(13, 85)
+    z = ResidueSet.of(85, [0, 42, 43])
+    gd = generator_digits(lam, z)
+    assert gd.tobytes() == gfa.to_digits(
+        [generator_polynomial(lam, z).coeffs], subfield)[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# primitive-element scan: the subfield skip keeps the canonical element
+
+
+def full_scan_primitive(field):
+    """The canonical primitive element by a scan from index 2."""
+    n = field.order - 1
+    checks = [n // r for r in prime_factors(n)]
+    for i in range(2, field.order):
+        g = field.from_index(i)
+        if all(g**e != field.one for e in checks):
+            return g
+    raise AssertionError("no primitive element found")
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27])
+def test_primitive_scan_skip_matches_full_scan(q):
+    p = prime_factors(q)[0]
+    j = 1
+    while p**j < q:
+        j += 1
+    assert p**j == q
+    tower = quadratic_extension(GF(p, 2 * j))
+    assert find_primitive_element(tower) == full_scan_primitive(tower)
+
+
+# ---------------------------------------------------------------------------
+# fault reach: each fault on the digit path must flip or stop the oracle
+
+
+def test_fault_conjugate_with_exponent_one_flips_match(monkeypatch):
+    spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13
+    assert entanglement_rank(spec).match
+    plain = gfa.conjugate_transpose_digits
+    monkeypatch.setattr(gfa, "conjugate_transpose_digits",
+                        lambda a, field, q: plain(a, field, 1))
+    report = entanglement_rank(spec)
+    assert not report.match
+    assert report.rank_hh_dagger == 32
+
+
+def test_fault_dropped_row_of_h_flips_match(monkeypatch):
+    spec = FamilySpec(2, 1, 2, 2)   # [[61,1,61;60]]_11: H H† has full rank
+    assert entanglement_rank(spec).match
+    build = rank_oracle.parity_check_digits
+    monkeypatch.setattr(rank_oracle, "parity_check_digits",
+                        lambda *args: build(*args)[1:])
+    report = entanglement_rank(spec)
+    assert not report.match
+    assert report.rank_hh_dagger == 59
+
+
+def test_fault_corrupted_trace_escapes_subfield(monkeypatch):
+    spec = FamilySpec(1, 1, 3, 1)
+    walk = cyclic._root_pairs
+    monkeypatch.setattr(cyclic, "_root_pairs",
+                        lambda *args: ((up, up) for up, _ in walk(*args)))
+    with pytest.raises(ValueError, match="escapes the subfield"):
+        entanglement_rank(spec)
