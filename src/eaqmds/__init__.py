@@ -22,7 +22,6 @@ from .fields import (
     quadratic_extension,
 )
 from .cosets import (
-    Coset,
     Decomposition,
     ResidueSet,
     all_cosets,
@@ -75,7 +74,7 @@ __all__ = [
     "GF", "Field", "FieldElement", "embed", "find_primitive_element",
     "frobenius", "in_subfield", "multiplicative_order", "nth_root_of_unity",
     "project", "quadratic_extension",
-    "Coset", "Decomposition", "ResidueSet", "all_cosets",
+    "Decomposition", "ResidueSet", "all_cosets",
     "coset_neg_q_identity", "cyclotomic_coset", "decompose", "neg_q_image",
     "run_defining_set",
     "EAParams", "CodeRecord", "ClosedForm", "FamilySpec",

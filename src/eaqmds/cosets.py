@@ -2,8 +2,17 @@
 
 Covers q^2-cyclotomic cosets, the -q map x -> n - qx, consecutive-run
 defining sets, and the decomposition Z = Z1 u Z2 with Z1 = Z n (-qZ).
-Residues are always normalized to [0, n-1]; the convention here is that
-a coset is represented by its minimal member.
+
+A set of residues is a ``ResidueSet``: a read-only numpy bool mask over
+[0, n), True at each member.  Cosets are ResidueSets too.  Set algebra,
+coset closure, the -q image and the decomposition are whole-mask numpy
+operations; the sorted member tuple, the frozenset and the int64 member
+array are views derived on first use.
+
+The kernels multiply members (all below n) by q or by a coset multiplier
+in int64, so they require q*n < 2^63 and raise ``OverflowError``
+otherwise.  For the family lengths n = (q^2+1)/(m^2+1) the products reach
+about q^3/2, which stays inside int64 far past q = 10^5.
 """
 
 from __future__ import annotations
@@ -11,57 +20,91 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-
-@dataclass(frozen=True)
-class Coset:
-    """Orbit of a residue under multiplication by a fixed unit mod n."""
-
-    n: int
-    members: tuple[int, ...]  # sorted
-
-    @property
-    def rep(self) -> int:
-        """Canonical representative: the minimal member."""
-        return self.members[0]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x % self.n in self.members
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.members)
+import numpy as np
 
 
-@dataclass(frozen=True)
+def _times_mod(arr: np.ndarray, factor: int, n: int) -> np.ndarray:
+    """(arr * factor) mod n in [0, n), exactly, for int64 members below n.
+
+    The products stay below |factor| * n, which must be under 2^63.  The
+    reduction is spelled x - (x // n) * n because numpy divides by a
+    scalar with a multiply-and-shift, about twice as fast as its remainder.
+    """
+    if abs(factor) * n >= 2 ** 63:
+        raise OverflowError(
+            f"residue products reach {abs(factor)} * {n} >= 2^63; "
+            "the int64 mask kernels require q*n < 2^63")
+    x = arr * factor
+    x -= (x // n) * n
+    return x
+
+
+@dataclass(frozen=True, eq=False)
 class ResidueSet:
-    """A duplicate-free set of residues mod n, stored sorted."""
+    """A set of residues mod n, stored as a read-only bool mask of length n."""
 
     n: int
-    members: tuple[int, ...]
+    mask: np.ndarray
+
+    def __post_init__(self):
+        mask = self.mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_
+                and mask.shape == (self.n,)):
+            raise ValueError(f"a ResidueSet mod {self.n} needs a bool mask "
+                             f"of shape ({self.n},)")
+        mask.setflags(write=False)
 
     @classmethod
     def of(cls, n: int, values) -> "ResidueSet":
-        norm = {v % n for v in values}
-        return cls(n, tuple(sorted(norm)))
+        """The set {v mod n | v in values}; duplicates collapse."""
+        mask = np.zeros(n, dtype=np.bool_)
+        mask[[v % n for v in values]] = True
+        return cls.from_mask(n, mask)
+
+    @classmethod
+    def from_mask(cls, n: int, mask) -> "ResidueSet":
+        """Wrap a length-n bool mask; the array is frozen, not copied."""
+        return cls(n, np.asarray(mask, dtype=np.bool_))
 
     @classmethod
     def empty(cls, n: int) -> "ResidueSet":
-        return cls(n, ())
+        return cls.from_mask(n, np.zeros(n, dtype=np.bool_))
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The members as a sorted, read-only int64 array."""
+        arr = np.flatnonzero(self.mask).astype(np.int64, copy=False)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        """The members as a sorted tuple of ints."""
+        return tuple(self.array.tolist())
 
     @cached_property
     def as_set(self) -> frozenset[int]:
-        return frozenset(self.members)
+        return frozenset(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, x: int) -> bool:
-        return x % self.n in self.as_set
+        return bool(self.mask[x % self.n])
 
     def __iter__(self):
         return iter(self.members)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResidueSet):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"ResidueSet(n={self.n}, members={self.members})"
 
     def _like(self, other: "ResidueSet"):
         if self.n != other.n:
@@ -69,22 +112,22 @@ class ResidueSet:
 
     def union(self, other: "ResidueSet") -> "ResidueSet":
         self._like(other)
-        return ResidueSet(self.n, tuple(sorted(self.as_set | other.as_set)))
+        return ResidueSet.from_mask(self.n, self.mask | other.mask)
 
     def intersection(self, other: "ResidueSet") -> "ResidueSet":
         self._like(other)
-        return ResidueSet(self.n, tuple(sorted(self.as_set & other.as_set)))
+        return ResidueSet.from_mask(self.n, self.mask & other.mask)
 
     def difference(self, other: "ResidueSet") -> "ResidueSet":
         self._like(other)
-        return ResidueSet(self.n, tuple(sorted(self.as_set - other.as_set)))
+        return ResidueSet.from_mask(self.n, self.mask & ~other.mask)
 
     def is_consecutive_run(self) -> bool:
         """Whether the members form one gap-free integer interval."""
-        if not self.members:
+        arr = self.array
+        if not arr.size:
             return False
-        lo, hi = self.members[0], self.members[-1]
-        return hi - lo + 1 == len(self.members)
+        return int(arr[-1] - arr[0]) + 1 == arr.size
 
 
 @dataclass(frozen=True)
@@ -100,23 +143,27 @@ class Decomposition:
         return len(self.z1)
 
 
-def cyclotomic_coset(n: int, multiplier: int, i: int) -> Coset:
+def cyclotomic_coset(n: int, multiplier: int, i: int) -> ResidueSet:
     """Orbit of i under repeated multiplication by ``multiplier`` mod n.
 
     For the lengths used here (n | q^2 + 1, multiplier q^2 = -1 mod n) the
     orbit is {i, n - i}; the computation does not assume that shape.
     """
     i %= n
-    members = {i}
+    members = [i]
     x = (i * multiplier) % n
     while x != i:
-        members.add(x)
+        members.append(x)
         x = (x * multiplier) % n
-    return Coset(n, tuple(sorted(members)))
+    return ResidueSet.of(n, members)
 
 
-def all_cosets(n: int, multiplier: int) -> list[Coset]:
-    """Partition of [0, n-1] into cyclotomic cosets, ordered by representative."""
+def all_cosets(n: int, multiplier: int) -> list[ResidueSet]:
+    """Partition of [0, n-1] into cyclotomic cosets, ordered by minimal member.
+
+    Each coset carries its own length-n mask, so the list takes about
+    n^2 / 2 bytes; it is meant for small n.
+    """
     seen = [False] * n
     out = []
     for i in range(n):
@@ -130,16 +177,18 @@ def all_cosets(n: int, multiplier: int) -> list[Coset]:
 
 def neg_q_image(n: int, q: int, s: ResidueSet) -> ResidueSet:
     """The set -qS = {(n - q x) mod n | x in S}."""
-    return ResidueSet(n, tuple(sorted((-q * x) % n for x in s.members)))
+    out = np.zeros(n, dtype=np.bool_)
+    out[_times_mod(s.array, -q, n)] = True
+    return ResidueSet.from_mask(n, out)
 
 
-def neg_q_coset(n: int, q: int, c: Coset) -> Coset:
+def neg_q_coset(n: int, q: int, c: ResidueSet) -> ResidueSet:
     """Image of a whole coset under the -q map (again a coset)."""
     qsq = (q * q) % n
-    return cyclotomic_coset(n, qsq, (-q * c.rep) % n)
+    return cyclotomic_coset(n, qsq, (-q * c.members[0]) % n)
 
 
-def coset_neg_q_identity(n: int, q: int, u: int, v: int) -> tuple[Coset, Coset]:
+def coset_neg_q_identity(n: int, q: int, u: int, v: int) -> tuple[ResidueSet, ResidueSet]:
     """The pair (-q C_{uq+v}, C_{vq-u}).
 
     Because -q(uq + v) = -(vq - u) mod n whenever q^2 = -1 mod n, the two
@@ -163,12 +212,14 @@ def run_defining_set(n: int, s: int, delta: int) -> ResidueSet:
     """
     if not 1 <= delta <= s:
         raise ValueError(f"run half-length {delta} outside [1, {s}]")
-    return ResidueSet(n, tuple(range(s + 1 - delta, s + delta + 1)))
+    mask = np.zeros(n, dtype=np.bool_)
+    mask[s + 1 - delta:s + delta + 1] = True
+    return ResidueSet.from_mask(n, mask)
 
 
 def is_coset_closed(n: int, multiplier: int, s: ResidueSet) -> bool:
-    members = s.as_set
-    return all((x * multiplier) % n in members for x in members)
+    """Whether x * multiplier mod n lies in S for every x in S."""
+    return bool(s.mask[_times_mod(s.array, multiplier, n)].all())
 
 
 def decompose(n: int, q: int, z: ResidueSet) -> Decomposition:
@@ -182,11 +233,8 @@ def decompose(n: int, q: int, z: ResidueSet) -> Decomposition:
     qsq = (q * q) % n
     if not is_coset_closed(n, qsq, z):
         raise ValueError("set is not closed under the q^2-cyclotomic action")
-    zset = z.as_set
-    neg = {(-q * x) % n for x in zset}
-    z1 = zset & neg
-    z2 = zset - z1
+    neg = neg_q_image(n, q, z).mask
     return Decomposition(
-        z1=ResidueSet(n, tuple(sorted(z1))),
-        z2=ResidueSet(n, tuple(sorted(z2))),
+        z1=ResidueSet.from_mask(n, z.mask & neg),
+        z2=ResidueSet.from_mask(n, z.mask & ~neg),
     )

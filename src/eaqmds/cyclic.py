@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _gflinalg as gfa
 from .fields import Field, FieldElement, in_subfield, project
-from .cosets import Coset, ResidueSet, is_coset_closed
+from .cosets import ResidueSet, cyclotomic_coset, is_coset_closed
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _root_powers(lam: FieldElement, n: int) -> tuple[FieldElement, ...]:
     return tuple(powers)
 
 
-def minimal_polynomial(lam: FieldElement, coset: Coset) -> Polynomial:
+def minimal_polynomial(lam: FieldElement, coset: ResidueSet) -> Polynomial:
     """prod_{j in coset} (x - lam^j), projected from GF(q^4) down to GF(q^2).
 
     lam must live in a tower level; every product coefficient is checked
@@ -192,13 +192,9 @@ def generator_polynomial(lam: FieldElement, z: ResidueSet) -> Polynomial:
     for i in z.members:
         if i in seen:
             continue
-        orbit = [i]
-        x = (i * qsq) % n
-        while x != i:
-            orbit.append(x)
-            x = (x * qsq) % n
-        seen.update(orbit)
-        g = g * minimal_polynomial(lam, Coset(n, tuple(sorted(orbit))))
+        coset = cyclotomic_coset(n, qsq, i)
+        seen.update(coset.members)
+        g = g * minimal_polynomial(lam, coset)
     return g
 
 

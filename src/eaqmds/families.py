@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fields import prime_power_base
 from .cosets import ResidueSet, decompose, neg_q_image, run_defining_set
 
@@ -236,10 +238,21 @@ def ea_params(spec: FamilySpec) -> EAParams:
 # piecewise coset unions; they appear nowhere else in the API.
 
 
-def _collect(dest: set, n: int, idx: int):
-    idx %= n
-    dest.add(idx)
-    dest.add((n - idx) % n)
+def _mark(mask: np.ndarray, q: int, lo: int, hi: int, umax: int,
+          thresh: int | None = None) -> None:
+    """Mark the cosets {idx, n - idx} of idx = uq + v for lo <= v <= hi.
+
+    u runs over 0..umax while v <= thresh (every v when thresh is None)
+    and over 0..umax-1 beyond it.
+    """
+    n = mask.size
+    v = np.arange(lo, hi + 1, dtype=np.int64)
+    u = np.arange(umax + 1, dtype=np.int64)[:, None]
+    idx = (u * q + v) % n
+    if thresh is not None:
+        idx = idx[u <= np.where(v <= thresh, umax, umax - 1)]
+    mask[idx] = True
+    mask[(n - idx) % n] = True
 
 
 def build_T1(spec: FamilySpec) -> ResidueSet:
@@ -250,7 +263,7 @@ def build_T1(spec: FamilySpec) -> ResidueSet:
     """
     case, m, k, alpha = spec.case, spec.m, spec.k, spec.alpha
     a, q, n, s = spec.a, spec.q, spec.n, spec.s
-    out: set[int] = set()
+    out = np.zeros(n, dtype=np.bool_)
 
     if case in (1, 4):
         # odd t from -m to (2m-1)m in blocks of 2m; h steps by block
@@ -261,10 +274,7 @@ def build_T1(spec: FamilySpec) -> ResidueSet:
             h = block if case == 1 else 3 - block
             lo = s + (m + t) * kk + h + alpha
             hi = s + (m + t + 2) * kk + (h - 1 if case == 1 else h - 3) - alpha
-            for v in range(lo, hi + 1):
-                umax = alpha if v <= thresh else alpha - 1
-                for u in range(umax + 1):
-                    _collect(out, n, u * q + v)
+            _mark(out, q, lo, hi, alpha, thresh)
     else:
         # h from 1 to m; t ranges (h-1)m + g1 .. hm - g2 split around (m+1)/2
         if case == 2:
@@ -285,53 +295,39 @@ def build_T1(spec: FamilySpec) -> ResidueSet:
                 else:
                     lo = s + t * (2 * k + 1) + (2 - h) + alpha
                     hi = s + t * (2 * k + 1) + 2 * k - (h - 1) - alpha
-                for v in range(lo, hi + 1):
-                    umax = alpha if v <= thresh else alpha - 1
-                    for u in range(umax + 1):
-                        _collect(out, n, u * q + v)
+                _mark(out, q, lo, hi, alpha, thresh)
 
-    return ResidueSet(n, tuple(sorted(out)))
+    return ResidueSet.from_mask(n, out)
 
 
 def _t1_prime_case1(spec: FamilySpec) -> ResidueSet:
     """Case 1's explicit T1' union (elsewhere T1' is obtained as Z1)."""
     m, k, alpha = spec.m, spec.k, spec.alpha
     a, q, n, s = spec.a, spec.q, spec.n, spec.s
-    out: set[int] = set()
+    out = np.zeros(n, dtype=np.bool_)
 
-    for v in range(s + 1, s + alpha + 1):
-        for u in range(alpha + 1):
-            _collect(out, n, u * q + v)
+    _mark(out, q, s + 1, s + alpha, alpha)
 
     for t in range(1, (m - 1) // 2 + 1):
-        for v in range(s + 2 * t * k + 1 - alpha, s + 2 * t * k + alpha + 1):
-            for u in range(alpha + 1):
-                _collect(out, n, u * q + v)
+        _mark(out, q, s + 2 * t * k + 1 - alpha, s + 2 * t * k + alpha, alpha)
 
     for f in range(1, 2 * m, 2):
         for t in range((f * m + 3) // 2, ((f + 2) * m - 1) // 2 + 1):
             lo = s + 2 * t * k + (f + 3) // 2 - alpha
             hi = s + 2 * t * k + (f + 1) // 2 + alpha
-            for v in range(lo, hi + 1):
-                for u in range(alpha):
-                    _collect(out, n, u * q + v)
+            _mark(out, q, lo, hi, alpha - 1)
 
     for t in range(((2 * m - 1) * m + 3) // 2, m * m + 1):
-        for v in range(s + 2 * t * k + m + 1 - alpha, s + 2 * t * k + m + alpha + 1):
-            for u in range(alpha):
-                _collect(out, n, u * q + v)
+        _mark(out, q, s + 2 * t * k + m + 1 - alpha, s + 2 * t * k + m + alpha,
+              alpha - 1)
 
-    for v in range(s + 2 * a * k + m + 1 - alpha, s + q + 1):
-        for u in range(alpha):
-            _collect(out, n, u * q + v)
+    _mark(out, q, s + 2 * a * k + m + 1 - alpha, s + q, alpha - 1)
 
     for g in range(1, 2 * m, 2):
         mid = s + (g * m + 1) * k + (g + 1) // 2
-        for v in range(mid - alpha, mid + alpha + 1):
-            for u in range(alpha):
-                _collect(out, n, u * q + v)
+        _mark(out, q, mid - alpha, mid + alpha, alpha - 1)
 
-    return ResidueSet(n, tuple(sorted(out)))
+    return ResidueSet.from_mask(n, out)
 
 
 def build_T1_prime(spec: FamilySpec) -> ResidueSet:
@@ -397,14 +393,14 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     t1p = build_T1_prime(spec)
     ea = assemble_ea_params(n, n - len(z), 2 * delta + 1, cf.c)
 
-    t1_set, t1p_set, z_set = t1.as_set, t1p.as_set, z.as_set
     checks = {
         "defining_set_size": len(z) == 2 * cf.delta,
         "consecutive_run": z.is_consecutive_run(),
         "entanglement_closed_form": len(z1) == cf.c,
-        "t1_disjoint": not (t1_set & neg_q_image(n, q, t1).as_set),
-        "t1_prime_stable": neg_q_image(n, q, t1p).as_set == t1p_set,
-        "t1_partition": (t1_set | t1p_set) == z_set and not (t1_set & t1p_set),
+        "t1_disjoint": not (t1.mask & neg_q_image(n, q, t1).mask).any(),
+        "t1_prime_stable": neg_q_image(n, q, t1p) == t1p,
+        "t1_partition": np.array_equal(t1.mask | t1p.mask, z.mask)
+        and not (t1.mask & t1p.mask).any(),
         "quantum_dim_formula": ea.kq == theorem_quantum_dim(spec)
         and ea.kq == cf.quantum_dim,
         "ea_singleton_equality": ea.ea_singleton_equality,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .families import CHECK_NAMES, closed_form, sweep_specs, verify_family
 from .rank_oracle import entanglement_rank, generator_parity_orthogonal
 
@@ -18,22 +20,18 @@ from .rank_oracle import entanglement_rank, generator_parity_orthogonal
 def coset_identity_holds(q: int, n: int) -> bool:
     """Exhaustively verify -qC_{uq+v} = C_{vq-u} for 0 <= u, v < q.
 
-    Works on raw residues: both sides are expanded to their two-element
-    orbits {x, n-x} and compared as sets, so nothing here leans on the
-    coset machinery being correct.
+    Works on raw residues over the whole q x q grid of (u, v) at once:
+    with i = uq + v, x = -qi and w = vq - u mod n, both sides are the
+    two-element orbits {x, n-x} and {w, n-w}, which agree exactly when
+    w = x or w = n - x.  Cells with i = 0 are skipped.  Nothing here leans
+    on the coset machinery being correct.
     """
-    for u in range(q):
-        uq = u * q
-        for v in range(q):
-            i = (uq + v) % n
-            if i == 0:
-                continue
-            left = {(-q * i) % n, (q * i) % n}
-            w = (v * q - u) % n
-            right = {w, (n - w) % n}
-            if left != right:
-                return False
-    return True
+    r = np.arange(q, dtype=np.int64)
+    u, v = r[:, None], r[None, :]
+    i = (u * q + v) % n
+    x = (-q * i) % n
+    w = (v * q - u) % n
+    return bool(((i == 0) | (w == x) | (w == (n - x) % n)).all())
 
 
 @dataclass

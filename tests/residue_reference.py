@@ -1,0 +1,43 @@
+"""Set-and-loop reference versions of the residue kernels.
+
+These are the plain-Python forms of ``cosets.is_coset_closed``,
+``cosets.neg_q_image``, ``cosets.decompose`` and
+``verification.coset_identity_holds``: one residue at a time, on Python
+sets and tuples.  The mask kernels in ``src/`` are tested against them.
+"""
+
+
+def is_coset_closed(n: int, multiplier: int, members) -> bool:
+    members = {x % n for x in members}
+    return all((x * multiplier) % n in members for x in members)
+
+
+def neg_q_image(n: int, q: int, members) -> tuple[int, ...]:
+    """-qS as a sorted tuple (duplicates kept, as a plain map image)."""
+    return tuple(sorted((-q * x) % n for x in members))
+
+
+def decompose(n: int, q: int, members) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(Z1, Z2) = (Z n -qZ, Z \\ Z1) as sorted tuples; rejects non-closed Z."""
+    zset = {x % n for x in members}
+    if not is_coset_closed(n, (q * q) % n, zset):
+        raise ValueError("set is not closed under the q^2-cyclotomic action")
+    neg = {(-q * x) % n for x in zset}
+    z1 = zset & neg
+    return tuple(sorted(z1)), tuple(sorted(zset - z1))
+
+
+def coset_identity_holds(q: int, n: int) -> bool:
+    """-qC_{uq+v} = C_{vq-u} for 0 <= u, v < q, one (u, v) at a time."""
+    for u in range(q):
+        uq = u * q
+        for v in range(q):
+            i = (uq + v) % n
+            if i == 0:
+                continue
+            left = {(-q * i) % n, (q * i) % n}
+            w = (v * q - u) % n
+            right = {w, (n - w) % n}
+            if left != right:
+                return False
+    return True

@@ -94,6 +94,23 @@ def test_criterion_2_closed_form_vs_decomposition(acceptance_log):
            time.monotonic() - t0, 30.0)
 
 
+def test_criterion_2b_closed_form_vs_decomposition_past_q250(acceptance_log):
+    # widens criterion 2's coverage to q <= 500; criterion 2 is unchanged
+    t0 = time.monotonic()
+    failures = []
+    count = 0
+    for spec in sweep_specs(SWEEP_M_MAX, 500):
+        z = build_defining_set(spec).defining_set
+        z1 = decompose(spec.n, spec.q, z).z1
+        if len(z1) != closed_form(spec).c:
+            failures.append((spec, len(z1), closed_form(spec).c))
+        count += 1
+    if count != 12182:
+        failures.append(("sweep size", count))
+    report(acceptance_log, "2b", f"|Z n -qZ| == closed-form c on {count} specs, q <= 500",
+           failures, time.monotonic() - t0, 30.0)
+
+
 def test_criterion_3_rank_oracle(acceptance_log):
     t0 = time.monotonic()
     failures = []

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from eaqmds.cosets import (
-    Coset,
     ResidueSet,
     all_cosets,
     coset_neg_q_identity,
@@ -23,7 +22,7 @@ def test_cyclotomic_coset_values():
     assert cyclotomic_coset(85, 84, 1).members == (1, 84)
     assert cyclotomic_coset(85, 84, 0).members == (0,)
     assert cyclotomic_coset(85, 84, 42).members == (42, 43)
-    assert cyclotomic_coset(85, 84, 1).rep == 1
+    assert cyclotomic_coset(85, 84, 1).members[0] == 1
 
 
 def test_all_cosets_n85():
@@ -49,8 +48,8 @@ def test_coset_shape_exhaustive_for_admissible_lengths():
         assert qsq == n - 1
         for c in all_cosets(n, qsq):
             assert len(c) <= 2
-            i = c.rep
-            assert c.as_set() == {i, (n - i) % n}
+            i = c.members[0]
+            assert c.as_set == {i, (n - i) % n}
     assert seen, "sweep produced no admissible lengths"
 
 
@@ -83,7 +82,7 @@ def test_neg_q_coset_map_is_involution_on_cosets():
     image_reps = set()
     for c in cosets:
         image = neg_q_coset(n, q, c)
-        image_reps.add(image.rep)
+        image_reps.add(image.members[0])
         assert neg_q_coset(n, q, image).members == c.members
     assert len(image_reps) == len(cosets)  # bijection
 
@@ -130,7 +129,7 @@ def test_run_defining_set_is_union_of_cosets():
     assert is_coset_closed(85, 84, z)
     expected = set()
     for j in range(1, 17):
-        expected |= cyclotomic_coset(85, 84, 42 + j).as_set()
+        expected |= cyclotomic_coset(85, 84, 42 + j).as_set
     assert z.as_set == expected
 
 
@@ -174,6 +173,6 @@ def test_residue_set_operations():
 
 
 def test_coset_container_protocol():
-    c = Coset(85, (1, 84))
+    c = ResidueSet.of(85, (1, 84))
     assert 84 in c and 1 in c and 2 not in c
     assert len(c) == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from eaqmds.cosets import Coset, ResidueSet, all_cosets, run_defining_set
+from eaqmds.cosets import ResidueSet, all_cosets, run_defining_set
 from eaqmds.cyclic import (
     MatrixGF,
     Polynomial,
@@ -46,7 +46,7 @@ def test_polynomial_division_errors():
 
 def test_minimal_polynomial_zero_coset_is_x_minus_1():
     sub, tower, lam = context(13, 85)
-    mp = minimal_polynomial(lam, Coset(85, (0,)))
+    mp = minimal_polynomial(lam, ResidueSet.of(85, (0,)))
     assert mp.field == sub
     assert mp.coeffs == Polynomial.of(sub, [-1, 1]).coeffs
 
@@ -64,7 +64,7 @@ def test_minimal_polynomial_degree_and_subfield():
 def test_minimal_polynomial_rejects_non_coset():
     _, _, lam = context(13, 85)
     with pytest.raises(ValueError):
-        minimal_polynomial(lam, Coset(85, (1,)))  # orbit of 1 is {1, 84}
+        minimal_polynomial(lam, ResidueSet.of(85, (1,)))  # orbit of 1 is {1, 84}
 
 
 @pytest.mark.parametrize("q,n", [(13, 85), (11, 61)])

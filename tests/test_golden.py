@@ -1,0 +1,31 @@
+"""Golden byte snapshots of the CLI data stream.
+
+The files under ``tests/golden/`` hold the CLI's data output; a change to
+``src/`` must reproduce them byte for byte.  Regenerate one only in a
+change that is about that output, e.g.
+
+    PYTHONPATH=src python -m eaqmds.cli verify --q-max 60 > tests/golden/verify_q60.json
+"""
+
+from pathlib import Path
+
+import pytest
+
+from eaqmds.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SNAPSHOTS = [
+    *[(f"table_case{c}.{fmt}", ["table", "--case", str(c), "--format", fmt], 0)
+      for c in (1, 2, 3, 4) for fmt in ("json", "csv")],
+    ("verify_q60.json", ["verify", "--q-max", "60"], 0),
+    ("verify_q120_fault.json",
+     ["verify", "--q-max", "120", "--oracle-n-max", "0", "--fault-inject"], 1),
+]
+
+
+@pytest.mark.parametrize("name, argv, exit_code", SNAPSHOTS,
+                         ids=[name for name, _, _ in SNAPSHOTS])
+def test_cli_output_matches_golden_bytes(name, argv, exit_code, capsysbinary):
+    assert main(argv) == exit_code
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()

@@ -1,0 +1,116 @@
+"""Mask kernels against the set-and-loop references, and the int64 guard."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import residue_reference as ref
+from eaqmds.cosets import ResidueSet, decompose, is_coset_closed, neg_q_image
+from eaqmds.verification import coset_identity_holds
+
+
+def _divisors(x: int) -> list[int]:
+    small = [d for d in range(1, int(x ** 0.5) + 1) if x % d == 0]
+    return sorted(set(small + [x // d for d in small]))
+
+
+@st.composite
+def q_and_length(draw, q_max=300):
+    """(q, n) with n > 2 a divisor of q^2 + 1, so q^2 = -1 mod n."""
+    q = draw(st.integers(2, q_max))
+    n = draw(st.sampled_from([d for d in _divisors(q * q + 1) if d > 2]))
+    return q, n
+
+
+@st.composite
+def closed_union(draw):
+    """(q, n, members) with members a random union of cosets {i, n - i}."""
+    q, n = draw(q_and_length())
+    reps = draw(st.sets(st.integers(0, n // 2)))
+    return q, n, sorted({x for i in reps for x in (i, (n - i) % n)})
+
+
+@given(closed_union())
+def test_decompose_matches_reference(case):
+    q, n, members = case
+    z = ResidueSet.of(n, members)
+    dec = decompose(n, q, z)
+    z1, z2 = ref.decompose(n, q, members)
+    assert dec.z1.members == z1 and dec.z2.members == z2
+    assert is_coset_closed(n, (q * q) % n, z)
+    assert neg_q_image(n, q, z).members == ref.neg_q_image(n, q, members)
+
+
+@given(closed_union(), st.data())
+def test_decompose_rejects_non_closed_like_reference(case, data):
+    q, n, members = case
+    # toggle one half of a two-element coset {x, n - x}
+    x = data.draw(st.integers(1, n - 1).filter(lambda x: 2 * x != n))
+    broken = sorted(set(members) ^ {x})
+    z = ResidueSet.of(n, broken)
+    assert not is_coset_closed(n, (q * q) % n, z)
+    assert not ref.is_coset_closed(n, (q * q) % n, broken)
+    with pytest.raises(ValueError):
+        decompose(n, q, z)
+    with pytest.raises(ValueError):
+        ref.decompose(n, q, broken)
+
+
+@given(st.integers(1, 400), st.integers(-1000, 1000), st.data())
+def test_closure_and_image_match_reference_on_any_set(n, factor, data):
+    members = data.draw(st.sets(st.integers(0, n - 1)))
+    s = ResidueSet.of(n, members)
+    assert is_coset_closed(n, factor, s) == ref.is_coset_closed(n, factor, members)
+    assert set(neg_q_image(n, factor, s).members) == set(ref.neg_q_image(n, factor, members))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 90), st.data())
+def test_coset_identity_matches_loop(q, data):
+    n = data.draw(st.one_of(
+        st.sampled_from([d for d in _divisors(q * q + 1) if d > 1]),
+        st.integers(1, q * q + 2)))
+    got = coset_identity_holds(q, n)
+    assert got == ref.coset_identity_holds(q, n)
+    if n > 2 * q:  # then the identity holds exactly when q^2 = -1 mod n
+        assert got == ((q * q + 1) % n == 0)
+
+
+def test_coset_identity_matches_loop_exhaustively_small():
+    # every n <= q^2 + 2 for q <= 12; (2, 3) and (3, 4) hinge on the i = 0 skip
+    for q in range(2, 13):
+        for n in range(1, q * q + 3):
+            assert coset_identity_holds(q, n) == ref.coset_identity_holds(q, n), (q, n)
+
+
+def test_coset_identity_fails_off_the_family_lengths():
+    # q^2 = 1 mod n (n = 24, q = 5) and a generic n: both forms say no
+    for q, n in ((5, 24), (13, 86), (13, 84)):
+        assert not coset_identity_holds(q, n)
+        assert not ref.coset_identity_holds(q, n)
+
+
+def test_int64_guard_refuses_overflowing_products():
+    s = ResidueSet.of(5, [1, 4])
+    big = 2 ** 62  # 5 * 2^62 >= 2^63
+    with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
+        neg_q_image(5, big, s)
+    with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
+        is_coset_closed(5, big, s)
+    with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
+        decompose(5, big, s)
+    assert neg_q_image(5, 2 ** 60, s).members == (1, 4)  # 5 * 2^60 < 2^63
+
+
+def test_residue_set_views_and_identity():
+    a = ResidueSet.of(12, [11, 3, -1, 15])
+    assert a.members == (3, 11) and a.as_set == {3, 11}
+    assert a.array.tolist() == [3, 11] and a.array.dtype.name == "int64"
+    assert len(a) == 2 and 15 in a and 4 not in a and list(a) == [3, 11]
+    assert not a.mask.flags.writeable and not a.array.flags.writeable
+    b = ResidueSet.from_mask(12, a.mask.copy())
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ResidueSet.of(13, [3, 11])
+    with pytest.raises(ValueError):
+        ResidueSet(12, (3, 11))  # storage is a mask, not a member tuple
+    with pytest.raises(ValueError):
+        ResidueSet.from_mask(12, [True] * 11)
