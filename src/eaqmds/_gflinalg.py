@@ -1,13 +1,26 @@
-"""Vectorized exact linear algebra over GF(p^e), internal.
+"""Exact linear algebra over GF(p^e) on float64 BLAS, internal.
 
 Matrices over a single-level extension field are flattened to int64
 arrays of shape (rows, cols, e) holding the polynomial-basis digits mod
-p.  Field multiplication becomes contraction against a fixed reduction
-tensor T with T[u, v] = digits(x^(u+v) mod modulus), so matrix products
-and Gaussian elimination run as a handful of integer tensor operations
-per pivot instead of per entry.  All arithmetic stays in int64 and is
-reduced mod p; intermediate magnitudes are bounded by e^2 p^3 n, far
-below overflow for the sizes guarded here.
+p, in [0, p).  Field multiplication is contraction against a fixed
+reduction tensor T with T[u, v] = digits(x^(u+v) mod modulus), so the
+map x -> x b of one entry b is an e x e matrix over GF(p).
+
+Products run as float64 GEMM (``_gemm``): the right factor is expanded
+into the (inner*e x cols*e) matrix of its entries' multiplication maps,
+reduced mod p, and one BLAS call per column chunk multiplies the left
+factor's digits into it.  Every product and partial sum is an integer
+below inner*e*(p-1)^2, so the result is exact as long as that bound is
+below 2^53; ``_gemm`` raises ``ValueError`` when it is not.
+
+Rank is blocked Gaussian elimination (the FFLAS/FFPACK design of Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008).  Each panel of ``_PANEL``
+columns is eliminated on int64 digits with the deterministic rule (the
+pivot is the first nonzero row of the column, swapped into place), while
+the panel also records each remaining row's coefficients C = -rest_J S_J^-1
+over the pivot rows S.  The remaining rows are then replaced by the Schur
+complement rest_T + C S_T, one ``_gemm``; that is exactly the state the
+column-by-column loop would leave, so the pivot sequence is unchanged.
 """
 
 from __future__ import annotations
@@ -17,6 +30,10 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, FieldElement
+
+_PANEL = 16                 # columns eliminated per panel of rank_digits
+_CHUNK_FLOATS = 1 << 15     # float64 entries per chunk of a _gemm factor or product
+_EXACT = 1 << 53            # float64 holds every integer below this
 
 
 def _require_flat(field: Field):
@@ -55,6 +72,30 @@ def frobenius_matrix(field: Field, q: int) -> np.ndarray:
     return mat
 
 
+def scalar_matrix(c: np.ndarray, field: Field) -> np.ndarray:
+    """The map x -> x c on digits, as a right factor: (x @ M) = x c."""
+    return np.einsum("v,uvw->uw", c, reduction_tensor(field)) % field.p
+
+
+def _inverse_digits(c: np.ndarray, field: Field) -> np.ndarray:
+    """Digits of c^-1: Gauss-Jordan mod p on the e x e system y M_c = 1."""
+    p, e = field.p, field.degree
+    aug = [row + [int(i == 0)] for i, row in
+           enumerate(scalar_matrix(c, field).T.tolist())]
+    for col in range(e):
+        piv = next((r for r in range(col, e) if aug[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("inversion of zero field element")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        s = pow(aug[col][col], -1, p)
+        aug[col] = [x * s % p for x in aug[col]]
+        for r in range(e):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+    return np.asarray([row[e] for row in aug], dtype=np.int64)
+
+
 def to_digits(entries, field: Field) -> np.ndarray:
     """Flatten a sequence of rows of field elements to an int64 digit array."""
     _require_flat(field)
@@ -70,19 +111,51 @@ def from_digits(arr: np.ndarray, field: Field):
     )
 
 
-def matmul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
-    """Exact product of digit matrices over the field, reduced mod p."""
+def _reduced(a: np.ndarray, p: int) -> np.ndarray:
+    """``a`` itself when its digits already lie in [0, p), else a % p."""
+    if a.size and (a.min() < 0 or a.max() >= p):
+        return a % p
+    return a
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
+    """Exact product of digit matrices with digits in [0, p), via float64 BLAS."""
     t = reduction_tensor(field)
-    e = field.degree
+    p, e = field.p, field.degree
     rows, inner = a.shape[0], a.shape[1]
     cols = b.shape[1]
     if b.shape[0] != inner:
         raise ValueError("incompatible shapes")
+    if inner * e * (p - 1) ** 2 >= _EXACT:
+        raise ValueError(
+            f"exact float64 product needs inner*e*(p-1)^2 < 2^53; got inner = "
+            f"{inner}, e = {e}, p = {p}")
     out = np.zeros((rows, cols, e), dtype=np.int64)
-    for u in range(e):
-        bu = np.tensordot(b, t[u], axes=(2, 0))      # (inner, cols, e)
-        out += np.tensordot(a[:, :, u], bu, axes=(1, 0))
-    return out % field.p
+    if not (rows and cols and inner):
+        return out
+    left = np.ascontiguousarray(a, dtype=np.float64).reshape(rows, inner * e)
+    tf = t.astype(np.float64)
+    # columns of b per chunk: its expansion and its product both fit the budget
+    width = min(cols, max(1, _CHUNK_FLOATS // (max(inner, rows) * e * e)))
+    buf = np.empty(inner * e * width * e)
+    prod_buf = np.empty(rows * width * e)
+    for j0 in range(0, cols, width):
+        span = min(width, cols - j0)
+        chunk = buf[:inner * e * span * e].reshape(inner, e, span, e)
+        part = b[:, j0:j0 + span].astype(np.float64)
+        for u in range(e):                    # chunk[k, u, j] = digits of x^u b[k, j]
+            np.matmul(part, tf[u], out=chunk[:, u])
+        np.fmod(chunk, p, out=chunk)
+        prod = prod_buf[:rows * span * e].reshape(rows, span * e)
+        np.matmul(left, chunk.reshape(inner * e, span * e), out=prod)
+        out[:, j0:j0 + span] = prod.reshape(rows, span, e)
+    np.remainder(out, p, out=out)
+    return out
+
+
+def matmul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
+    """Exact product of digit matrices over the field, reduced mod p."""
+    return _gemm(_reduced(a, field.p), _reduced(b, field.p), field)
 
 
 def conjugate_transpose_digits(a: np.ndarray, field: Field, q: int) -> np.ndarray:
@@ -91,37 +164,75 @@ def conjugate_transpose_digits(a: np.ndarray, field: Field, q: int) -> np.ndarra
     return np.einsum("wu,iju->jiw", f, a) % field.p
 
 
-def rank_digits(a: np.ndarray, field: Field) -> int:
-    """Row rank by exact Gaussian elimination on the digit representation.
+def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
+                     order: np.ndarray) -> int:
+    """Eliminate the first ``w`` columns of ``panel`` in place; return the rank.
 
-    Pivot rows are normalized with exact field inverses; rows below are
-    cleared in one tensor contraction per pivot.  Deterministic: the pivot
-    is always the first nonzero entry in the current column.
+    Column by column, the pivot is the first nonzero row at or below the
+    current rank; it is swapped into place (the swap is mirrored in
+    ``order``), normalized to 1 and cleared from the rows below it.  The
+    columns from ``w`` on record each row as (original row) + C S, where
+    S are the original pivot rows in pivot order: pivot i gets C[i, i] = 1
+    when it is chosen, and every row operation then updates C with the row.
     """
     t = reduction_tensor(field)
-    p = field.p
-    a = a.copy() % p
-    rows, cols = a.shape[0], a.shape[1]
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
+    p, e = field.p, field.degree
+    rows = panel.shape[0]
+    k = 0
+    for col in range(w):
+        if k == rows:
             break
-        nz = np.nonzero(a[rank:, col].any(axis=1))[0]
+        nz = np.flatnonzero(panel[k:, col].any(axis=1))
         if nz.size == 0:
             continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        pe = FieldElement(field, tuple(int(d) for d in a[rank, col]))
-        inv = np.asarray(pe.inverse().coeffs, dtype=np.int64)
-        a[rank] = (a[rank] @ np.einsum("v,uvw->uw", inv, t)) % p
-        below = a[rank + 1:, col]
-        live = np.nonzero(below.any(axis=1))[0]
-        if live.size:
-            factors = a[rank + 1 + live, col]                    # (L, e)
-            prow = a[rank]                                        # (cols, e)
-            pt = np.einsum("jv,uvw->ujw", prow, t)                # (e, cols, e)
-            out = np.tensordot(factors, pt, axes=(1, 0))          # (L, cols, e)
-            a[rank + 1 + live] = (a[rank + 1 + live] - out) % p
-        rank += 1
-    return rank
+        piv = k + int(nz[0])
+        if piv != k:
+            panel[[k, piv]] = panel[[piv, k]]
+            order[[k, piv]] = order[[piv, k]]
+        panel[k, w + k, 0] = 1
+        inv = _inverse_digits(panel[k, col], field)
+        prow = panel[k, col:] @ scalar_matrix(inv, field) % p
+        panel[k, col:] = prow
+        below = k + 1 + np.flatnonzero(panel[k + 1:, col].any(axis=1))
+        if below.size:
+            pt = np.einsum("jv,uvw->ujw", prow, t).reshape(e, -1) % p  # x -> x prow
+            upd = (panel[below, col] @ pt).reshape(below.size, -1, e)
+            panel[below, col:] = (panel[below, col:] - upd) % p
+        k += 1
+    return k
+
+
+def _panels(a: np.ndarray, field: Field):
+    """Blocked elimination of ``a``, one panel of ``_PANEL`` columns at a time.
+
+    After each panel yields (pivots found in it, remaining rows x columns):
+    the rows the column-by-column loop would leave below its pivots, in
+    the same order and with the same digits.  The remaining rows become
+    the Schur complement rest_T + C S_T, where C = -rest_J S_J^-1 comes
+    from the panel's own elimination.  Only they are kept.
+    """
+    p, e = field.p, field.degree
+    a = _reduced(a, p)
+    while a.shape[0] and a.shape[1]:
+        rows, w = a.shape[0], min(_PANEL, a.shape[1])
+        panel = np.zeros((rows, 2 * w, e), dtype=np.int64)
+        panel[:, :w] = a[:, :w]
+        order = np.arange(rows)
+        k = _eliminate_panel(panel, w, field, order)
+        if k:
+            s_t = a[order[:k], w:]
+            a = a[order[k:], w:]
+            a += _gemm(panel[k:, w:w + k], s_t, field)
+            a %= p
+        else:
+            a = a[:, w:]
+        yield k, a
+
+
+def rank_digits(a: np.ndarray, field: Field) -> int:
+    """Row rank by exact blocked Gaussian elimination on digit arrays.
+
+    Deterministic: the pivot is always the first nonzero row in the
+    current column, as in the column-by-column loop; see ``_panels``.
+    """
+    return sum(k for k, _ in _panels(a, field))

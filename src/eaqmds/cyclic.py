@@ -340,11 +340,6 @@ def _times_matrix(a: FieldElement) -> np.ndarray:
     return np.stack(rows)
 
 
-def _scalar_matrix(c: np.ndarray, field: Field) -> np.ndarray:
-    """The map x -> x c on digits of the flat field, as a right factor."""
-    return np.einsum("v,uvw->uw", c, gfa.reduction_tensor(field)) % field.p
-
-
 def _matrix_power(m: np.ndarray, k: int, p: int) -> np.ndarray:
     """m^k mod p by repeated squaring, for k >= 0."""
     out = np.eye(len(m), dtype=np.int64)
@@ -379,14 +374,16 @@ def _root_pairs(step: np.ndarray, p: int, n: int, reps):
         yield up, down
 
 
+@lru_cache(maxsize=16)
 def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
-    """g(x) as a (|Z| + 1, e) digit array over GF(q^2), low degree first.
+    """g(x) as a read-only (|Z| + 1, e) digit array over GF(q^2), low first.
 
     Equals ``generator_polynomial(lam, z)`` digit for digit.  Each coset
     {i, n - i} of Z contributes x^2 - Tr_i x + 1 (x - lam^i when i = n - i),
     and its coefficient is checked to lie in GF(q^2) before projection, so
     a set that is not coset-closed for this root fails loudly.  Requires
-    q^2 = -1 mod n and lam^n = 1.
+    q^2 = -1 mod n and lam^n = 1.  Memoized on (lam, Z), so the oracle's
+    rank and G H^T checks build g once per spec.
     """
     tower = lam.field
     if tower.base is None:
@@ -413,7 +410,7 @@ def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
             raise ValueError(
                 f"coefficient of coset {sorted(coset)} escapes the subfield; "
                 "the coset is not closed for this root")
-        scaled = g @ _scalar_matrix(coeff[:e], subfield)
+        scaled = g @ gfa.scalar_matrix(coeff[:e], subfield)
         out = np.zeros((len(g) + (1 if single else 2), e), dtype=np.int64)
         if single:                       # x - lam^i
             out[1:] += g
@@ -423,6 +420,7 @@ def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
             out[1:-1] -= scaled
             out[2:] += g
         g = out % p
+    g.setflags(write=False)
     return g
 
 
@@ -445,7 +443,7 @@ def check_digits(g: np.ndarray, field: Field, n: int) -> np.ndarray:
         if not c.any():
             continue
         quot[i - dg] = c
-        rem[i - dg:i + 1] = (rem[i - dg:i + 1] - g @ _scalar_matrix(c, field)) % p
+        rem[i - dg:i + 1] = (rem[i - dg:i + 1] - g @ gfa.scalar_matrix(c, field)) % p
     if rem[:dg].any():
         raise ValueError("generator does not divide x^n - 1")
     return quot

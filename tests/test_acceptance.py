@@ -153,6 +153,26 @@ def test_criterion_3b_rank_oracle_published_rows_past_guard(acceptance_log):
               "300 < n <= 700", failures, time.monotonic() - t0, 60.0)
 
 
+def test_criterion_3c_rank_oracle_published_rows_to_n1000(acceptance_log):
+    # widens the oracle to the 6 published rows with 700 < n <= 1000
+    # (n = 877 twice, n = 941 four times); the guard and 3b are unchanged
+    t0 = time.monotonic()
+    failures = []
+    lengths = []
+    for case, rows in PUBLISHED_ROWS.items():
+        for m, q, n, alpha, kq, d, c in rows:
+            if not 700 < n <= 1000:
+                continue
+            rep = entanglement_rank(spec_from_q(case, m, q, alpha), n_max=1000)
+            if not (rep.rank_hh_dagger == c and rep.match and rep.matches_closed_form):
+                failures.append(((case, m, q, alpha), c, rep))
+            lengths.append(n)
+    if sorted(lengths) != [877, 877, 941, 941, 941, 941]:
+        failures.append(("coverage", sorted(lengths)))
+    report(acceptance_log, "3c", f"rank(HH+) == published c on {len(lengths)} rows, "
+              "700 < n <= 1000", failures, time.monotonic() - t0, 60.0)
+
+
 def test_criterion_4_lemma_suite(acceptance_log):
     t0 = time.monotonic()
     failures = []

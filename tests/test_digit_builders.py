@@ -80,6 +80,15 @@ def test_generator_digits_rejects_length_without_pair_cosets():
         generator_digits(lam, ResidueSet.of(7, [1]))
 
 
+def test_generator_digits_is_memoized_read_only_and_bounded():
+    _, _, lam = code_context(13, 85)
+    z = ResidueSet.of(85, [42, 43])
+    gd = generator_digits(lam, z)
+    assert generator_digits(lam, ResidueSet.of(85, [43, 42])) is gd
+    assert not gd.flags.writeable
+    assert generator_digits.cache_info().maxsize == 16
+
+
 def test_check_digits_rejects_non_divisor():
     subfield, _, lam = code_context(13, 85)
     gd = generator_digits(lam, ResidueSet.of(85, [42, 43]))
@@ -153,6 +162,7 @@ def test_fault_dropped_row_of_h_flips_match(monkeypatch):
 def test_fault_corrupted_trace_escapes_subfield(monkeypatch):
     spec = FamilySpec(1, 1, 3, 1)
     walk = cyclic._root_pairs
+    cyclic.generator_digits.cache_clear()    # g is memoized; rebuild it under the fault
     monkeypatch.setattr(cyclic, "_root_pairs",
                         lambda *args: ((up, up) for up, _ in walk(*args)))
     with pytest.raises(ValueError, match="escapes the subfield"):

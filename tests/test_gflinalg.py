@@ -1,0 +1,228 @@
+"""The float64 BLAS kernels of ``_gflinalg`` against the int64 reference.
+
+Products and ranks must agree exactly with ``linalg_reference`` over
+GF(p), GF(p^2) and GF(3^6) (q = 27 gives e = 6), on random matrices, on
+all-(p - 1) matrices, on low-rank products, with zero columns, at the
+panel width +- 1, and for tall and wide shapes.  The blocked elimination
+must also leave the same remaining rows, in the same order, after every
+panel as the column-by-column loop, which pins the pivot rule.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import linalg_reference as ref
+from eaqmds import _gflinalg as gfa
+from eaqmds.families import build_defining_set, spec_from_q, sweep_specs
+from eaqmds.fields import GF
+from eaqmds.rank_oracle import code_context
+from eaqmds.cyclic import generator_digits, parity_check_digits
+
+FIELDS = [GF(2), GF(13), GF(83), GF(3, 2), GF(13, 2), GF(29, 2), GF(83, 2),
+          GF(3, 6)]
+PANEL = gfa._PANEL
+
+fields = st.sampled_from(FIELDS)
+seeds = st.integers(0, 2**32 - 1)
+dims = st.integers(0, 40)
+
+
+def random_digits(field, shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, field.p, (*shape, field.degree), dtype=np.int64)
+
+
+def low_rank(field, rows, cols, t, seed):
+    a = random_digits(field, (rows, t), seed)
+    b = random_digits(field, (t, cols), seed + 1)
+    return ref.matmul_digits(a, b, field)
+
+
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+@settings(deadline=None)
+@given(fields, st.integers(0, 24), st.integers(0, 24), st.integers(0, 24), seeds)
+def test_product_matches_reference(field, rows, inner, cols, seed):
+    a = random_digits(field, (rows, inner), seed)
+    b = random_digits(field, (inner, cols), seed + 1)
+    out = gfa.matmul_digits(a, b, field)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, ref.matmul_digits(a, b, field))
+
+
+@settings(deadline=None)
+@given(fields, st.integers(1, 24), st.integers(1, 60), st.integers(1, 24))
+def test_product_of_all_max_digits(field, rows, inner, cols):
+    a = np.full((rows, inner, field.degree), field.p - 1, dtype=np.int64)
+    b = np.full((inner, cols, field.degree), field.p - 1, dtype=np.int64)
+    assert np.array_equal(gfa.matmul_digits(a, b, field),
+                          ref.matmul_digits(a, b, field))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 64), st.integers(1, 5), st.integers(1, 5))
+def test_product_exact_at_the_float64_edge(inner, rows, cols):
+    # the largest prime p with inner * (p - 1)^2 < 2^53: every partial sum
+    # of the all-(p - 1) product reaches the bound, and each entry is
+    # inner * (p - 1)^2 = inner mod p
+    p = int((2**53 / inner) ** 0.5) + 2
+    while inner * (p - 1) ** 2 >= 2**53 or not is_prime(p):
+        p -= 1
+    field = GF(p)
+    a = np.full((rows, inner, 1), p - 1, dtype=np.int64)
+    b = np.full((inner, cols, 1), p - 1, dtype=np.int64)
+    out = gfa.matmul_digits(a, b, field)
+    assert (out == inner % p).all()
+    assert np.array_equal(out, ref.matmul_digits(a, b, field))
+    with pytest.raises(ValueError, match=r"2\^53"):
+        gfa.matmul_digits(np.concatenate([a, a[:, :1]], axis=1),
+                          np.concatenate([b, b[:1]], axis=0), field)
+
+
+def test_exactness_guard_names_the_float64_bound():
+    field = GF(134217757, 1)
+    one = np.ones((1, 1, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"float64.*2\^53"):
+        gfa.matmul_digits(one, one, field)
+
+
+def test_product_reduces_digits_outside_the_range():
+    field = GF(13, 2)
+    a = random_digits(field, (5, 6), 1)
+    b = random_digits(field, (6, 4), 2)
+    shifted = gfa.matmul_digits(a - 13, b + 26, field)
+    assert np.array_equal(shifted, ref.matmul_digits(a, b, field))
+
+
+def test_product_rejects_incompatible_shapes():
+    field = GF(13, 2)
+    with pytest.raises(ValueError, match="incompatible"):
+        gfa.matmul_digits(random_digits(field, (2, 3), 0),
+                          random_digits(field, (4, 2), 0), field)
+
+
+# ---------------------------------------------------------------------------
+# rank
+
+
+@settings(deadline=None)
+@given(fields, dims, dims, seeds)
+def test_rank_matches_reference(field, rows, cols, seed):
+    a = random_digits(field, (rows, cols), seed)
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
+
+
+@settings(deadline=None)
+@given(fields, st.integers(1, 40), st.integers(1, 40), st.integers(0, 6), seeds)
+def test_rank_of_low_rank_product(field, rows, cols, t, seed):
+    a = low_rank(field, rows, cols, t, seed)
+    rank = gfa.rank_digits(a, field)
+    assert rank == ref.rank_digits(a, field)
+    assert rank <= t
+
+
+@settings(deadline=None)
+@given(fields, st.integers(1, 40), st.integers(1, 40), st.integers(0, 8), seeds,
+       st.data())
+def test_rank_with_zero_columns(field, rows, cols, t, seed, data):
+    a = low_rank(field, rows, cols, t, seed)
+    zero = data.draw(st.lists(st.integers(0, cols - 1), max_size=cols))
+    a[:, zero] = 0
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
+
+
+@settings(deadline=None)
+@given(fields, st.sampled_from([PANEL - 1, PANEL, PANEL + 1, 2 * PANEL - 1,
+                                2 * PANEL, 2 * PANEL + 1]),
+       st.integers(1, 40), st.integers(0, 40), seeds)
+def test_rank_at_panel_width(field, cols, rows, t, seed):
+    a = low_rank(field, rows, cols, t, seed)
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
+
+
+@settings(deadline=None)
+@given(fields, st.integers(1, 30), st.integers(1, 30), st.booleans(),
+       st.integers(0, 12), seeds)
+def test_rank_tall_and_wide(field, small, extra, tall, t, seed):
+    rows, cols = (small + extra, small) if tall else (small, small + extra)
+    a = low_rank(field, rows, cols, t, seed)
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
+
+
+def assert_panel_states_match(a, field):
+    """After each panel, the remaining rows equal the column loop's state."""
+    states = ref.elimination_states(a, field)
+    col = -1
+    for _, remaining in gfa._panels(a, field):
+        col = min(col + PANEL, a.shape[1] - 1)
+        if col < len(states):
+            expected = states[col][1]
+        else:   # the loop stopped once every row held a pivot
+            expected = np.zeros((0, a.shape[1] - col - 1, field.degree))
+        assert remaining.shape == expected.shape
+        assert np.array_equal(remaining, expected)
+
+
+@settings(deadline=None)
+@given(fields, st.integers(1, 40), st.integers(1, 50), st.integers(0, 40), seeds,
+       st.data())
+def test_panels_leave_the_column_loop_state(field, rows, cols, t, seed, data):
+    a = low_rank(field, rows, cols, t, seed)
+    zero = data.draw(st.lists(st.integers(0, cols - 1), max_size=4))
+    a[:, zero] = 0
+    assert_panel_states_match(a, field)
+
+
+@pytest.mark.parametrize("field", [GF(2, 3), GF(3, 2), GF(13, 2), GF(7)], ids=repr)
+def test_digit_inverse_matches_field_inverse(field):
+    for i in range(1, field.order):
+        x = field.from_index(i)
+        inv = gfa._inverse_digits(np.asarray(x.coeffs, dtype=np.int64), field)
+        assert tuple(inv.tolist()) == x.inverse().coeffs
+
+
+def test_digit_inverse_over_gf_3_6_and_of_zero():
+    field = GF(3, 6)
+    for i in range(1, field.order, 37):
+        x = field.from_index(i)
+        inv = gfa._inverse_digits(np.asarray(x.coeffs, dtype=np.int64), field)
+        assert tuple(inv.tolist()) == x.inverse().coeffs
+    with pytest.raises(ZeroDivisionError):
+        gfa._inverse_digits(np.zeros(6, dtype=np.int64), field)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's own matrices: H H-dagger of the benchmark specs
+
+
+ORACLE_SPECS = [s for s in sweep_specs(5, 250) if s.n <= 150]
+PUBLISHED_421 = spec_from_q(3, 1, 29, 3)   # [[421,129,189;84]]_29
+
+
+def hh_dagger(spec):
+    subfield, _, lam = code_context(spec.q, spec.n)
+    g = generator_digits(lam, build_defining_set(spec).defining_set)
+    hd = parity_check_digits(g, subfield, spec.n)
+    hdag = gfa.conjugate_transpose_digits(hd, subfield, spec.q)
+    return hd, hdag, subfield
+
+
+def test_oracle_products_and_ranks_match_reference():
+    for spec in ORACLE_SPECS + [PUBLISHED_421]:
+        hd, hdag, f = hh_dagger(spec)
+        product = gfa.matmul_digits(hd, hdag, f)
+        assert np.array_equal(product, ref.matmul_digits(hd, hdag, f)), spec
+        assert gfa.rank_digits(product, f) == ref.rank_digits(product, f), spec
+
+
+def test_oracle_panels_leave_the_column_loop_state():
+    spec = ORACLE_SPECS[0]
+    hd, hdag, f = hh_dagger(spec)
+    assert_panel_states_match(gfa.matmul_digits(hd, hdag, f), f)
