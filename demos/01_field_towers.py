@@ -11,7 +11,6 @@ from eaqmds import (
     GF,
     embed,
     find_primitive_element,
-    frobenius,
     multiplicative_order,
     nth_root_of_unity,
     project,
@@ -39,9 +38,8 @@ print(f"\n   embed(a) * embed(b) == embed(a * b): "
 print(f"   project(embed(a)) == a:               {project(embed(a, f4)) == a}")
 
 print("\n== Frobenius conjugation x -> x^q on GF(q^2)")
-print(f"   (a^q)^q == a:            {frobenius(frobenius(a, q), q) == a}")
-print(f"   (ab)^q == a^q b^q:       "
-      f"{frobenius(a * b, q) == frobenius(a, q) * frobenius(b, q)}")
+print(f"   (a^q)^q == a:            {(a**q)**q == a}")
+print(f"   (ab)^q == a^q b^q:       {(a * b)**q == a**q * b**q}")
 
 print("\n== primitive elements and the 85th root of unity")
 g = find_primitive_element(f4)

@@ -14,7 +14,6 @@ from .fields import (
     FieldElement,
     embed,
     find_primitive_element,
-    frobenius,
     in_subfield,
     multiplicative_order,
     nth_root_of_unity,
@@ -72,7 +71,7 @@ from .published_params import PUBLISHED_ROWS
 
 __all__ = [
     "GF", "Field", "FieldElement", "embed", "find_primitive_element",
-    "frobenius", "in_subfield", "multiplicative_order", "nth_root_of_unity",
+    "in_subfield", "multiplicative_order", "nth_root_of_unity",
     "project", "quadratic_extension",
     "Decomposition", "ResidueSet", "all_cosets",
     "coset_neg_q_identity", "cyclotomic_coset", "decompose", "neg_q_image",

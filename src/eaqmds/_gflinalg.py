@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
 _CHUNK_FLOATS = 1 << 15     # float64 entries per chunk of a _gemm factor or product
@@ -41,22 +41,10 @@ def _require_flat(field: Field):
         raise ValueError("digit representation needs a single-level field")
 
 
-@lru_cache(maxsize=None)
 def reduction_tensor(field: Field) -> np.ndarray:
     """T[u, v, :] = digits of x^(u+v) reduced by the field modulus."""
     _require_flat(field)
-    e = field.degree
-    if e == 1:
-        return np.ones((1, 1, 1), dtype=np.int64)
-    x = field.element([0, 1])
-    powers = [field.one]
-    for _ in range(2 * e - 2):
-        powers.append(powers[-1] * x)
-    t = np.zeros((e, e, e), dtype=np.int64)
-    for u in range(e):
-        for v in range(e):
-            t[u, v, :] = powers[u + v].coeffs
-    return t
+    return mul_tensor(field)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,8 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import _gflinalg as gfa
-from .fields import Field, FieldElement, in_subfield, project
+from .fields import Field, FieldElement, _matrix_power, _times_matrix, in_subfield, \
+    project
 from .cosets import ResidueSet, cyclotomic_coset, is_coset_closed
 
 
@@ -321,36 +322,6 @@ def brute_min_distance(gen: MatrixGF, guard: int = 10**6) -> int:
 # digit path: the rank oracle's builders
 
 
-def _tower_digits(x: FieldElement) -> np.ndarray:
-    """Digits of a tower element: both base-field coefficients, low first."""
-    return np.asarray([d for c in x.coeffs for d in c.coeffs], dtype=np.int64)
-
-
-def _times_matrix(a: FieldElement) -> np.ndarray:
-    """The GF(p)-linear map x -> x a on tower digits, as a right factor."""
-    tower = a.field
-    sub = tower.base
-    e = sub.degree
-    rows = []
-    for k in range(2 * e):
-        unit = [0] * (2 * e)
-        unit[k] = 1
-        basis = FieldElement(tower, (sub.element(unit[:e]), sub.element(unit[e:])))
-        rows.append(_tower_digits(basis * a))
-    return np.stack(rows)
-
-
-def _matrix_power(m: np.ndarray, k: int, p: int) -> np.ndarray:
-    """m^k mod p by repeated squaring, for k >= 0."""
-    out = np.eye(len(m), dtype=np.int64)
-    while k:
-        if k & 1:
-            out = out @ m % p
-        m = m @ m % p
-        k >>= 1
-    return out
-
-
 def _root_pairs(step: np.ndarray, p: int, n: int, reps):
     """Tower digits of (lam^r, lam^-r) for each r of the ascending ``reps``.
 
@@ -465,10 +436,10 @@ def generator_matrix_digits(g: np.ndarray, n: int) -> np.ndarray:
     return _toeplitz(g, k, n)
 
 
-def parity_check_digits(g: np.ndarray, field: Field, n: int) -> np.ndarray:
-    """``parity_check_matrix`` as a (deg g, n, e) digit array.
+def parity_check_digits(h: np.ndarray, n: int) -> np.ndarray:
+    """``parity_check_matrix`` as a (n - deg h, n, e) digit array.
 
-    Row i is the reversed check polynomial h_k, ..., h_0 shifted i places.
+    Built from the check polynomial h = ``check_digits(g, field, n)``:
+    row i is the reversed h_k, ..., h_0 shifted i places.
     """
-    h = check_digits(g, field, n)
     return _toeplitz(h[::-1], n - (len(h) - 1), n)

@@ -10,11 +10,16 @@ projection back to GF(q^2) is exact.
 Moduli and primitive elements are chosen canonically (smallest candidate
 in the counting order where the constant coefficient is the least
 significant digit), so repeated construction yields identical fields.
+The tower-modulus, primitive-element and root-of-unity searches run their
+exponentiations on GF(p)-linear multiplication maps of digit vectors
+(``mul_tensor``), not on FieldElement objects.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def is_prime(x: int) -> bool:
@@ -398,6 +403,119 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
+# digits and multiplication maps
+#
+# The digits of an element are its GF(p) coefficients, low first through
+# every tower level: exactly the base-p digits of its index.  On digit row
+# vectors the map x -> x a is a dim x dim matrix over GF(p), so a^k is the
+# first row of that matrix to the k-th power.  The field-context searches
+# run their exponentiations here instead of on FieldElement objects.
+
+
+def _index_digits(indices, p: int, dim: int) -> np.ndarray:
+    """(len(indices), dim) digits of the elements at ``indices``."""
+    x = np.array(indices, dtype=object)
+    out = np.zeros((len(x), dim), dtype=np.int64)
+    for k in range(dim):
+        out[:, k] = x % p
+        x = x // p
+    return out
+
+
+def element_digits(x: FieldElement) -> np.ndarray:
+    """Digits of x over GF(p), low first through every tower level."""
+    return _index_digits([x.index], x.field.p, len(mul_tensor(x.field)))[0]
+
+
+def _from_digits(field: Field, digits: np.ndarray) -> FieldElement:
+    return field.from_index(sum(int(d) * field.p**k for k, d in enumerate(digits)))
+
+
+@lru_cache(maxsize=None)
+def mul_tensor(field: Field) -> np.ndarray:
+    """T with T[k] the matrix of x -> x b_k, b_k the element of index p^k.
+
+    So T[k, l] holds the digits of b_k b_l, and sum_k a_k T[k] is the map
+    x -> x a of the element with digits a.  Built from the moduli alone:
+    over a level with base maps S (S = [1] over GF(p)) and modulus
+    y^t + sum_j m_j y^j, b_(i*d + k) = s_k y^i maps as
+    (I_t (x) S[k]) Y^i, with Y the block companion matrix of y.  Entries
+    lie in [0, p); the dtype is int64 while dim * (p-1)^2 < 2^63, so
+    every product of two maps is exact, and Python ints beyond that.
+    """
+    p, t = field.p, field.degree
+    base = np.ones((1, 1, 1), dtype=np.int64)
+    if field.base is not None:
+        base = mul_tensor(field.base)
+    d = len(base)
+    dtype = np.int64 if t * d * (p - 1) ** 2 < 2**63 else object
+    if field.base is None and t == 1:
+        return base.astype(dtype)
+    y = np.zeros((t * d, t * d), dtype=dtype)
+    y[:-d, d:] = np.eye((t - 1) * d, dtype=dtype)
+    for j, c in enumerate(field.modulus[:t]):
+        digits = element_digits(c) if field.base is not None else [c]
+        y[-d:, j * d:(j + 1) * d] = -np.tensordot(digits, base, 1) % p
+    lifted = [np.kron(np.eye(t, dtype=dtype), s) for s in base]
+    maps, y_i = [], np.eye(t * d, dtype=dtype)
+    for _ in range(t):
+        maps.extend(s @ y_i % p for s in lifted)
+        y_i = y_i @ y % p
+    return np.stack(maps)
+
+
+def _times_matrix(a: FieldElement) -> np.ndarray:
+    """The GF(p)-linear map x -> x a on digits, as a right factor."""
+    return np.tensordot(element_digits(a), mul_tensor(a.field), 1) % a.field.p
+
+
+def _matrix_power(m: np.ndarray, k: int, p: int) -> np.ndarray:
+    """m^k mod p by repeated squaring, for k >= 0."""
+    out = np.eye(len(m), dtype=m.dtype)
+    while k:
+        if k & 1:
+            out = out @ m % p
+        m = m @ m % p
+        k >>= 1
+    return out
+
+
+def _powers(digits: np.ndarray, maps: np.ndarray, exps, p: int) -> np.ndarray:
+    """Digits of a^E for every row a of ``digits`` and every E in ``exps``.
+
+    Each a's map M is built once and squared once per bit of max(exps);
+    every exponent reads its power off the same squares.  The result has
+    shape (len(exps), len(digits), dim).
+    """
+    squares = np.tensordot(digits, maps, 1) % p
+    out = np.tile(maps[0, 0], (len(exps), len(digits), 1))
+    for j in range(max(exps).bit_length()):
+        if j:
+            squares = squares @ squares % p
+        for i, e in enumerate(exps):
+            if e >> j & 1:
+                out[i] = (out[i][:, None, :] @ squares)[:, 0] % p
+    return out
+
+
+def _first_index(start: int, stop: int, p: int, dim: int, accept) -> int:
+    """First index in [start, stop) whose digits pass ``accept``.
+
+    ``accept`` maps a (K, dim) block of candidate digits to K bools; the
+    blocks double in size, so an early hit costs little and a late one
+    takes few calls.
+    """
+    size = 8
+    while start < stop:
+        hi = min(start + size, stop)
+        hits = np.flatnonzero(accept(_index_digits(range(start, hi), p, dim)))
+        if len(hits):
+            return start + int(hits[0])
+        start, size = hi, 2 * size
+    raise AssertionError("no candidate passes")  # cannot happen
+
+
+# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -434,21 +552,23 @@ def quadratic_extension(base: Field) -> Field:
     Realizes GF(q^4) over GF(q^2): base elements embed as the tower
     elements with zero top coefficient.  The modulus y^2 + b y + c is the
     first irreducible in counting order; irreducibility is decided by the
-    discriminant non-square test (odd characteristic only).
+    discriminant non-square test (odd characteristic only): Euler's
+    criterion disc^((Q-1)/2) != 1, on the multiplication map of disc.
     """
     if base.p == 2:
         raise ValueError("quadratic tower requires odd characteristic")
-    four = base.element(4)
-    exp = (base.order - 1) // 2
-    for v in range(base.order ** 2):
-        c = base.from_index(v % base.order)
-        b = base.from_index(v // base.order)
-        disc = b * b - four * c
-        if disc.is_zero():
-            continue
-        if (disc ** exp) != base.one:  # non-square => irreducible
-            return Field(base.p, 2, base, (c, b))
-    raise AssertionError("no irreducible quadratic found")  # cannot happen
+    p, maps = base.p, mul_tensor(base)
+    dim, exp = len(maps), (base.order - 1) // 2
+
+    def irreducible(digits):    # digits of v = c + b Q: c low, b high
+        c, b = digits[:, :dim], digits[:, dim:]
+        b_sq = (b[:, None, :] @ (np.tensordot(b, maps, 1) % p))[:, 0]
+        disc = (b_sq - 4 * c) % p
+        return disc.any(1) & (_powers(disc, maps, [exp], p)[0] != maps[0, 0]).any(1)
+
+    v = _first_index(0, base.order ** 2, p, 2 * dim, irreducible)
+    return Field(base.p, 2, base, (base.from_index(v % base.order),
+                                   base.from_index(v // base.order)))
 
 
 def embed(a: FieldElement, ext: Field) -> FieldElement:
@@ -478,7 +598,8 @@ def find_primitive_element(field: Field) -> FieldElement:
     """Smallest element (canonical counting order) generating the unit group.
 
     Order is certified by g^((N-1)/r) != 1 for every prime r | N-1,
-    where N is the field order.
+    where N is the field order.  The checks run on the candidates'
+    multiplication maps, a block of candidates at a time (``_powers``).
 
     On a tower level the scan starts at index ``field.base.order``: every
     lower index has top coefficient zero, so it is an element of the base
@@ -488,12 +609,13 @@ def find_primitive_element(field: Field) -> FieldElement:
     """
     n = field.order - 1
     checks = [(n // r) for r in prime_factors(n)]
+    maps = mul_tensor(field)
     start = 2 if field.base is None else field.base.order
-    for i in range(start, field.order):
-        g = field.from_index(i)
-        if all(g**e != field.one for e in checks):
-            return g
-    raise AssertionError("no primitive element found")  # cannot happen
+    i = _first_index(
+        start, field.order, field.p, len(maps),
+        lambda digits: (_powers(digits, maps, checks, field.p)
+                        != maps[0, 0]).any(2).all(0))
+    return field.from_index(i)
 
 
 def nth_root_of_unity(field: Field, n: int) -> FieldElement:
@@ -507,12 +629,8 @@ def nth_root_of_unity(field: Field, n: int) -> FieldElement:
     if group % n:
         raise ValueError(f"{n} does not divide the group order {group}")
     g = find_primitive_element(field)
-    return g ** (group // n)
-
-
-def frobenius(a: FieldElement, q: int) -> FieldElement:
-    """The conjugation x -> x^q underlying the Hermitian inner product."""
-    return a**q
+    lam = _matrix_power(_times_matrix(g), group // n, field.p)[0]
+    return _from_digits(field, lam)
 
 
 def multiplicative_order(a: FieldElement) -> int:

@@ -11,10 +11,13 @@ The oracle runs on digit arrays from start to finish: g(x) is built as a
 product of one quadratic x^2 - Tr_i x + 1 per coset {i, n - i} of Z
 (q^2 = -1 mod n makes every coset such a pair, and Tr_i = lam^i + lam^-i
 lies in GF(q^2)), h = (x^n - 1) / g by digit long division, and H and G as
-Toeplitz digit arrays; see ``cyclic``.  The object-level builders there
-(``generator_polynomial``, ``parity_check_matrix``) are the reference the
-digit builders are tested against, and ``family_generator_polynomial``
-reaches them for a family instance.
+Toeplitz digit arrays; see ``cyclic``.  g and h are built once per spec
+(``_code_digits``) and shared by the rank and the G H^T check; H is a
+scatter of h, rebuilt by each and dropped before the rank runs.  The
+object-level builders there (``generator_polynomial``,
+``parity_check_matrix``) are the reference the digit builders are tested
+against, and ``family_generator_polynomial`` reaches them for a family
+instance.
 
 Exact elimination is O(n^3), so the oracle refuses lengths above a guard
 (default 300); larger family instances are covered by the closed-form
@@ -26,10 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import _gflinalg as gfa
-from .cosets import decompose
-from .cyclic import MatrixGF, Polynomial, generator_digits, generator_matrix_digits, \
-    generator_polynomial, parity_check_digits
+from .cosets import ResidueSet, decompose
+from .cyclic import MatrixGF, Polynomial, check_digits, generator_digits, \
+    generator_matrix_digits, generator_polynomial, parity_check_digits
 from .families import FamilySpec, build_defining_set, closed_form
 from .fields import GF, Field, FieldElement, nth_root_of_unity, prime_power_base, \
     quadratic_extension
@@ -138,6 +143,22 @@ class RankReport:
         return self.rank_hh_dagger == self.closed_form_c
 
 
+@lru_cache(maxsize=16)
+def _code_digits(spec: FamilySpec) -> tuple[Field, ResidueSet, np.ndarray, np.ndarray]:
+    """(GF(q^2), Z, g, h) of the instance's code; g and h are read-only digits.
+
+    Memoized on the spec.  H is left out: it holds (n - k) x n digits
+    against h's k + 1, and a cached copy would stay alive while the rank
+    runs.
+    """
+    subfield, _, lam = code_context(spec.q, spec.n)
+    z = build_defining_set(spec).defining_set
+    g = generator_digits(lam, z)
+    h = check_digits(g, subfield, spec.n)
+    h.setflags(write=False)
+    return subfield, z, g, h
+
+
 def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankReport:
     """Compute rank(H H†) for the instance's code and compare with |Z1|.
 
@@ -147,15 +168,14 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     if n > n_max:
         raise OracleSizeError(
             f"n = {n} exceeds the rank oracle guard n_max = {n_max}")
-    subfield, _, lam = code_context(q, n)
-    record = build_defining_set(spec)
-    g = generator_digits(lam, record.defining_set)
-    hd = parity_check_digits(g, subfield, n)
+    subfield, z, _, h = _code_digits(spec)
+    hd = parity_check_digits(h, n)
     hdag = gfa.conjugate_transpose_digits(hd, subfield, q)
     product = gfa.matmul_digits(hd, hdag, subfield)
+    del hd, hdag                # not needed by the rank; free them first
     rank = gfa.rank_digits(product, subfield)
 
-    dec = decompose(n, q, record.defining_set)
+    dec = decompose(n, q, z)
     return RankReport(
         case=spec.case, m=spec.m, q=spec.q, alpha=spec.alpha, n=n,
         rank_hh_dagger=rank,
@@ -166,9 +186,8 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
 
 def generator_parity_orthogonal(spec: FamilySpec) -> bool:
     """Exact check that G H^T = 0 for the instance's code (plain transpose)."""
-    subfield, _, lam = code_context(spec.q, spec.n)
-    g = generator_digits(lam, build_defining_set(spec).defining_set)
+    subfield, _, g, h = _code_digits(spec)
     gd = generator_matrix_digits(g, spec.n)
-    hd = parity_check_digits(g, subfield, spec.n)
+    hd = parity_check_digits(h, spec.n)
     prod = gfa.matmul_digits(gd, hd.transpose(1, 0, 2), subfield)
     return not prod.any()

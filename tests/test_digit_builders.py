@@ -27,6 +27,8 @@ from eaqmds.fields import GF, find_primitive_element, prime_factors, \
     quadratic_extension
 from eaqmds.rank_oracle import code_context, entanglement_rank
 
+from field_reference import full_scan_primitive
+
 ORACLE_SPECS = [s for s in sweep_specs(5, 250) if s.n <= 150]
 PUBLISHED_421 = spec_from_q(3, 1, 29, 3)   # [[421,129,189;84]]_29
 
@@ -47,7 +49,7 @@ def test_digit_builders_match_object_path(spec):
     h = check_polynomial(g, n)
     hd = check_digits(gd, subfield, n)
     assert hd.tobytes() == gfa.to_digits([h.coeffs], subfield)[0].tobytes()
-    hmat = parity_check_digits(gd, subfield, n)
+    hmat = parity_check_digits(hd, n)
     assert hmat.tobytes() == gfa.to_digits(
         parity_check_matrix(g, n).entries, subfield).tobytes()
     gmat = generator_matrix_digits(gd, n)
@@ -89,6 +91,18 @@ def test_generator_digits_is_memoized_read_only_and_bounded():
     assert generator_digits.cache_info().maxsize == 16
 
 
+def test_code_digits_built_once_per_spec_and_read_only():
+    spec = FamilySpec(1, 1, 3, 1)
+    rank_oracle._code_digits.cache_clear()
+    assert entanglement_rank(spec).match
+    assert rank_oracle.generator_parity_orthogonal(spec)
+    info = rank_oracle._code_digits.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    _, z, g, h = rank_oracle._code_digits(spec)
+    assert z == build_defining_set(spec).defining_set
+    assert not g.flags.writeable and not h.flags.writeable
+
+
 def test_check_digits_rejects_non_divisor():
     subfield, _, lam = code_context(13, 85)
     gd = generator_digits(lam, ResidueSet.of(85, [42, 43]))
@@ -109,17 +123,6 @@ def test_singleton_coset_gives_linear_factor():
 
 # ---------------------------------------------------------------------------
 # primitive-element scan: the subfield skip keeps the canonical element
-
-
-def full_scan_primitive(field):
-    """The canonical primitive element by a scan from index 2."""
-    n = field.order - 1
-    checks = [n // r for r in prime_factors(n)]
-    for i in range(2, field.order):
-        g = field.from_index(i)
-        if all(g**e != field.one for e in checks):
-            return g
-    raise AssertionError("no primitive element found")
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27])
@@ -163,6 +166,7 @@ def test_fault_corrupted_trace_escapes_subfield(monkeypatch):
     spec = FamilySpec(1, 1, 3, 1)
     walk = cyclic._root_pairs
     cyclic.generator_digits.cache_clear()    # g is memoized; rebuild it under the fault
+    rank_oracle._code_digits.cache_clear()
     monkeypatch.setattr(cyclic, "_root_pairs",
                         lambda *args: ((up, up) for up, _ in walk(*args)))
     with pytest.raises(ValueError, match="escapes the subfield"):

@@ -1,0 +1,122 @@
+"""The field context on multiplication maps, against independent references.
+
+``fields`` finds the tower modulus, the primitive element and the root of
+unity with GF(p)-linear maps on digits.  These tests pin every choice the
+default sweep makes to the object-level searches in ``field_reference``,
+check the canonical GF(p, 2j) moduli with sympy's irreducibility test,
+and check the field axioms of the tower GF(q^4) with Hypothesis.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
+
+from eaqmds.families import sweep_specs
+from eaqmds.fields import GF, _times_matrix, element_digits, embed, \
+    find_primitive_element, mul_tensor, nth_root_of_unity, prime_power_base, \
+    quadratic_extension
+
+from field_reference import full_scan_primitive, quadratic_modulus_reference
+
+SWEEP = list(sweep_specs(5, 250))
+SWEEP_QS = sorted({s.q for s in SWEEP})
+SWEEP_PAIRS = sorted({(s.q, s.n) for s in SWEEP if s.n <= 1000})
+
+
+def subfield_of(q: int):
+    """GF(q^2) as the oracle builds it: GF(p, 2j) for q = p^j."""
+    p = prime_power_base(q)
+    j = 0
+    while p**j < q:
+        j += 1
+    assert p**j == q
+    return GF(p, 2 * j)
+
+
+def test_sweep_coverage():
+    assert len(SWEEP_QS) == 60 and max(SWEEP_QS) <= 250
+    assert len(SWEEP_PAIRS) == 30
+
+
+@pytest.mark.parametrize("q", SWEEP_QS)
+def test_tower_modulus_and_primitive_element_match_object_scan(q):
+    sub = subfield_of(q)
+    tower = quadratic_extension(sub)
+    assert tower.modulus == quadratic_modulus_reference(sub)
+    assert find_primitive_element(tower) == full_scan_primitive(tower, sub.order)
+
+
+@pytest.mark.parametrize("q,n", SWEEP_PAIRS, ids=lambda v: str(v))
+def test_root_of_unity_matches_object_power(q, n):
+    tower = quadratic_extension(subfield_of(q))
+    g = find_primitive_element(tower)
+    lam = nth_root_of_unity(tower, n)
+    assert lam == g ** ((tower.order - 1) // n)
+    assert lam ** n == tower.one
+
+
+@pytest.mark.parametrize("p", [5, 13, 4294967311])
+def test_prime_field_scan_matches_object_scan(p):
+    # p = 4294967311 > 2^32: products of two digits overflow int64, so the
+    # maps hold Python ints
+    f = GF(p)
+    assert mul_tensor(f).dtype == (object if p > 2**32 else np.int64)
+    assert find_primitive_element(f) == full_scan_primitive(f)
+
+
+@pytest.mark.parametrize("q", SWEEP_QS)
+def test_canonical_subfield_modulus_is_first_irreducible(q):
+    sub = subfield_of(q)
+    p, e = sub.p, sub.degree
+    mod = sub.modulus
+    assert len(mod) == e + 1 and mod[-1] == 1
+    assert gf_irreducible_p(list(reversed(mod)), p, ZZ)
+    first = sum(c * p**k for k, c in enumerate(mod[:-1]))
+    for v in range(first):
+        low = [v // p**k % p for k in range(e)]
+        assert not gf_irreducible_p([1] + low[::-1], p, ZZ), (q, v)
+
+
+# ---------------------------------------------------------------------------
+# field axioms in the tower GF(q^4), and the maps against object products
+
+TOWER_QS = [3, 5, 9, 13, 25, 27, 81, 243]
+
+
+@st.composite
+def tower_elements(draw, count):
+    tower = quadratic_extension(subfield_of(draw(st.sampled_from(TOWER_QS))))
+    idx = st.integers(0, tower.order - 1)
+    return tower, [tower.from_index(draw(idx)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_elements(3))
+def test_tower_field_axioms(drawn):
+    f, (a, b, c) = drawn
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + f.zero == a and a * f.one == a and a * f.zero == f.zero
+    assert a - a == f.zero and a + (-a) == f.zero
+    if not a.is_zero():
+        assert a * a.inverse() == f.one
+        assert a ** (f.order - 1) == f.one
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_elements(2))
+def test_multiplication_map_matches_object_product(drawn):
+    f, (a, b) = drawn
+    p = f.p
+    assert (element_digits(b) @ _times_matrix(a) % p).tolist() == \
+        element_digits(a * b).tolist()
+    sub = f.base
+    x, y = a.coeffs[0], b.coeffs[0]
+    assert (element_digits(y) @ _times_matrix(x) % p).tolist() == \
+        element_digits(x * y).tolist()
+    assert element_digits(embed(x, f))[:len(mul_tensor(sub))].tolist() == \
+        element_digits(x).tolist()

@@ -17,7 +17,7 @@ from eaqmds import _gflinalg as gfa
 from eaqmds.families import build_defining_set, spec_from_q, sweep_specs
 from eaqmds.fields import GF
 from eaqmds.rank_oracle import code_context
-from eaqmds.cyclic import generator_digits, parity_check_digits
+from eaqmds.cyclic import check_digits, generator_digits, parity_check_digits
 
 FIELDS = [GF(2), GF(13), GF(83), GF(3, 2), GF(13, 2), GF(29, 2), GF(83, 2),
           GF(3, 6)]
@@ -209,7 +209,7 @@ PUBLISHED_421 = spec_from_q(3, 1, 29, 3)   # [[421,129,189;84]]_29
 def hh_dagger(spec):
     subfield, _, lam = code_context(spec.q, spec.n)
     g = generator_digits(lam, build_defining_set(spec).defining_set)
-    hd = parity_check_digits(g, subfield, spec.n)
+    hd = parity_check_digits(check_digits(g, subfield, spec.n), spec.n)
     hdag = gfa.conjugate_transpose_digits(hd, subfield, spec.q)
     return hd, hdag, subfield
 
