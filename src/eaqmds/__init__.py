@@ -61,10 +61,8 @@ from .cyclic import (
 from .rank_oracle import (
     OracleSizeError,
     RankReport,
-    conjugate_transpose,
     entanglement_rank,
     family_generator_polynomial,
-    rank_gf,
 )
 from .verification import SweepSummary, coset_identity_holds, run_verification_sweep
 from .published_params import PUBLISHED_ROWS
@@ -83,8 +81,8 @@ __all__ = [
     "MatrixGF", "Polynomial", "brute_min_distance", "check_polynomial",
     "generator_matrix", "generator_polynomial", "minimal_polynomial",
     "parity_check_matrix", "x_pow_minus_one",
-    "OracleSizeError", "RankReport", "conjugate_transpose",
-    "entanglement_rank", "family_generator_polynomial", "rank_gf",
+    "OracleSizeError", "RankReport", "entanglement_rank",
+    "family_generator_polynomial",
     "SweepSummary", "coset_identity_holds", "run_verification_sweep",
     "PUBLISHED_ROWS",
     "__version__",

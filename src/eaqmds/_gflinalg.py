@@ -11,7 +11,9 @@ into the (inner*e x cols*e) matrix of its entries' multiplication maps,
 reduced mod p, and one BLAS call per column chunk multiplies the left
 factor's digits into it.  Every product and partial sum is an integer
 below inner*e*(p-1)^2, so the result is exact as long as that bound is
-below 2^53; ``_gemm`` raises ``ValueError`` when it is not.
+below 2^53; ``_gemm`` raises ``ValueError`` when it is not.  Polynomials
+are (length, e) digit arrays; ``polymul_digits`` multiplies two with e^2
+int64 convolutions of digit planes.
 
 Rank is blocked Gaussian elimination (the FFLAS/FFPACK design of Dumas,
 Giorgi and Pernet, ACM TOMS 35(3), 2008).  Each panel of ``_PANEL``
@@ -21,6 +23,8 @@ the panel also records each remaining row's coefficients C = -rest_J S_J^-1
 over the pivot rows S.  The remaining rows are then replaced by the Schur
 complement rest_T + C S_T, one ``_gemm``; that is exactly the state the
 column-by-column loop would leave, so the pivot sequence is unchanged.
+Panels and updates stop at the last nonzero row and column, so a banded
+matrix costs only its band.
 """
 
 from __future__ import annotations
@@ -123,8 +127,9 @@ def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
         return out
     left = np.ascontiguousarray(a, dtype=np.float64).reshape(rows, inner * e)
     tf = t.astype(np.float64)
-    # columns of b per chunk: its expansion and its product both fit the budget
-    width = min(cols, max(1, _CHUNK_FLOATS // (max(inner, rows) * e * e)))
+    # columns of b per chunk: its expansion fits the budget (a chunk's
+    # product is at most the output's size)
+    width = min(cols, max(1, _CHUNK_FLOATS // (inner * e * e)))
     buf = np.empty(inner * e * width * e)
     prod_buf = np.empty(rows * width * e)
     for j0 in range(0, cols, width):
@@ -150,6 +155,26 @@ def conjugate_transpose_digits(a: np.ndarray, field: Field, q: int) -> np.ndarra
     """Transpose with entry-wise q-th power, on digit arrays."""
     f = frobenius_matrix(field, q)
     return np.einsum("wu,iju->jiw", f, a) % field.p
+
+
+def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
+    """Exact product of polynomials held as (length, e) digit arrays, low first.
+
+    Each pair (u, v) of digit planes is one int64 convolution, reduced mod
+    p; the e^2 convolutions are then contracted with the reduction tensor,
+    since x^u x^v has the digits T[u, v].  Raises ``ValueError`` unless
+    min(len a, len b)*e^2*(p-1)^2 < 2^63, which keeps every sum exact.
+    """
+    t = reduction_tensor(field)
+    p, e = field.p, field.degree
+    if min(len(a), len(b)) * e * e * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(
+            f"exact int64 polynomial product needs min(len)*e^2*(p-1)^2 < 2^63; "
+            f"got lengths {len(a)} and {len(b)}, e = {e}, p = {p}")
+    a, b = _reduced(a, p), _reduced(b, p)
+    conv = np.stack([np.stack([np.convolve(a[:, u], b[:, v]) for v in range(e)])
+                     for u in range(e)]) % p              # (e, e, len a + len b - 1)
+    return np.tensordot(conv, t, axes=([0, 1], [0, 1])) % p
 
 
 def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
@@ -195,25 +220,33 @@ def _panels(a: np.ndarray, field: Field):
 
     After each panel yields (pivots found in it, remaining rows x columns):
     the rows the column-by-column loop would leave below its pivots, in
-    the same order and with the same digits.  The remaining rows become
-    the Schur complement rest_T + C S_T, where C = -rest_J S_J^-1 comes
-    from the panel's own elimination.  Only they are kept.
+    the same order and with the same digits.  The panel is eliminated
+    only on the rows up to the last one nonzero in its columns (later rows
+    are never pivots and take no update), the rows its swaps moved are
+    reordered in place, and the rows below the pivots take the Schur
+    complement rest_T + C S_T, C = -rest_J S_J^-1 from the panel, on the
+    columns up to the last one nonzero in the pivot rows S.  Elimination
+    goes on in a view of the remaining rows.
     """
     p, e = field.p, field.degree
-    a = _reduced(a, p)
+    a = _reduced(np.array(a, dtype=np.int64, order="C"), p)
     while a.shape[0] and a.shape[1]:
-        rows, w = a.shape[0], min(_PANEL, a.shape[1])
-        panel = np.zeros((rows, 2 * w, e), dtype=np.int64)
-        panel[:, :w] = a[:, :w]
-        order = np.arange(rows)
+        w = min(_PANEL, a.shape[1])
+        live = np.flatnonzero(a[:, :w].any(axis=(1, 2)))
+        last = int(live[-1]) + 1 if live.size else 0
+        panel = np.zeros((last, 2 * w, e), dtype=np.int64)
+        panel[:, :w] = a[:last, :w]
+        order = np.arange(last)
         k = _eliminate_panel(panel, w, field, order)
-        if k:
-            s_t = a[order[:k], w:]
-            a = a[order[k:], w:]
-            a += _gemm(panel[k:, w:w + k], s_t, field)
-            a %= p
-        else:
-            a = a[:, w:]
+        moved = np.flatnonzero(order != np.arange(last))
+        a[moved, w:] = a[order[moved], w:]
+        live = np.flatnonzero(a[:k, w:].any(axis=(0, 2)))
+        cols = int(live[-1]) + 1 if live.size else 0
+        if k < last and cols:
+            rest = a[k:last, w:w + cols]
+            rest += _gemm(panel[k:, w:w + k], a[:k, w:w + cols], field)
+            rest %= p
+        a = a[k:, w:]
         yield k, a
 
 

@@ -7,14 +7,14 @@ polynomial g(x) | x^n - 1 the module derives the check polynomial, the
 generator and parity-check matrices, and (for toy sizes) a brute-force
 minimum distance.
 
-Two paths build the same objects.  The object path (``Polynomial``,
-``MatrixGF``) works for any coset structure and is the reference.  The
-digit path (``generator_digits``, ``check_digits``, ``parity_check_digits``,
-``generator_matrix_digits``) is what the rank oracle runs on: it holds
-polynomials as (degree + 1, e) and matrices as (rows, n, e) int64 arrays
-of GF(q^2) digits, as ``_gflinalg`` does.  It relies on q^2 = -1 mod n,
-which holds for every family length n | q^2 + 1: then every coset is
-{i, n - i}, and its minimal polynomial is the quadratic
+Two paths build g and h.  The object path (``Polynomial``, ``MatrixGF``)
+works for any coset structure and also builds the generator and
+parity-check matrices; it is the reference.  The digit path
+(``generator_digits``, ``check_digits``) is what the rank oracle runs on:
+it holds polynomials as (degree + 1, e) int64 arrays of GF(q^2) digits,
+as ``_gflinalg`` does, and never forms a matrix.  It relies on
+q^2 = -1 mod n, which holds for every family length n | q^2 + 1: then
+every coset is {i, n - i}, and its minimal polynomial is the quadratic
 
     (x - lam^i)(x - lam^-i) = x^2 - Tr_i x + 1,   Tr_i = lam^i + lam^-i,
 
@@ -418,28 +418,3 @@ def check_digits(g: np.ndarray, field: Field, n: int) -> np.ndarray:
     if rem[:dg].any():
         raise ValueError("generator does not divide x^n - 1")
     return quot
-
-
-def _toeplitz(coeffs: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """(rows, n, e) array whose row r holds ``coeffs`` from column r on."""
-    out = np.zeros((rows, n, coeffs.shape[1]), dtype=np.int64)
-    r = np.arange(rows)[:, None]
-    out[r, r + np.arange(len(coeffs))[None, :]] = coeffs
-    return out
-
-
-def generator_matrix_digits(g: np.ndarray, n: int) -> np.ndarray:
-    """``generator_matrix`` as a (k, n, e) digit array, k = n - deg g."""
-    k = n - (len(g) - 1)
-    if k < 1:
-        raise ValueError("generator degree leaves no dimension")
-    return _toeplitz(g, k, n)
-
-
-def parity_check_digits(h: np.ndarray, n: int) -> np.ndarray:
-    """``parity_check_matrix`` as a (n - deg h, n, e) digit array.
-
-    Built from the check polynomial h = ``check_digits(g, field, n)``:
-    row i is the reversed h_k, ..., h_0 shifted i places.
-    """
-    return _toeplitz(h[::-1], n - (len(h) - 1), n)

@@ -7,21 +7,18 @@ transpose (the Wilde-Brun entanglement formula).  The two routes share no
 code path, so their agreement checks the decomposition lemma against the
 matrix-rank characterization.
 
-The oracle runs on digit arrays from start to finish: g(x) is built as a
-product of one quadratic x^2 - Tr_i x + 1 per coset {i, n - i} of Z
-(q^2 = -1 mod n makes every coset such a pair, and Tr_i = lam^i + lam^-i
-lies in GF(q^2)), h = (x^n - 1) / g by digit long division, and H and G as
-Toeplitz digit arrays; see ``cyclic``.  g and h are built once per spec
-(``_code_digits``) and shared by the rank and the G H^T check; H is a
-scatter of h, rebuilt by each and dropped before the rank runs.  The
-object-level builders there (``generator_polynomial``,
-``parity_check_matrix``) are the reference the digit builders are tested
-against, and ``family_generator_polynomial`` reaches them for a family
-instance.
+The oracle runs on digit arrays and never forms H: g(x) is a product of
+one quadratic x^2 - Tr_i x + 1 per coset {i, n - i} of Z, and h =
+(x^n - 1) / g comes by digit long division (see ``cyclic``), once per
+spec (``_code_digits``).  H's rows are shifts of the reversed h, so H H†
+is the Hermitian Toeplitz band of h's autocorrelation (``gram_digits``),
+and G H^T = 0 says that g h has no terms of degrees 1 .. n - 1.  The
+object-level builders in ``cyclic`` are the reference the digit path is
+tested against; ``family_generator_polynomial`` reaches them.
 
-Exact elimination is O(n^3), so the oracle refuses lengths above a guard
-(default 300); larger family instances are covered by the closed-form
-versus decomposition equality only.
+Elimination stays cubic in the worst case, so the oracle refuses lengths
+above a guard (default 300); larger family instances are covered by the
+closed-form versus decomposition equality only.
 """
 
 from __future__ import annotations
@@ -30,11 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _gflinalg as gfa
 from .cosets import ResidueSet, decompose
 from .cyclic import MatrixGF, Polynomial, check_digits, generator_digits, \
-    generator_matrix_digits, generator_polynomial, parity_check_digits
+    generator_polynomial
 from .families import FamilySpec, build_defining_set, closed_form
 from .fields import GF, Field, FieldElement, nth_root_of_unity, prime_power_base, \
     quadratic_extension
@@ -46,52 +44,9 @@ class OracleSizeError(ValueError):
     """Raised when an instance exceeds the rank oracle's size guard."""
 
 
-def conjugate_transpose(mat: MatrixGF, q: int) -> MatrixGF:
-    """H† : transpose with every entry raised to the q-th power."""
-    out = []
-    for j in range(mat.cols):
-        out.append(tuple(mat.entries[i][j] ** q for i in range(mat.rows)))
-    return MatrixGF(mat.field, tuple(out))
-
-
-def rank_gf(mat: MatrixGF) -> int:
-    """Row rank by exact Gaussian elimination with field inverses.
-
-    Object-level and deterministic; intended for modest sizes and as the
-    reference the vectorized path is checked against.
-    """
-    rows = [list(r) for r in mat.entries]
-    nrows, ncols = mat.rows, mat.cols
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows)
-                      if not rows[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(rank + 1, nrows):
-            f = rows[i][col]
-            if not f.is_zero():
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def fast_rank(mat: MatrixGF) -> int:
-    """rank_gf through the vectorized digit path (same elimination order)."""
+    """Row rank of an object-level matrix, on the digit path."""
     return gfa.rank_digits(gfa.to_digits(mat.entries, mat.field), mat.field)
-
-
-def fast_matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    if a.field != b.field:
-        raise ValueError("matrices over different fields")
-    c = gfa.matmul_digits(gfa.to_digits(a.entries, a.field),
-                          gfa.to_digits(b.entries, b.field), a.field)
-    return MatrixGF(a.field, gfa.from_digits(c, a.field))
 
 
 @lru_cache(maxsize=32)
@@ -145,18 +100,32 @@ class RankReport:
 
 @lru_cache(maxsize=16)
 def _code_digits(spec: FamilySpec) -> tuple[Field, ResidueSet, np.ndarray, np.ndarray]:
-    """(GF(q^2), Z, g, h) of the instance's code; g and h are read-only digits.
-
-    Memoized on the spec.  H is left out: it holds (n - k) x n digits
-    against h's k + 1, and a cached copy would stay alive while the rank
-    runs.
-    """
+    """(GF(q^2), Z, g, h) of the instance's code, memoized on the spec; g
+    and h are read-only digits."""
     subfield, _, lam = code_context(spec.q, spec.n)
     z = build_defining_set(spec).defining_set
     g = generator_digits(lam, z)
     h = check_digits(g, subfield, spec.n)
     h.setflags(write=False)
     return subfield, z, g, h
+
+
+def gram_digits(h: np.ndarray, field: Field, q: int, n: int) -> np.ndarray:
+    """H H† from the check polynomial h, as a read-only (n - k, n - k, e) view.
+
+    Row i of H is h~ = h_k, ..., h_0 shifted i places, so (H H†)_ij =
+    r_(i-j) with r_d = sum_t h~_t conj(h~_(t+d)), zero for |d| > k = deg h.
+    r is one product, h~ times the reversed conjugate of h~ (that is, the
+    conjugate of h), with r_d at index k - d; the matrix is a strided view
+    of its band.
+    """
+    k = len(h) - 1
+    rows, band = n - k, min(k, n - k - 1)
+    conj = gfa.conjugate_transpose_digits(h[None], field, q)[:, 0]
+    r = gfa.polymul_digits(h[::-1], conj, field)
+    diag = np.zeros((2 * rows - 1, field.degree), dtype=np.int64)
+    diag[rows - 1 - band:rows + band] = r[k - band:k + band + 1]  # r_-s at rows-1+s
+    return sliding_window_view(diag, rows, axis=0)[::-1].transpose(0, 2, 1)
 
 
 def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankReport:
@@ -169,11 +138,7 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
         raise OracleSizeError(
             f"n = {n} exceeds the rank oracle guard n_max = {n_max}")
     subfield, z, _, h = _code_digits(spec)
-    hd = parity_check_digits(h, n)
-    hdag = gfa.conjugate_transpose_digits(hd, subfield, q)
-    product = gfa.matmul_digits(hd, hdag, subfield)
-    del hd, hdag                # not needed by the rank; free them first
-    rank = gfa.rank_digits(product, subfield)
+    rank = gfa.rank_digits(gram_digits(h, subfield, q, n), subfield)
 
     dec = decompose(n, q, z)
     return RankReport(
@@ -185,9 +150,11 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
 
 
 def generator_parity_orthogonal(spec: FamilySpec) -> bool:
-    """Exact check that G H^T = 0 for the instance's code (plain transpose)."""
+    """Exact check that G H^T = 0 for the instance's code (plain transpose).
+
+    (G H^T)_ij = (g h)_(k + j - i) for i < k = deg h and j < n - k, so the
+    check is that g h, formed afresh rather than read off the division
+    that produced h, has no terms of degrees 1 .. n - 1.
+    """
     subfield, _, g, h = _code_digits(spec)
-    gd = generator_matrix_digits(g, spec.n)
-    hd = parity_check_digits(h, spec.n)
-    prod = gfa.matmul_digits(gd, hd.transpose(1, 0, 2), subfield)
-    return not prod.any()
+    return not gfa.polymul_digits(g, h, subfield)[1:spec.n].any()

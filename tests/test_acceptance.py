@@ -34,9 +34,9 @@ from eaqmds.rank_oracle import (
     code_context,
     entanglement_rank,
     family_generator_polynomial,
-    fast_matmul,
 )
 from eaqmds.verification import coset_identity_holds
+from linalg_reference import fast_matmul
 
 SWEEP_M_MAX = 5
 SWEEP_Q_MAX = 250
@@ -171,6 +171,27 @@ def test_criterion_3c_rank_oracle_published_rows_to_n1000(acceptance_log):
         failures.append(("coverage", sorted(lengths)))
     report(acceptance_log, "3c", f"rank(HH+) == published c on {len(lengths)} rows, "
               "700 < n <= 1000", failures, time.monotonic() - t0, 60.0)
+
+
+def test_criterion_3d_rank_oracle_published_rows_to_n2197(acceptance_log):
+    # widens the oracle to the 8 published rows with 1000 < n <= 2197
+    # (n = 2017 and 2197, four each), so all 57 rows are rank-checked;
+    # the guard and 3, 3b and 3c are unchanged
+    t0 = time.monotonic()
+    failures = []
+    lengths = []
+    for case, rows in PUBLISHED_ROWS.items():
+        for m, q, n, alpha, kq, d, c in rows:
+            if not 1000 < n <= 2197:
+                continue
+            rep = entanglement_rank(spec_from_q(case, m, q, alpha), n_max=2197)
+            if not (rep.rank_hh_dagger == c and rep.match and rep.matches_closed_form):
+                failures.append(((case, m, q, alpha), c, rep))
+            lengths.append(n)
+    if sorted(lengths) != [2017] * 4 + [2197] * 4:
+        failures.append(("coverage", sorted(lengths)))
+    report(acceptance_log, "3d", f"rank(HH+) == published c on {len(lengths)} rows, "
+              "1000 < n <= 2197", failures, time.monotonic() - t0, 60.0)
 
 
 def test_criterion_4_lemma_suite(acceptance_log):

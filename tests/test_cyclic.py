@@ -17,7 +17,7 @@ from eaqmds.cyclic import (
     x_pow_minus_one,
 )
 from eaqmds.fields import GF, embed, nth_root_of_unity, quadratic_extension
-from eaqmds.rank_oracle import rank_gf
+from linalg_reference import rank_gf
 
 
 def context(q, n):

@@ -17,9 +17,7 @@ from eaqmds.cyclic import (
     check_polynomial,
     generator_digits,
     generator_matrix,
-    generator_matrix_digits,
     generator_polynomial,
-    parity_check_digits,
     parity_check_matrix,
 )
 from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
@@ -28,6 +26,7 @@ from eaqmds.fields import GF, find_primitive_element, prime_factors, \
 from eaqmds.rank_oracle import code_context, entanglement_rank
 
 from field_reference import full_scan_primitive
+from linalg_reference import generator_matrix_digits, parity_check_digits
 
 ORACLE_SPECS = [s for s in sweep_specs(5, 250) if s.n <= 150]
 PUBLISHED_421 = spec_from_q(3, 1, 29, 3)   # [[421,129,189;84]]_29
@@ -154,12 +153,30 @@ def test_fault_conjugate_with_exponent_one_flips_match(monkeypatch):
 def test_fault_dropped_row_of_h_flips_match(monkeypatch):
     spec = FamilySpec(2, 1, 2, 2)   # [[61,1,61;60]]_11: H H† has full rank
     assert entanglement_rank(spec).match
-    build = rank_oracle.parity_check_digits
-    monkeypatch.setattr(rank_oracle, "parity_check_digits",
-                        lambda *args: build(*args)[1:])
+    build = rank_oracle.gram_digits
+    # H without its first row gives H[1:] H[1:]†: the Gram matrix without
+    # its first row and column
+    monkeypatch.setattr(rank_oracle, "gram_digits",
+                        lambda *args: build(*args)[1:, 1:])
     report = entanglement_rank(spec)
     assert not report.match
     assert report.rank_hh_dagger == 59
+
+
+@pytest.mark.parametrize("pos", [0, 1, 26, 52, 53])
+def test_fault_corrupted_check_coefficient_breaks_orthogonality(monkeypatch, pos):
+    spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13: deg h = 53
+    assert rank_oracle.generator_parity_orthogonal(spec)
+    build = rank_oracle._code_digits
+
+    def corrupted(s):
+        field, z, g, h = build(s)
+        h = h.copy()
+        h[pos, 0] = (h[pos, 0] + 1) % field.p
+        return field, z, g, h
+
+    monkeypatch.setattr(rank_oracle, "_code_digits", corrupted)
+    assert not rank_oracle.generator_parity_orthogonal(spec)
 
 
 def test_fault_corrupted_trace_escapes_subfield(monkeypatch):

@@ -5,19 +5,23 @@ GF(p), GF(p^2) and GF(3^6) (q = 27 gives e = 6), on random matrices, on
 all-(p - 1) matrices, on low-rank products, with zero columns, at the
 panel width +- 1, and for tall and wide shapes.  The blocked elimination
 must also leave the same remaining rows, in the same order, after every
-panel as the column-by-column loop, which pins the pivot rule.
+panel as the column-by-column loop, which pins the pivot rule; banded,
+sparse-banded and zero-suffix matrices, and the oracle's Gram matrices,
+check that trimming each panel to its nonzero rows and columns changes
+nothing.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linalg_reference as ref
+from linalg_reference import parity_check_digits
 from eaqmds import _gflinalg as gfa
 from eaqmds.families import build_defining_set, spec_from_q, sweep_specs
 from eaqmds.fields import GF
-from eaqmds.rank_oracle import code_context
-from eaqmds.cyclic import check_digits, generator_digits, parity_check_digits
+from eaqmds.rank_oracle import code_context, gram_digits
+from eaqmds.cyclic import check_digits, generator_digits
 
 FIELDS = [GF(2), GF(13), GF(83), GF(3, 2), GF(13, 2), GF(29, 2), GF(83, 2),
           GF(3, 6)]
@@ -180,6 +184,68 @@ def test_panels_leave_the_column_loop_state(field, rows, cols, t, seed, data):
     assert_panel_states_match(a, field)
 
 
+def banded(field, rows, cols, lower, upper, density, seed):
+    """Random digits on the band -lower <= j - i <= upper, each kept with
+    probability ``density``; zero elsewhere."""
+    a = random_digits(field, (rows, cols), seed)
+    i, j = np.ogrid[:rows, :cols]
+    keep = (j - i <= upper) & (i - j <= lower)
+    keep &= np.random.default_rng(seed + 2).random((rows, cols)) < density
+    return a * keep[..., None]
+
+
+@settings(deadline=None)
+@given(fields, st.integers(1, 60), st.integers(1, 60), st.integers(0, 40),
+       st.integers(0, 20), st.integers(0, 20), seeds)
+def test_panels_on_banded_rank_deficient_matrices(field, rows, cols, t, lower, upper,
+                                                  seed):
+    # a product through t < min(rows, cols) columns has rank <= t; banded
+    # factors keep it banded, and rows past t + lower are zero
+    a = ref.matmul_digits(banded(field, rows, t, lower, upper, 1.0, seed),
+                          banded(field, t, cols, lower, upper, 1.0, seed + 1), field)
+    assert_panel_states_match(a, field)
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
+
+
+@settings(deadline=None)
+@given(fields, st.integers(1, 60), st.integers(1, 60), st.integers(0, 30),
+       st.integers(0, 30), st.floats(0.05, 1.0), seeds)
+def test_panels_on_sparse_banded_matrices(field, rows, cols, lower, upper, density,
+                                          seed):
+    a = banded(field, rows, cols, lower, upper, density, seed)
+    assert_panel_states_match(a, field)
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
+
+
+@settings(deadline=None)
+@given(fields, st.integers(1, 40), st.integers(1, 50), st.integers(0, 40),
+       st.integers(1, 30), seeds)
+def test_panels_with_zero_suffix_rows(field, rows, cols, t, zero_rows, seed):
+    a = low_rank(field, rows, cols, t, seed)
+    a = np.concatenate([a, np.zeros((zero_rows, cols, field.degree), dtype=np.int64)])
+    assert_panel_states_match(a, field)
+
+
+def test_rank_leaves_its_input_unchanged():
+    field = GF(13, 2)
+    a = low_rank(field, 40, 40, 20, 3)
+    before = a.copy()
+    assert gfa.rank_digits(a, field) == 20
+    assert np.array_equal(a, before)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from([GF(239, 2), GF(3, 6)]), st.integers(500, 2000),
+       st.integers(1, 16), st.integers(1, 300), seeds)
+@example(GF(239, 2), 2000, 16, 300, 1)
+def test_product_with_many_rows_and_small_inner(field, rows, inner, cols, seed):
+    # the Schur updates' shape: rows >> inner, so chunks are wide
+    a = random_digits(field, (rows, inner), seed)
+    b = random_digits(field, (inner, cols), seed + 1)
+    assert np.array_equal(gfa.matmul_digits(a, b, field),
+                          ref.matmul_digits(a, b, field))
+
+
 @pytest.mark.parametrize("field", [GF(2, 3), GF(3, 2), GF(13, 2), GF(7)], ids=repr)
 def test_digit_inverse_matches_field_inverse(field):
     for i in range(1, field.order):
@@ -226,3 +292,12 @@ def test_oracle_panels_leave_the_column_loop_state():
     spec = ORACLE_SPECS[0]
     hd, hdag, f = hh_dagger(spec)
     assert_panel_states_match(gfa.matmul_digits(hd, hdag, f), f)
+
+
+def test_oracle_gram_panels_leave_the_column_loop_state():
+    # the banded Hermitian Toeplitz matrices the oracle eliminates
+    for spec in ORACLE_SPECS:
+        subfield, _, lam = code_context(spec.q, spec.n)
+        g = generator_digits(lam, build_defining_set(spec).defining_set)
+        h = check_digits(g, subfield, spec.n)
+        assert_panel_states_match(gram_digits(h, subfield, spec.q, spec.n), subfield)

@@ -1,0 +1,193 @@
+"""The rank oracle's polynomial kernels against the explicit matrices.
+
+The oracle never forms H, H† or G: it builds H H† from the
+autocorrelation r of the reversed check polynomial (``gram_digits``) and
+checks G H^T = 0 as the vanishing of the terms of g h of degrees
+1 .. n - 1.  These tests pin both to the explicit products of the
+Toeplitz matrices in ``linalg_reference``, on random polynomials and on
+the codes of the sweep and of the published rows, and pin the polynomial
+product itself to the object-level ``Polynomial`` multiply.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import linalg_reference as ref
+from eaqmds import _gflinalg as gfa
+from eaqmds import rank_oracle
+from eaqmds.cyclic import MatrixGF, Polynomial
+from eaqmds.families import spec_from_q, sweep_specs
+from eaqmds.fields import GF
+from eaqmds.published_params import PUBLISHED_ROWS
+from eaqmds.rank_oracle import gram_digits
+
+# (field, q) with field = GF(q^2); GF(3^6) is GF(27^2)
+HERMITIAN = [(GF(3, 2), 3), (GF(13, 2), 13), (GF(29, 2), 29), (GF(83, 2), 83),
+             (GF(239, 2), 239), (GF(3, 6), 27)]
+FIELDS = [GF(2), GF(13), GF(3, 2), GF(29, 2), GF(3, 6)]
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_digits(field, shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, field.p, (*shape, field.degree), dtype=np.int64)
+
+
+def as_polynomial(digits, field):
+    return Polynomial.of(field, gfa.from_digits([digits], field)[0])
+
+
+def explicit_gram(h, field, q, n):
+    """H H† with H from the Toeplitz reference and H† from FieldElement ** q."""
+    hd = ref.parity_check_digits(h, n)
+    hdag = ref.conjugate_transpose(MatrixGF(field, gfa.from_digits(hd, field)), q)
+    return ref.matmul_digits(hd, gfa.to_digits(hdag.entries, field), field)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial product
+
+
+@settings(deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 30), st.integers(1, 30), seeds)
+def test_polymul_matches_polynomial_multiply(field, la, lb, seed):
+    a = random_digits(field, (la,), seed)
+    b = random_digits(field, (lb,), seed + 1)
+    out = gfa.polymul_digits(a, b, field)
+    assert out.shape == (la + lb - 1, field.degree)
+    expected = as_polynomial(a, field) * as_polynomial(b, field)
+    assert as_polynomial(out, field) == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(FIELDS), st.integers(1, 30), st.integers(1, 30))
+def test_polymul_of_all_max_digits(field, la, lb):
+    a = np.full((la, field.degree), field.p - 1, dtype=np.int64)
+    b = np.full((lb, field.degree), field.p - 1, dtype=np.int64)
+    expected = as_polynomial(a, field) * as_polynomial(b, field)
+    assert as_polynomial(gfa.polymul_digits(a, b, field), field) == expected
+
+
+def test_polymul_reduces_digits_outside_the_range():
+    field = GF(13, 2)
+    a = random_digits(field, (7,), 3)
+    b = random_digits(field, (5,), 4)
+    assert np.array_equal(gfa.polymul_digits(a - 13, b + 26, field),
+                          gfa.polymul_digits(a, b, field))
+
+
+def test_polymul_guard_names_the_int64_bound():
+    # the largest prime p with (p - 1)^2 < 2^63: one coefficient each is
+    # exact, a second one would overflow a partial sum
+    p = int(2**31.5) + 1
+    while (p - 1) ** 2 >= 2**63 or any(p % d == 0 for d in range(2, 60000)):
+        p -= 1
+    field = GF(p)
+    one = np.full((1, 1), p - 1, dtype=np.int64)
+    assert gfa.polymul_digits(one, one, field).tolist() == [[1]]
+    with pytest.raises(ValueError, match=r"int64.*2\^63"):
+        gfa.polymul_digits(np.concatenate([one, one]), np.concatenate([one, one]),
+                           field)
+
+
+# ---------------------------------------------------------------------------
+# H H† from the autocorrelation of h
+
+
+lengths_and_degrees = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1)))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(HERMITIAN), lengths_and_degrees, seeds)
+@example(HERMITIAN[1], (12, 0), 7)      # deg h = 0: a diagonal matrix
+@example(HERMITIAN[1], (12, 1), 7)      # deg h = 1: tridiagonal
+@example(HERMITIAN[5], (9, 8), 7)       # one row: H H† is 1 x 1
+def test_gram_matches_explicit_product(fq, nk, seed):
+    field, q = fq
+    n, k = nk
+    h = random_digits(field, (k + 1,), seed)
+    gram = gram_digits(h, field, q, n)
+    assert gram.shape == (n - k, n - k, field.degree)
+    assert np.array_equal(gram, explicit_gram(h, field, q, n))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 9, 10, 15, 19])
+def test_gram_band_covers_the_whole_matrix(k):
+    # deg h >= n - deg h (k >= 10 here): every diagonal of H H† is in the band
+    field, q = GF(13, 2), 13
+    h = random_digits(field, (k + 1,), k)
+    assert np.array_equal(gram_digits(h, field, q, 20), explicit_gram(h, field, q, 20))
+
+
+def test_gram_is_read_only():
+    field = GF(13, 2)
+    gram = gram_digits(random_digits(field, (4,), 1), field, 13, 10)
+    assert not gram.flags.writeable
+
+
+SWEEP_300 = [s for s in sweep_specs(5, 250) if s.n <= 300]
+PUBLISHED_421 = [spec_from_q(case, m, q, alpha)
+                 for case, rows in PUBLISHED_ROWS.items()
+                 for m, q, n, alpha, _, _, _ in rows if n == 421]
+
+
+def test_spec_lists():
+    assert len(SWEEP_300) == 55
+    assert len(PUBLISHED_421) == 7
+
+
+def test_gram_matches_product_on_sweep_and_published_codes():
+    for spec in SWEEP_300 + PUBLISHED_421:
+        field, _, _, h = rank_oracle._code_digits(spec)
+        hd = ref.parity_check_digits(h, spec.n)
+        hdag = gfa.conjugate_transpose_digits(hd, field, spec.q)
+        expected = gfa.matmul_digits(hd, hdag, field)
+        assert gram_digits(h, field, spec.q, spec.n).tobytes() == expected.tobytes(), spec
+
+
+# ---------------------------------------------------------------------------
+# G H^T from g h
+
+
+def explicit_g_ht(g, h, field, n):
+    gd = ref.generator_matrix_digits(g, n)
+    hd = ref.parity_check_digits(h, n)
+    return ref.matmul_digits(gd, hd.transpose(1, 0, 2), field)
+
+
+def g_ht_from_product(g, h, field, n):
+    """(G H^T)_ij = (g h)_(k + j - i), k = deg h."""
+    k = len(h) - 1
+    gh = gfa.polymul_digits(g, h, field)
+    i, j = np.arange(k)[:, None], np.arange(n - k)[None, :]
+    return gh[k + j - i]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(2, 30).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n - 1))), seeds)
+def test_g_ht_entries_are_terms_of_g_h(field, nk, seed):
+    n, k = nk
+    g = random_digits(field, (n - k + 1,), seed)
+    h = random_digits(field, (k + 1,), seed + 1)
+    assert np.array_equal(g_ht_from_product(g, h, field, n),
+                          explicit_g_ht(g, h, field, n))
+
+
+ORACLE_SPECS = [s for s in sweep_specs(5, 250) if s.n <= 150]
+
+
+def test_g_h_check_matches_explicit_g_ht_on_oracle_specs():
+    assert len(ORACLE_SPECS) == 29
+    for spec in ORACLE_SPECS:
+        field, _, g, h = rank_oracle._code_digits(spec)
+        assert not explicit_g_ht(g, h, field, spec.n).any(), spec
+        assert rank_oracle.generator_parity_orthogonal(spec), spec
+        bad = h.copy()
+        bad[len(h) // 2, 0] = (bad[len(h) // 2, 0] + 1) % field.p
+        assert explicit_g_ht(g, bad, field, spec.n).any(), spec
+        assert g_ht_from_product(g, bad, field, spec.n).any(), spec
+

@@ -10,13 +10,11 @@ from eaqmds.families import FamilySpec
 from eaqmds.fields import GF
 from eaqmds.rank_oracle import (
     OracleSizeError,
-    conjugate_transpose,
     entanglement_rank,
     family_generator_polynomial,
-    fast_matmul,
     fast_rank,
-    rank_gf,
 )
+from linalg_reference import conjugate_transpose, fast_matmul, rank_gf
 
 
 def random_matrix(field, rows, cols, rng):
