@@ -8,23 +8,32 @@ and the rank characterization validate each other through disjoint code
 paths.
 """
 
+import numpy as np
+
 from eaqmds import FamilySpec, build_defining_set, decompose, entanglement_rank
-from eaqmds.cyclic import parity_check_matrix
-from eaqmds.rank_oracle import OracleSizeError, family_generator_polynomial, fast_rank
+from eaqmds._gflinalg import rank_digits
+from eaqmds.cyclic import check_digits, generator_digits
+from eaqmds.rank_oracle import OracleSizeError, code_context
 
 spec = FamilySpec(2, 1, 2, 1)  # q = 11, n = 61
 print(f"== the [[61,9,39;24]] code: q = {spec.q}, n = {spec.n}")
 
-g = family_generator_polynomial(spec)
-print(f"   generator polynomial degree: {g.degree} (= |Z|)")
+subfield, _, lam = code_context(spec.q, spec.n)
+z = build_defining_set(spec).defining_set
+g = generator_digits(lam, z)
+print(f"   generator polynomial degree: {len(g) - 1} (= |Z|)")
 
-h = parity_check_matrix(g, spec.n)
-print(f"   parity-check matrix H: {h.rows} x {h.cols}, rank {fast_rank(h)}")
+# row i of H is h's coefficients reversed, shifted i places
+h = check_digits(g, subfield, spec.n)
+rows = spec.n - (len(h) - 1)
+H = np.zeros((rows, spec.n, subfield.degree), dtype=np.int64)
+for i in range(rows):
+    H[i, i:i + len(h)] = h[::-1]
+print(f"   parity-check matrix H: {rows} x {spec.n}, rank {rank_digits(H, subfield)}")
 
 report = entanglement_rank(spec)
 print(f"   rank(H H†)      = {report.rank_hh_dagger}")
 
-z = build_defining_set(spec).defining_set
 z1 = decompose(spec.n, spec.q, z).z1
 print(f"   |Z n (-qZ)|     = {len(z1)}")
 print(f"   closed-form c   = {report.closed_form_c}")

@@ -7,6 +7,10 @@ distance up.  For a code small enough to enumerate, the brute-force
 minimum distance confirms the designed one.
 """
 
+import itertools
+
+import numpy as np
+
 from eaqmds import (
     GF,
     ResidueSet,
@@ -14,15 +18,8 @@ from eaqmds import (
     nth_root_of_unity,
     quadratic_extension,
 )
-from eaqmds.cyclic import (
-    Polynomial,
-    brute_min_distance,
-    check_polynomial,
-    generator_matrix,
-    generator_polynomial,
-    minimal_polynomial,
-    x_pow_minus_one,
-)
+from eaqmds._gflinalg import polymul_digits
+from eaqmds.cyclic import check_digits, generator_digits
 
 q, n = 13, 85
 subfield = GF(q, 2)
@@ -30,30 +27,40 @@ tower = quadratic_extension(subfield)
 lam = nth_root_of_unity(tower, n)
 
 print(f"== factoring x^{n} - 1 over GF({subfield.order})")
-product = Polynomial.one(subfield)
+full = np.zeros((n + 1, subfield.degree), dtype=np.int64)  # x^n - 1, low first
+full[0, 0], full[n, 0] = subfield.p - 1, 1
+product = full[n:]  # the constant 1
 degrees = []
 for coset in all_cosets(n, (q * q) % n):
-    mp = minimal_polynomial(lam, coset)
-    degrees.append(mp.degree)
-    product = product * mp
+    mp = generator_digits(lam, coset)  # the coset's minimal polynomial
+    degrees.append(len(mp) - 1)
+    product = polymul_digits(product, mp, subfield)
 print(f"   {len(degrees)} irreducible factors, degrees: "
       f"{sorted(set(degrees))} (1 linear + 42 quadratics)")
-print(f"   product == x^{n} - 1: "
-      f"{product.coeffs == x_pow_minus_one(subfield, n).coeffs}")
+print(f"   product == x^{n} - 1: {np.array_equal(product, full)}")
 
 print("\n== generator and check polynomial of the [[85,33,33;12]] code")
 z = ResidueSet.of(n, range(27, 59))
-g = generator_polynomial(lam, z)
-h = check_polynomial(g, n)
-print(f"   deg g = {g.degree}, deg h = {h.degree}, "
-      f"g * h == x^n - 1: {(g * h).coeffs == x_pow_minus_one(subfield, n).coeffs}")
+g = generator_digits(lam, z)
+h = check_digits(g, subfield, n)
+print(f"   deg g = {len(g) - 1}, deg h = {len(h) - 1}, "
+      f"g * h == x^n - 1: {np.array_equal(polymul_digits(g, h, subfield), full)}")
 
 print("\n== a toy code small enough to brute-force: n = 5 over GF(9)")
 f9 = GF(3, 2)
 t81 = quadratic_extension(f9)
 mu = nth_root_of_unity(t81, 5)
 z5 = ResidueSet.of(5, [1, 2, 3, 4])
-g5 = generator_polynomial(mu, z5)
-d = brute_min_distance(generator_matrix(g5, 5))
+g5 = generator_digits(mu, z5)
+
+
+def weight(message):
+    """Nonzero coefficients of m(x) g5(x), m given by its field indices."""
+    m = np.array([f9.from_index(i).coeffs for i in message])
+    return int(polymul_digits(m, g5, f9).any(axis=1).sum())
+
+
+k5 = 5 - (len(g5) - 1)
+d = min(weight(m) for m in itertools.product(range(f9.order), repeat=k5) if any(m))
 print(f"   defining set {tuple(z5)} has a run of 4 consecutive roots")
 print(f"   designed distance 5; exhaustive minimum distance: {d}")

@@ -24,7 +24,6 @@ from .cosets import (
     Decomposition,
     ResidueSet,
     all_cosets,
-    coset_neg_q_identity,
     cyclotomic_coset,
     decompose,
     neg_q_image,
@@ -47,22 +46,10 @@ from .families import (
     theorem_quantum_dim,
     verify_family,
 )
-from .cyclic import (
-    MatrixGF,
-    Polynomial,
-    brute_min_distance,
-    check_polynomial,
-    generator_matrix,
-    generator_polynomial,
-    minimal_polynomial,
-    parity_check_matrix,
-    x_pow_minus_one,
-)
 from .rank_oracle import (
     OracleSizeError,
     RankReport,
     entanglement_rank,
-    family_generator_polynomial,
 )
 from .verification import SweepSummary, coset_identity_holds, run_verification_sweep
 from .published_params import PUBLISHED_ROWS
@@ -71,18 +58,13 @@ __all__ = [
     "GF", "Field", "FieldElement", "embed", "find_primitive_element",
     "in_subfield", "multiplicative_order", "nth_root_of_unity",
     "project", "quadratic_extension",
-    "Decomposition", "ResidueSet", "all_cosets",
-    "coset_neg_q_identity", "cyclotomic_coset", "decompose", "neg_q_image",
-    "run_defining_set",
+    "Decomposition", "ResidueSet", "all_cosets", "cyclotomic_coset",
+    "decompose", "neg_q_image", "run_defining_set",
     "EAParams", "CodeRecord", "ClosedForm", "FamilySpec",
     "VerificationReport", "build_T1", "build_T1_prime", "build_defining_set",
     "closed_form", "ea_params", "enumerate_admissible", "spec_from_q",
     "sweep_specs", "theorem_quantum_dim", "verify_family",
-    "MatrixGF", "Polynomial", "brute_min_distance", "check_polynomial",
-    "generator_matrix", "generator_polynomial", "minimal_polynomial",
-    "parity_check_matrix", "x_pow_minus_one",
     "OracleSizeError", "RankReport", "entanglement_rank",
-    "family_generator_polynomial",
     "SweepSummary", "coset_identity_holds", "run_verification_sweep",
     "PUBLISHED_ROWS",
     "__version__",

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, FieldElement, mul_tensor
+from .fields import Field, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
 _CHUNK_FLOATS = 1 << 15     # float64 entries per chunk of a _gemm factor or product
@@ -86,21 +86,6 @@ def _inverse_digits(c: np.ndarray, field: Field) -> np.ndarray:
             if r != col and f:
                 aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
     return np.asarray([row[e] for row in aug], dtype=np.int64)
-
-
-def to_digits(entries, field: Field) -> np.ndarray:
-    """Flatten a sequence of rows of field elements to an int64 digit array."""
-    _require_flat(field)
-    data = [[el.coeffs for el in row] for row in entries]
-    return np.asarray(data, dtype=np.int64)
-
-
-def from_digits(arr: np.ndarray, field: Field):
-    """Rows of field elements from a digit array."""
-    return tuple(
-        tuple(FieldElement(field, tuple(int(d) for d in cell)) for cell in row)
-        for row in arr
-    )
 
 
 def _reduced(a: np.ndarray, p: int) -> np.ndarray:

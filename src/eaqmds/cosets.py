@@ -17,6 +17,7 @@ about q^3/2, which stays inside int64 far past q = 10^5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,8 +148,12 @@ def cyclotomic_coset(n: int, multiplier: int, i: int) -> ResidueSet:
     """Orbit of i under repeated multiplication by ``multiplier`` mod n.
 
     For the lengths used here (n | q^2 + 1, multiplier q^2 = -1 mod n) the
-    orbit is {i, n - i}; the computation does not assume that shape.
+    orbit is {i, n - i}; the computation does not assume that shape.  The
+    multiplier must be a unit mod n, or the orbit need not return to i.
     """
+    if math.gcd(multiplier, n) != 1:
+        raise ValueError(f"multiplier {multiplier} is not a unit mod n = {n}; "
+                         "its orbits are not cyclotomic cosets")
     i %= n
     members = [i]
     x = (i * multiplier) % n
@@ -180,28 +185,6 @@ def neg_q_image(n: int, q: int, s: ResidueSet) -> ResidueSet:
     out = np.zeros(n, dtype=np.bool_)
     out[_times_mod(s.array, -q, n)] = True
     return ResidueSet.from_mask(n, out)
-
-
-def neg_q_coset(n: int, q: int, c: ResidueSet) -> ResidueSet:
-    """Image of a whole coset under the -q map (again a coset)."""
-    qsq = (q * q) % n
-    return cyclotomic_coset(n, qsq, (-q * c.members[0]) % n)
-
-
-def coset_neg_q_identity(n: int, q: int, u: int, v: int) -> tuple[ResidueSet, ResidueSet]:
-    """The pair (-q C_{uq+v}, C_{vq-u}).
-
-    Because -q(uq + v) = -(vq - u) mod n whenever q^2 = -1 mod n, the two
-    cosets coincide for every u, v with uq + v != 0 mod n; callers assert
-    the equality.
-    """
-    idx = (u * q + v) % n
-    if idx == 0:
-        raise ValueError("uq + v is 0 mod n; the zero coset is excluded")
-    qsq = (q * q) % n
-    left = neg_q_coset(n, q, cyclotomic_coset(n, qsq, idx))
-    right = cyclotomic_coset(n, qsq, (v * q - u) % n)
-    return left, right
 
 
 def run_defining_set(n: int, s: int, delta: int) -> ResidueSet:

@@ -94,7 +94,7 @@ class FamilySpec:
 def spec_from_q(case: int, m: int, q: int, alpha: int) -> FamilySpec:
     """Build a spec from an explicit q, inverting the case's linear form."""
     a = m * m + 1
-    offset = {1: m, 2: a + m, 3: a - m, 4: 2 * a - m}[case]
+    offset = q_for(case, m, 0)
     num = q - offset
     if num <= 0 or num % (2 * a):
         raise ValueError(

@@ -12,9 +12,7 @@ one quadratic x^2 - Tr_i x + 1 per coset {i, n - i} of Z, and h =
 (x^n - 1) / g comes by digit long division (see ``cyclic``), once per
 spec (``_code_digits``).  H's rows are shifts of the reversed h, so H H†
 is the Hermitian Toeplitz band of h's autocorrelation (``gram_digits``),
-and G H^T = 0 says that g h has no terms of degrees 1 .. n - 1.  The
-object-level builders in ``cyclic`` are the reference the digit path is
-tested against; ``family_generator_polynomial`` reaches them.
+and G H^T = 0 says that g h has no terms of degrees 1 .. n - 1.
 
 Elimination stays cubic in the worst case, so the oracle refuses lengths
 above a guard (default 300); larger family instances are covered by the
@@ -31,8 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _gflinalg as gfa
 from .cosets import ResidueSet, decompose
-from .cyclic import MatrixGF, Polynomial, check_digits, generator_digits, \
-    generator_polynomial
+from .cyclic import check_digits, generator_digits
 from .families import FamilySpec, build_defining_set, closed_form
 from .fields import GF, Field, FieldElement, nth_root_of_unity, prime_power_base, \
     quadratic_extension
@@ -42,11 +39,6 @@ DEFAULT_N_MAX = 300
 
 class OracleSizeError(ValueError):
     """Raised when an instance exceeds the rank oracle's size guard."""
-
-
-def fast_rank(mat: MatrixGF) -> int:
-    """Row rank of an object-level matrix, on the digit path."""
-    return gfa.rank_digits(gfa.to_digits(mat.entries, mat.field), mat.field)
 
 
 @lru_cache(maxsize=32)
@@ -64,16 +56,6 @@ def code_context(q: int, n: int) -> tuple[Field, Field, FieldElement]:
     tower = quadratic_extension(subfield)
     lam = nth_root_of_unity(tower, n)
     return subfield, tower, lam
-
-
-def family_generator_polynomial(spec: FamilySpec) -> Polynomial:
-    """g(x) of the family instance's cyclic code, over GF(q^2), as objects.
-
-    The reference path; the oracle itself builds g with ``generator_digits``.
-    """
-    _, _, lam = code_context(spec.q, spec.n)
-    record = build_defining_set(spec)
-    return generator_polynomial(lam, record.defining_set)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,103 @@
+"""Reference cyclic-code polynomials on lists of field elements, for tests only.
+
+Independent of the trace-quadratic construction in ``cyclic``: g is the
+plain product of the linear factors x - lam^j, j in Z, in the tower
+GF(q^4), projected to GF(q^2) after a subfield check on every
+coefficient; h = (x^n - 1) / g comes by schoolbook long division; and the
+minimum distance of a toy code is a numpy brute force over all codewords
+m(x) g(x).  Polynomials are lists of ``FieldElement``, low degree first.
+"""
+
+import numpy as np
+
+from eaqmds.fields import FieldElement, in_subfield, project
+
+
+def elements(digits, field):
+    """A (length, e) digit array as a list of field elements."""
+    return [FieldElement(field, tuple(int(d) for d in row)) for row in digits]
+
+
+def digits(poly):
+    """A list of elements of a single-level field as a (length, e) digit array."""
+    return np.asarray([c.coeffs for c in poly], dtype=np.int64)
+
+
+def poly_mul(a, b):
+    out = [a[0].field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder (deg < deg b, untrimmed) of a by b."""
+    if not b or b[-1].is_zero():
+        raise ZeroDivisionError("division by a polynomial with a zero leading term")
+    db = len(b) - 1
+    lead_inv = b[-1].inverse()
+    rem = list(a)
+    quot = [b[0].field.zero] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        factor = rem[i] * lead_inv
+        quot[i - db] = factor
+        for j, c in enumerate(b):
+            rem[i - db + j] = rem[i - db + j] - factor * c
+    return quot, rem[:db]
+
+
+def x_pow_minus_one(field, n):
+    return [-field.one] + [field.zero] * (n - 1) + [field.one]
+
+
+def generator(lam, z):
+    """g = prod_{j in Z} (x - lam^j), computed in lam's tower, over the subfield."""
+    tower = lam.field
+    powers = [tower.one]
+    for _ in range(z.n - 1):
+        powers.append(powers[-1] * lam)
+    if powers[-1] * lam != tower.one:
+        raise ValueError(f"element is not an n-th root of unity for n = {z.n}")
+    g = [tower.one]
+    for j in z.members:                 # g <- (x - lam^j) g
+        root = powers[j]
+        g = [-root * g[0]] + [a - root * b for a, b in zip(g, g[1:])] + [g[-1]]
+    for c in g:
+        if not in_subfield(c):
+            raise ValueError(f"coefficient {c!r} escapes the subfield")
+    return [project(c) for c in g]
+
+
+def check(g, n):
+    """h = (x^n - 1) / g; raises unless g divides x^n - 1."""
+    quot, rem = poly_divmod(x_pow_minus_one(g[0].field, n), g)
+    if not all(c.is_zero() for c in rem):
+        raise ValueError("generator does not divide x^n - 1")
+    return quot
+
+
+def min_distance(g, n, guard=10**5):
+    """Minimum Hamming weight of the nonzero codewords m(x) g(x), deg m < n - deg g.
+
+    The codewords are built one message coefficient at a time, as every
+    sum of a previous codeword and one of the Q multiples of x^i g(x);
+    codeword 0 is the zero message.  Refuses more than ``guard`` codewords.
+    """
+    field = g[0].field
+    k = n - (len(g) - 1)
+    if k < 1:
+        raise ValueError("code has no nonzero codewords")
+    if field.order**k > guard:
+        raise ValueError(
+            f"{field.order}^{k} codewords exceeds the enumeration guard {guard}")
+    e, p = field.degree, field.p
+    scalars = [field.from_index(i) for i in range(field.order)]
+    multiples = np.asarray([[(s * c).coeffs for c in g] for s in scalars],
+                           dtype=np.int64)
+    words = np.zeros((1, n, e), dtype=np.int64)
+    for i in range(k):
+        shifted = np.zeros((field.order, n, e), dtype=np.int64)
+        shifted[:, i:i + len(g)] = multiples
+        words = ((words[:, None] + shifted[None]) % p).reshape(-1, n, e)
+    return int(words[1:].any(axis=2).sum(axis=1).min())

@@ -5,15 +5,13 @@ path: the product is one ``tensordot`` per digit against the reduction
 tensor, and rank is column-by-column Gaussian elimination with field
 inverses taken on ``FieldElement`` objects.  ``_gflinalg`` must agree
 with them exactly.  Below them: the explicit generator and parity-check
-matrices the rank oracle no longer forms, and the object-level
-``MatrixGF`` conjugate transpose, rank and digit-path product.
+matrices the rank oracle no longer forms, and a conjugate transpose
+taken entry by entry on ``FieldElement`` objects.
 """
 
 import numpy as np
 
-from eaqmds import _gflinalg as gfa
 from eaqmds._gflinalg import reduction_tensor
-from eaqmds.cyclic import MatrixGF
 from eaqmds.fields import FieldElement
 
 
@@ -93,7 +91,7 @@ def _toeplitz(coeffs, rows, n):
 
 
 def generator_matrix_digits(g, n):
-    """``cyclic.generator_matrix`` as a (k, n, e) digit array, k = n - deg g."""
+    """(k, n, e) generator matrix, k = n - deg g: row i holds x^i g(x)."""
     k = n - (len(g) - 1)
     if k < 1:
         raise ValueError("generator degree leaves no dimension")
@@ -101,57 +99,23 @@ def generator_matrix_digits(g, n):
 
 
 def parity_check_digits(h, n):
-    """``cyclic.parity_check_matrix`` as a (n - deg h, n, e) digit array.
+    """(n - deg h, n, e) parity-check matrix from the check polynomial h.
 
-    Built from the check polynomial h: row i is the reversed h_k, ..., h_0
-    shifted i places.
+    Row i is the reversed h_k, ..., h_0 shifted i places, the standard
+    cyclic-code choice.
     """
     return _toeplitz(h[::-1], n - (len(h) - 1), n)
 
 
 # ---------------------------------------------------------------------------
-# object-level matrices
+# element-wise conjugation
 
 
-def conjugate_transpose(mat: MatrixGF, q: int) -> MatrixGF:
-    """H† : transpose with every entry raised to the q-th power."""
-    out = []
-    for j in range(mat.cols):
-        out.append(tuple(mat.entries[i][j] ** q for i in range(mat.rows)))
-    return MatrixGF(mat.field, tuple(out))
-
-
-def rank_gf(mat: MatrixGF) -> int:
-    """Row rank by exact Gaussian elimination with field inverses.
-
-    Object-level and deterministic; intended for modest sizes and as the
-    reference the vectorized path is checked against.
-    """
-    rows = [list(r) for r in mat.entries]
-    nrows, ncols = mat.rows, mat.cols
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows)
-                      if not rows[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(rank + 1, nrows):
-            f = rows[i][col]
-            if not f.is_zero():
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def fast_matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    """Product of object-level matrices through ``_gflinalg.matmul_digits``."""
-    if a.field != b.field:
-        raise ValueError("matrices over different fields")
-    c = gfa.matmul_digits(gfa.to_digits(a.entries, a.field),
-                          gfa.to_digits(b.entries, b.field), a.field)
-    return MatrixGF(a.field, gfa.from_digits(c, a.field))
+def conjugate_transpose(a, field, q):
+    """H†: the transpose of a digit matrix, each entry raised to the q-th
+    power as a ``FieldElement``."""
+    out = np.empty((a.shape[1], a.shape[0], field.degree), dtype=np.int64)
+    for i, row in enumerate(a):
+        for j, cell in enumerate(row):
+            out[j, i] = (FieldElement(field, tuple(int(d) for d in cell)) ** q).coeffs
+    return out

@@ -7,15 +7,14 @@ import pytest
 from eaqmds.cosets import (
     ResidueSet,
     all_cosets,
-    coset_neg_q_identity,
     cyclotomic_coset,
     decompose,
     is_coset_closed,
-    neg_q_coset,
     neg_q_image,
     run_defining_set,
 )
 from eaqmds.families import sweep_specs
+from eaqmds.verification import coset_identity_holds
 
 
 def test_cyclotomic_coset_values():
@@ -76,21 +75,29 @@ def test_neg_q_image_is_involution_on_coset_closed_sets():
         assert neg_q_image(n, q, neg_q_image(n, q, s)).members == s.members
 
 
+def neg_q_pair(n, q, u, v):
+    """(-q C_{uq+v}, C_{vq-u}) from the coset machinery."""
+    qsq = (q * q) % n
+    return (neg_q_image(n, q, cyclotomic_coset(n, qsq, u * q + v)),
+            cyclotomic_coset(n, qsq, v * q - u))
+
+
 def test_neg_q_coset_map_is_involution_on_cosets():
     n, q = 85, 13
     cosets = all_cosets(n, 84)
-    image_reps = set()
+    images = set()
     for c in cosets:
-        image = neg_q_coset(n, q, c)
-        image_reps.add(image.members[0])
-        assert neg_q_coset(n, q, image).members == c.members
-    assert len(image_reps) == len(cosets)  # bijection
+        image = neg_q_image(n, q, c)
+        assert image == cyclotomic_coset(n, 84, image.members[0])  # again a coset
+        images.add(image)
+        assert neg_q_image(n, q, image) == c
+    assert len(images) == len(cosets)  # bijection
 
 
 def test_coset_neg_q_identity_values():
-    left, right = coset_neg_q_identity(85, 13, 0, 1)
+    left, right = neg_q_pair(85, 13, 0, 1)
     assert left.members == right.members == (13, 72)
-    left, right = coset_neg_q_identity(85, 13, 1, 0)
+    left, right = neg_q_pair(85, 13, 1, 0)
     assert left.members == right.members == (1, 84)  # -qC_q = C_{-1} = C_1
 
 
@@ -100,15 +107,19 @@ def test_coset_neg_q_identity_exhaustive_q13():
         for v in range(q):
             if (u * q + v) % n == 0:
                 continue
-            left, right = coset_neg_q_identity(n, q, u, v)
+            left, right = neg_q_pair(n, q, u, v)
             assert left.members == right.members, (u, v)
+    assert coset_identity_holds(q, n)
 
 
-def test_coset_neg_q_identity_rejects_zero():
-    with pytest.raises(ValueError):
-        coset_neg_q_identity(85, 13, 0, 0)
-    with pytest.raises(ValueError):
-        coset_neg_q_identity(85, 13, 6, 7)  # 6*13 + 7 = 85 = 0 mod n
+def test_cyclotomic_coset_rejects_non_unit_multiplier():
+    # 2 is not a unit mod 10: the orbit of 1 is 1, 2, 4, 8, 6, 2, ... and
+    # never returns to 1
+    with pytest.raises(ValueError, match="multiplier 2 .* n = 10"):
+        cyclotomic_coset(10, 2, 1)
+    with pytest.raises(ValueError, match="multiplier 5 .* n = 10"):
+        all_cosets(10, 5)
+    assert cyclotomic_coset(10, 3, 1).members == (1, 3, 7, 9)
 
 
 def test_run_defining_set_values():

@@ -1,32 +1,26 @@
 """Digit builders of the rank oracle against the object-level reference.
 
-The oracle builds g, h, H and G on digit arrays and finds its root of
-unity with a primitive-element scan that skips the subfield.  These tests
-pin both to the object path and to a full scan, byte for byte, and show
-that faults on the digit path flip or stop the oracle.
+The oracle builds g and h on digit arrays and finds its root of unity
+with a primitive-element scan that skips the subfield.  These tests pin
+both to ``cyclic_reference`` (the tower-root product and long division on
+``FieldElement`` lists) and to a full scan, byte for byte, and show that
+faults on the digit path flip or stop the oracle.
 """
 
 import numpy as np
 import pytest
 
+import cyclic_reference as cref
 from eaqmds import _gflinalg as gfa
 from eaqmds import cyclic, rank_oracle
 from eaqmds.cosets import ResidueSet
-from eaqmds.cyclic import (
-    check_digits,
-    check_polynomial,
-    generator_digits,
-    generator_matrix,
-    generator_polynomial,
-    parity_check_matrix,
-)
+from eaqmds.cyclic import check_digits, generator_digits
 from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
 from eaqmds.fields import GF, find_primitive_element, prime_factors, \
     quadratic_extension
 from eaqmds.rank_oracle import code_context, entanglement_rank
 
 from field_reference import full_scan_primitive
-from linalg_reference import generator_matrix_digits, parity_check_digits
 
 ORACLE_SPECS = [s for s in sweep_specs(5, 250) if s.n <= 150]
 PUBLISHED_421 = spec_from_q(3, 1, 29, 3)   # [[421,129,189;84]]_29
@@ -41,19 +35,12 @@ def test_digit_builders_match_object_path(spec):
     n = spec.n
     subfield, _, lam = code_context(spec.q, n)
     z = build_defining_set(spec).defining_set
-    g = generator_polynomial(lam, z)
+    g = cref.generator(lam, z)
     gd = generator_digits(lam, z)
     assert gd.dtype == np.int64
-    assert gd.tobytes() == gfa.to_digits([g.coeffs], subfield)[0].tobytes()
-    h = check_polynomial(g, n)
+    assert gd.tobytes() == cref.digits(g).tobytes()
     hd = check_digits(gd, subfield, n)
-    assert hd.tobytes() == gfa.to_digits([h.coeffs], subfield)[0].tobytes()
-    hmat = parity_check_digits(hd, n)
-    assert hmat.tobytes() == gfa.to_digits(
-        parity_check_matrix(g, n).entries, subfield).tobytes()
-    gmat = generator_matrix_digits(gd, n)
-    assert gmat.tobytes() == gfa.to_digits(
-        generator_matrix(g, n).entries, subfield).tobytes()
+    assert hd.tobytes() == cref.digits(cref.check(g, n)).tobytes()
 
 
 def test_oracle_specs_are_the_benchmark_subset():
@@ -113,11 +100,10 @@ def test_check_digits_rejects_non_divisor():
 
 def test_singleton_coset_gives_linear_factor():
     # 0 is its own coset {0}; its minimal polynomial is x - 1
-    subfield, _, lam = code_context(13, 85)
+    _, _, lam = code_context(13, 85)
     z = ResidueSet.of(85, [0, 42, 43])
     gd = generator_digits(lam, z)
-    assert gd.tobytes() == gfa.to_digits(
-        [generator_polynomial(lam, z).coeffs], subfield)[0].tobytes()
+    assert gd.tobytes() == cref.digits(cref.generator(lam, z)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,12 @@ def test_spec_from_q_inverts_the_form():
         spec_from_q(1, 1, 14, 1)  # wrong residue class
 
 
+@pytest.mark.parametrize("case", [0, 5])
+def test_spec_from_q_rejects_unknown_case(case):
+    with pytest.raises(ValueError, match=f"unknown case {case}; expected 1..4"):
+        spec_from_q(case, 1, 13, 1)
+
+
 def test_enumerate_admissible_case1():
     specs = enumerate_admissible(1, 1, k_max=4, q_max=20)
     qs = sorted({s.q for s in specs})

@@ -2,55 +2,50 @@
 
 import random
 
+import numpy as np
 import pytest
 
+import linalg_reference as ref
 from eaqmds import _gflinalg as gfa
-from eaqmds.cyclic import MatrixGF, matmul, parity_check_matrix
 from eaqmds.families import FamilySpec
 from eaqmds.fields import GF
-from eaqmds.rank_oracle import (
-    OracleSizeError,
-    entanglement_rank,
-    family_generator_polynomial,
-    fast_rank,
-)
-from linalg_reference import conjugate_transpose, fast_matmul, rank_gf
+from eaqmds.rank_oracle import OracleSizeError, _code_digits, entanglement_rank
 
 
 def random_matrix(field, rows, cols, rng):
-    return MatrixGF(field, tuple(
-        tuple(field.from_index(rng.randrange(field.order)) for _ in range(cols))
-        for _ in range(rows)))
+    return np.asarray([[field.from_index(rng.randrange(field.order)).coeffs
+                        for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
 
 
 def identity_matrix(field, r):
-    return MatrixGF(field, tuple(
-        tuple(field.one if i == j else field.zero for j in range(r))
-        for i in range(r)))
+    out = np.zeros((r, r, field.degree), dtype=np.int64)
+    out[np.arange(r), np.arange(r), 0] = 1
+    return out
 
 
 def test_conjugate_transpose_prime_subfield_is_plain_transpose():
     f = GF(13, 2)
-    m = MatrixGF(f, ((f.element(3), f.element(5)), (f.element(7), f.element(11))))
-    ct = conjugate_transpose(m, 13)
-    assert ct.entries == m.transpose().entries
+    m = np.array([[[3, 0], [5, 0]], [[7, 0], [11, 0]]])
+    ct = gfa.conjugate_transpose_digits(m, f, 13)
+    assert np.array_equal(ct, m.transpose(1, 0, 2))
 
 
 def test_conjugate_transpose_involution_and_1x1():
     f = GF(13, 2)
     rng = random.Random(5)
     m = random_matrix(f, 3, 4, rng)
-    assert conjugate_transpose(conjugate_transpose(m, 13), 13).entries == m.entries
+    ct = gfa.conjugate_transpose_digits(m, f, 13)
+    assert np.array_equal(ct, ref.conjugate_transpose(m, f, 13))
+    assert np.array_equal(gfa.conjugate_transpose_digits(ct, f, 13), m)
     a = f.from_index(37)
-    single = MatrixGF(f, ((a,),))
-    assert conjugate_transpose(single, 13).entries == ((a**13,),)
+    single = np.array([[a.coeffs]])
+    assert gfa.conjugate_transpose_digits(single, f, 13).tolist() == [[list((a**13).coeffs)]]
 
 
 def test_rank_identity_and_zero():
     f = GF(13, 2)
-    assert rank_gf(identity_matrix(f, 5)) == 5
-    z = MatrixGF(f, tuple(tuple(f.zero for _ in range(4)) for _ in range(3)))
-    assert rank_gf(z) == 0
+    assert gfa.rank_digits(identity_matrix(f, 5), f) == 5
+    assert gfa.rank_digits(np.zeros((3, 4, 2), dtype=np.int64), f) == 0
 
 
 def test_rank_of_low_rank_product():
@@ -59,7 +54,7 @@ def test_rank_of_low_rank_product():
     for t in (1, 2, 3):
         a = random_matrix(f, 6, t, rng)
         b = random_matrix(f, t, 6, rng)
-        assert rank_gf(matmul(a, b)) <= t
+        assert gfa.rank_digits(gfa.matmul_digits(a, b, f), f) <= t
 
 
 @pytest.mark.parametrize("p,e", [(13, 2), (3, 4), (5, 2)])
@@ -69,16 +64,8 @@ def test_fast_paths_agree_with_reference(p, e):
     for _ in range(5):
         a = random_matrix(f, 6, 7, rng)
         b = random_matrix(f, 7, 5, rng)
-        assert fast_matmul(a, b).entries == matmul(a, b).entries
-        assert fast_rank(a) == rank_gf(a)
-
-
-def test_digit_roundtrip():
-    f = GF(13, 2)
-    rng = random.Random(1)
-    m = random_matrix(f, 4, 3, rng)
-    digits = gfa.to_digits(m.entries, f)
-    assert gfa.from_digits(digits, f) == m.entries
+        assert np.array_equal(gfa.matmul_digits(a, b, f), ref.matmul_digits(a, b, f))
+        assert gfa.rank_digits(a, f) == ref.rank_digits(a, f)
 
 
 @pytest.mark.parametrize("case,m,k,alpha,expected", [
@@ -95,67 +82,60 @@ def test_entanglement_rank_table_anchors(case, m, k, alpha, expected):
     assert report.match and report.matches_closed_form
 
 
+def parity_check(spec):
+    """H of the instance's code, from the oracle's check polynomial."""
+    field, _, _, h = _code_digits(spec)
+    return field, ref.parity_check_digits(h, spec.n)
+
+
 def test_rank_bounded_by_parity_rank():
     spec = FamilySpec(2, 1, 2, 1)  # n = 61
-    g = family_generator_polynomial(spec)
-    h = parity_check_matrix(g, spec.n)
+    f, h = parity_check(spec)
     report = entanglement_rank(spec)
-    assert report.rank_hh_dagger <= fast_rank(h) == g.degree
+    assert report.rank_hh_dagger <= gfa.rank_digits(h, f) == len(h)  # deg g rows
+
+
+def hh_dagger_rank(h, f, q):
+    return gfa.rank_digits(
+        gfa.matmul_digits(h, gfa.conjugate_transpose_digits(h, f, q), f), f)
 
 
 def test_rank_invariant_under_row_operations():
     # replacing H by R H for invertible R must not change rank(H H†)
     spec = FamilySpec(2, 1, 2, 1)  # n = 61, H is 38 x 61
-    f = GF(11, 2)
-    g = family_generator_polynomial(spec)
-    h = parity_check_matrix(g, spec.n)
-    hd = gfa.to_digits(h.entries, f)
-    hdag = gfa.conjugate_transpose_digits(hd, f, 11)
-    base = gfa.rank_digits(gfa.matmul_digits(hd, hdag, f), f)
+    f, h = parity_check(spec)
+    base = hh_dagger_rank(h, f, 11)
     assert base == 24
 
     rng = random.Random(404)
     trials = 0
     while trials < 10:
-        r = random_matrix(f, h.rows, h.rows, rng)
-        rd = gfa.to_digits(r.entries, f)
-        if gfa.rank_digits(rd, f) < h.rows:
+        r = random_matrix(f, len(h), len(h), rng)
+        if gfa.rank_digits(r, f) < len(h):
             continue  # not invertible, resample
         trials += 1
-        rh = gfa.matmul_digits(rd, hd, f)
-        rhdag = gfa.conjugate_transpose_digits(rh, f, 11)
-        assert gfa.rank_digits(gfa.matmul_digits(rh, rhdag, f), f) == base
+        assert hh_dagger_rank(gfa.matmul_digits(r, h, f), f, 11) == base
 
     # row-scrambled variant: permuting rows is such an R
-    perm = list(range(h.rows))
+    perm = list(range(len(h)))
     rng.shuffle(perm)
-    scrambled = MatrixGF(f, tuple(h.entries[i] for i in perm))
-    sd = gfa.to_digits(scrambled.entries, f)
-    sdag = gfa.conjugate_transpose_digits(sd, f, 11)
-    assert gfa.rank_digits(gfa.matmul_digits(sd, sdag, f), f) == base
+    assert hh_dagger_rank(h[perm], f, 11) == base
 
 
 def test_rank_invariant_under_row_operations_second_field():
     spec = FamilySpec(1, 1, 3, 1)  # q = 13, n = 85, H is 32 x 85
-    f = GF(13, 2)
-    g = family_generator_polynomial(spec)
-    h = parity_check_matrix(g, spec.n)
-    hd = gfa.to_digits(h.entries, f)
-    hdag = gfa.conjugate_transpose_digits(hd, f, 13)
-    base = gfa.rank_digits(gfa.matmul_digits(hd, hdag, f), f)
+    f, h = parity_check(spec)
+    base = hh_dagger_rank(h, f, 13)
     assert base == 12
 
     rng = random.Random(85)
     trials = 0
     while trials < 3:
-        r = random_matrix(f, h.rows, h.rows, rng)
-        rd = gfa.to_digits(r.entries, f)
-        if gfa.rank_digits(rd, f) < h.rows:
+        r = random_matrix(f, len(h), len(h), rng)
+        if gfa.rank_digits(r, f) < len(h):
             continue
         trials += 1
-        rh = gfa.matmul_digits(rd, hd, f)
-        rhdag = gfa.conjugate_transpose_digits(rh, f, 13)
-        assert gfa.rank_digits(gfa.matmul_digits(rh, rhdag, f), f) == base
+        assert hh_dagger_rank(gfa.matmul_digits(r, h, f), f, 13) == base
 
 
 def test_size_guard():
