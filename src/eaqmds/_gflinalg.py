@@ -24,7 +24,9 @@ over the pivot rows S.  The remaining rows are then replaced by the Schur
 complement rest_T + C S_T, one ``_gemm``; that is exactly the state the
 column-by-column loop would leave, so the pivot sequence is unchanged.
 Panels and updates stop at the last nonzero row and column, so a banded
-matrix costs only its band.
+matrix costs only its band.  A pivot's inverse is one lookup in a
+per-field table of inverses (``inverse_table``), and pivot k's row
+operations stop at its last live coefficient column, w + k.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, mul_tensor
+from .fields import Field, element_digits, find_primitive_element, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
 _CHUNK_FLOATS = 1 << 15     # float64 entries per chunk of a _gemm factor or product
@@ -66,26 +68,42 @@ def frobenius_matrix(field: Field, q: int) -> np.ndarray:
 
 def scalar_matrix(c: np.ndarray, field: Field) -> np.ndarray:
     """The map x -> x c on digits, as a right factor: (x @ M) = x c."""
-    return np.einsum("v,uvw->uw", c, reduction_tensor(field)) % field.p
+    return c @ reduction_tensor(field) % field.p
 
 
-def _inverse_digits(c: np.ndarray, field: Field) -> np.ndarray:
-    """Digits of c^-1: Gauss-Jordan mod p on the e x e system y M_c = 1."""
-    p, e = field.p, field.degree
-    aug = [row + [int(i == 0)] for i, row in
-           enumerate(scalar_matrix(c, field).T.tolist())]
-    for col in range(e):
-        piv = next((r for r in range(col, e) if aug[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("inversion of zero field element")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        s = pow(aug[col][col], -1, p)
-        aug[col] = [x * s % p for x in aug[col]]
-        for r in range(e):
-            f = aug[r][col]
-            if r != col and f:
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return np.asarray([row[e] for row in aug], dtype=np.int64)
+@lru_cache(maxsize=None)
+def inverse_table(field: Field) -> np.ndarray:
+    """Read-only (order, e) digits of x^-1 at the index digits(x) . p^arange(e).
+
+    Built once per field from the powers g^j of the canonical primitive
+    element, by doubling on its multiplication map: the block g^[m, 2m)
+    is the block g^[0, m) times the map of g^m.  The row at index(g^j)
+    then holds g^-j.  Row 0 (zero has no inverse) stays zero and is
+    never read by ``inverse_digits``.  The table holds ``order`` rows.
+    """
+    _require_flat(field)
+    p, e, units = field.p, field.degree, field.order - 1
+    powers = np.zeros((units, e), dtype=np.int64)
+    powers[0, 0] = 1
+    step = scalar_matrix(element_digits(find_primitive_element(field)), field)
+    done = 1
+    while done < units:
+        span = min(done, units - done)
+        powers[done:done + span] = powers[:span] @ step % p
+        step = step @ step % p
+        done += span
+    table = np.zeros((field.order, e), dtype=np.int64)
+    table[powers @ p ** np.arange(e)] = powers[-np.arange(units) % units]
+    table.flags.writeable = False
+    return table
+
+
+def inverse_digits(c: np.ndarray, field: Field) -> np.ndarray:
+    """Digits of c^-1, one lookup in ``inverse_table``."""
+    i = int(c @ field.p ** np.arange(field.degree))
+    if not i:
+        raise ZeroDivisionError("inversion of zero field element")
+    return inverse_table(field)[i]
 
 
 def _reduced(a: np.ndarray, p: int) -> np.ndarray:
@@ -172,6 +190,8 @@ def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
     columns from ``w`` on record each row as (original row) + C S, where
     S are the original pivot rows in pivot order: pivot i gets C[i, i] = 1
     when it is chosen, and every row operation then updates C with the row.
+    Pivot k's record is zero past column w + k, so its normalization and
+    the update of the rows below stop there.
     """
     t = reduction_tensor(field)
     p, e = field.p, field.degree
@@ -180,22 +200,22 @@ def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
     for col in range(w):
         if k == rows:
             break
-        nz = np.flatnonzero(panel[k:, col].any(axis=1))
+        nz = k + np.flatnonzero(panel[k:, col].any(axis=1))
         if nz.size == 0:
             continue
-        piv = k + int(nz[0])
-        if piv != k:
-            panel[[k, piv]] = panel[[piv, k]]
-            order[[k, piv]] = order[[piv, k]]
-        panel[k, w + k, 0] = 1
-        inv = _inverse_digits(panel[k, col], field)
-        prow = panel[k, col:] @ scalar_matrix(inv, field) % p
-        panel[k, col:] = prow
-        below = k + 1 + np.flatnonzero(panel[k + 1:, col].any(axis=1))
-        if below.size:
-            pt = np.einsum("jv,uvw->ujw", prow, t).reshape(e, -1) % p  # x -> x prow
-            upd = (panel[below, col] @ pt).reshape(below.size, -1, e)
-            panel[below, col:] = (panel[below, col:] - upd) % p
+        if nz[0] != k:
+            panel[[k, nz[0]]] = panel[[nz[0], k]]
+            order[[k, nz[0]]] = order[[nz[0], k]]
+        end = w + k + 1
+        panel[k, end - 1, 0] = 1
+        inv = inverse_digits(panel[k, col], field)
+        prow = panel[k, col:end] @ scalar_matrix(inv, field) % p
+        panel[k, col:end] = prow
+        if nz.size > 1:     # rows k+1 .. nz[-1]; those zero in col take a zero update
+            pt = (prow @ t).reshape(e, -1) % p                  # x -> x prow
+            below = panel[k + 1:nz[-1] + 1]
+            below[:, col:end] -= (below[:, col] @ pt).reshape(len(below), -1, e)
+            below[:, col:end] %= p
         k += 1
     return k
 

@@ -605,8 +605,11 @@ def find_primitive_element(field: Field) -> FieldElement:
     lower index has top coefficient zero, so it is an element of the base
     field GF(Q), whose order divides Q - 1 < N - 1.  None of those can be
     primitive, so skipping them returns the same canonical element as a
-    scan from index 2.
+    scan from index 2.  GF(2) has no index 2; its unit group is {1}, so
+    its primitive element is 1.
     """
+    if field.order == 2:
+        return field.one
     n = field.order - 1
     checks = [(n // r) for r in prime_factors(n)]
     maps = mul_tensor(field)

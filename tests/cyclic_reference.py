@@ -3,9 +3,11 @@
 Independent of the trace-quadratic construction in ``cyclic``: g is the
 plain product of the linear factors x - lam^j, j in Z, in the tower
 GF(q^4), projected to GF(q^2) after a subfield check on every
-coefficient; h = (x^n - 1) / g comes by schoolbook long division; and the
-minimum distance of a toy code is a numpy brute force over all codewords
-m(x) g(x).  Polynomials are lists of ``FieldElement``, low degree first.
+coefficient (the tower products are memoized per lam and extended from
+the largest built subset of Z); h = (x^n - 1) / g comes by schoolbook
+long division; and the minimum distance of a toy code is a numpy brute
+force over all codewords m(x) g(x).  Polynomials are lists of
+``FieldElement``, low degree first.
 """
 
 import numpy as np
@@ -51,18 +53,38 @@ def x_pow_minus_one(field, n):
     return [-field.one] + [field.zero] * (n - 1) + [field.one]
 
 
+_powers = {}     # (lam, n) -> [lam^0, ..., lam^(n-1)], once lam^n = 1 is checked
+_products = {}   # lam -> {frozenset(Z): prod_{j in Z} (x - lam^j) in the tower}
+
+
+def _root_powers(lam, n):
+    if (lam, n) not in _powers:
+        powers = [lam.field.one]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * lam)
+        if powers[-1] * lam != lam.field.one:
+            raise ValueError(f"element is not an n-th root of unity for n = {n}")
+        _powers[lam, n] = powers
+    return _powers[lam, n]
+
+
 def generator(lam, z):
-    """g = prod_{j in Z} (x - lam^j), computed in lam's tower, over the subfield."""
-    tower = lam.field
-    powers = [tower.one]
-    for _ in range(z.n - 1):
-        powers.append(powers[-1] * lam)
-    if powers[-1] * lam != tower.one:
-        raise ValueError(f"element is not an n-th root of unity for n = {z.n}")
-    g = [tower.one]
-    for j in z.members:                 # g <- (x - lam^j) g
-        root = powers[j]
-        g = [-root * g[0]] + [a - root * b for a, b in zip(g, g[1:])] + [g[-1]]
+    """g = prod_{j in Z} (x - lam^j), computed in lam's tower, over the subfield.
+
+    The tower products are memoized per lam; a new Z extends the largest
+    product already built for a subset of Z by the factors it lacks.
+    """
+    powers = _root_powers(lam, z.n)
+    built = _products.setdefault(lam, {})
+    members = frozenset(z.members)
+    g = built.get(members)
+    if g is None:
+        done = max((s for s in built if s <= members), key=len, default=frozenset())
+        g = built.get(done, [lam.field.one])
+        for j in sorted(members - done):     # g <- (x - lam^j) g
+            root = powers[j]
+            g = [-root * g[0]] + [a - root * b for a, b in zip(g, g[1:])] + [g[-1]]
+        built[members] = g
     for c in g:
         if not in_subfield(c):
             raise ValueError(f"coefficient {c!r} escapes the subfield")

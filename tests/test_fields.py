@@ -174,6 +174,15 @@ def test_primitive_element_order_criterion(p):
     assert multiplicative_order(g) == n
 
 
+def test_primitive_element_of_gf2_is_one():
+    # GF(2) has no index 2 to scan; its unit group is {1}
+    f = GF(2)
+    g = find_primitive_element(f)
+    assert g == f.one
+    assert multiplicative_order(g) == 1
+    assert nth_root_of_unity(f, 1) == f.one
+
+
 def test_nth_root_of_unity_q13_n85():
     f4 = quadratic_extension(GF(13, 2))
     assert (f4.order - 1) // 85 == 336

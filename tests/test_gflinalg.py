@@ -8,7 +8,9 @@ must also leave the same remaining rows, in the same order, after every
 panel as the column-by-column loop, which pins the pivot rule; banded,
 sparse-banded and zero-suffix matrices, and the oracle's Gram matrices,
 check that trimming each panel to its nonzero rows and columns changes
-nothing.
+nothing.  The table of pivot inverses must agree with
+``FieldElement.inverse`` on every unit, and one wrong entry in it must
+break the panel states and flip the oracle.
 """
 
 import numpy as np
@@ -18,9 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 import linalg_reference as ref
 from linalg_reference import parity_check_digits
 from eaqmds import _gflinalg as gfa
-from eaqmds.families import build_defining_set, spec_from_q, sweep_specs
+from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
 from eaqmds.fields import GF
-from eaqmds.rank_oracle import code_context, gram_digits
+from eaqmds.rank_oracle import code_context, entanglement_rank, gram_digits
 from eaqmds.cyclic import check_digits, generator_digits
 
 FIELDS = [GF(2), GF(13), GF(83), GF(3, 2), GF(13, 2), GF(29, 2), GF(83, 2),
@@ -246,22 +248,36 @@ def test_product_with_many_rows_and_small_inner(field, rows, inner, cols, seed):
                           ref.matmul_digits(a, b, field))
 
 
-@pytest.mark.parametrize("field", [GF(2, 3), GF(3, 2), GF(13, 2), GF(7)], ids=repr)
+@pytest.mark.parametrize("field", [GF(2, 3), GF(3, 2), GF(13, 2), GF(7), GF(29, 2),
+                                   GF(2)], ids=repr)
 def test_digit_inverse_matches_field_inverse(field):
     for i in range(1, field.order):
         x = field.from_index(i)
-        inv = gfa._inverse_digits(np.asarray(x.coeffs, dtype=np.int64), field)
+        inv = gfa.inverse_digits(np.asarray(x.coeffs, dtype=np.int64), field)
         assert tuple(inv.tolist()) == x.inverse().coeffs
 
 
 def test_digit_inverse_over_gf_3_6_and_of_zero():
     field = GF(3, 6)
-    for i in range(1, field.order, 37):
+    for i in range(1, field.order):
         x = field.from_index(i)
-        inv = gfa._inverse_digits(np.asarray(x.coeffs, dtype=np.int64), field)
+        inv = gfa.inverse_digits(np.asarray(x.coeffs, dtype=np.int64), field)
         assert tuple(inv.tolist()) == x.inverse().coeffs
     with pytest.raises(ZeroDivisionError):
-        gfa._inverse_digits(np.zeros(6, dtype=np.int64), field)
+        gfa.inverse_digits(np.zeros(6, dtype=np.int64), field)
+
+
+def test_inverse_table_is_read_only_and_built_once():
+    field = GF(13, 2)
+    gfa.inverse_table.cache_clear()
+    table = gfa.inverse_table(field)
+    assert gfa.inverse_table(field) is table
+    info = gfa.inverse_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert table.shape == (field.order, field.degree)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[1, 0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +317,41 @@ def test_oracle_gram_panels_leave_the_column_loop_state():
         g = generator_digits(lam, build_defining_set(spec).defining_set)
         h = check_digits(g, subfield, spec.n)
         assert_panel_states_match(gram_digits(h, subfield, spec.q, spec.n), subfield)
+
+
+# ---------------------------------------------------------------------------
+# fault reach: a wrong entry of the inverse table must be seen
+
+
+def corrupt_inverse(monkeypatch, field, index, replacement):
+    """Serve a copy of field's inverse table whose entry at ``index`` is the
+    entry at ``replacement``."""
+    bad = gfa.inverse_table(field).copy()
+    bad[index] = bad[replacement]
+    table = gfa.inverse_table
+    monkeypatch.setattr(gfa, "inverse_table",
+                        lambda f: bad if f == field else table(f))
+
+
+def test_fault_wrong_pivot_inverse_breaks_panel_states(monkeypatch):
+    spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13
+    subfield, _, lam = code_context(spec.q, spec.n)
+    g = generator_digits(lam, build_defining_set(spec).defining_set)
+    a = gram_digits(check_digits(g, subfield, spec.n), subfield, spec.q, spec.n)
+    assert_panel_states_match(a, subfield)
+    # the first pivot is the diagonal entry 10 of GF(13) in GF(169); its
+    # inverse 4 is served as 1
+    assert a[0, 0].tolist() == [10, 0]
+    corrupt_inverse(monkeypatch, subfield, 10, 1)
+    with pytest.raises(AssertionError):
+        assert_panel_states_match(a, subfield)
+
+
+def test_fault_wrong_pivot_inverse_flips_match(monkeypatch):
+    spec = FamilySpec(1, 1, 3, 1)
+    assert entanglement_rank(spec).match
+    subfield, _, _ = code_context(spec.q, spec.n)
+    corrupt_inverse(monkeypatch, subfield, 10, 1)
+    report = entanglement_rank(spec)
+    assert not report.match
+    assert report.rank_hh_dagger == 14
