@@ -11,7 +11,10 @@ into the (inner*e x cols*e) matrix of its entries' multiplication maps,
 reduced mod p, and one BLAS call per column chunk multiplies the left
 factor's digits into it.  Every product and partial sum is an integer
 below inner*e*(p-1)^2, so the result is exact as long as that bound is
-below 2^53; ``_gemm`` raises ``ValueError`` when it is not.  Polynomials
+below 2^53; ``_gemm`` raises ``ValueError`` when it is not.  It returns
+those sums unreduced: ``matmul_digits`` reduces them, and the Schur
+update of ``rank_digits`` reduces them once, together with the rows they
+are added to.  Polynomials
 are (length, e) digit arrays; ``polymul_digits`` multiplies two with e^2
 int64 convolutions of digit planes.
 
@@ -24,9 +27,19 @@ over the pivot rows S.  The remaining rows are then replaced by the Schur
 complement rest_T + C S_T, one ``_gemm``; that is exactly the state the
 column-by-column loop would leave, so the pivot sequence is unchanged.
 Panels and updates stop at the last nonzero row and column, so a banded
-matrix costs only its band.  A pivot's inverse is one lookup in a
-per-field table of inverses (``inverse_table``), and pivot k's row
-operations stop at its last live coefficient column, w + k.
+matrix costs only its band.  A pivot's normalization is one lookup in a
+per-field table of the maps x -> x c^-1 (``inverse_table``), and pivot
+k's row operations stop at its last live coefficient column, w + k.
+
+Reduction mod p is delayed, as in FFLAS/FFPACK: inside a panel the rows
+below the pivots take their updates unreduced, and digits are reduced
+only where a value must be exact: the column scanned for the next pivot
+(the zero test), the pivot row before it is normalized, and the
+coefficient record once per panel before ``_gemm`` reads it.  Each
+update subtracts a product of reduced digits, at most e(p-1)^2, and a
+panel has at most ``_PANEL`` pivots, so every digit stays in
+(-_PANEL*e*(p-1)^2, p); ``rank_digits`` raises ``ValueError`` unless
+_PANEL*e*(p-1)^2 < 2^63.
 """
 
 from __future__ import annotations
@@ -73,13 +86,15 @@ def scalar_matrix(c: np.ndarray, field: Field) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def inverse_table(field: Field) -> np.ndarray:
-    """Read-only (order, e) digits of x^-1 at the index digits(x) . p^arange(e).
+    """Read-only (order, e, e) table: at the index digits(c) . p^arange(e)
+    of a unit c, the map x -> x c^-1 (``scalar_matrix`` of c^-1).
 
     Built once per field from the powers g^j of the canonical primitive
     element, by doubling on its multiplication map: the block g^[m, 2m)
-    is the block g^[0, m) times the map of g^m.  The row at index(g^j)
-    then holds g^-j.  Row 0 (zero has no inverse) stays zero and is
-    never read by ``inverse_digits``.  The table holds ``order`` rows.
+    is the block g^[0, m) times the map of g^m.  The entry at index(g^j)
+    then holds the map of g^-j, whose row 0 is the digits of g^-j.  Entry
+    0 (zero has no inverse) stays zero and is never read.  The table
+    holds order*e^2 int64 digits.
     """
     _require_flat(field)
     p, e, units = field.p, field.degree, field.order - 1
@@ -92,18 +107,12 @@ def inverse_table(field: Field) -> np.ndarray:
         powers[done:done + span] = powers[:span] @ step % p
         step = step @ step % p
         done += span
-    table = np.zeros((field.order, e), dtype=np.int64)
-    table[powers @ p ** np.arange(e)] = powers[-np.arange(units) % units]
+    table = np.zeros((field.order, e, e), dtype=np.int64)
+    inverses = powers[-np.arange(units) % units]
+    table[powers @ p ** np.arange(e)] = np.tensordot(
+        inverses, reduction_tensor(field), axes=(1, 0)) % p
     table.flags.writeable = False
     return table
-
-
-def inverse_digits(c: np.ndarray, field: Field) -> np.ndarray:
-    """Digits of c^-1, one lookup in ``inverse_table``."""
-    i = int(c @ field.p ** np.arange(field.degree))
-    if not i:
-        raise ZeroDivisionError("inversion of zero field element")
-    return inverse_table(field)[i]
 
 
 def _reduced(a: np.ndarray, p: int) -> np.ndarray:
@@ -114,7 +123,11 @@ def _reduced(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
-    """Exact product of digit matrices with digits in [0, p), via float64 BLAS."""
+    """Exact product of digit matrices with digits in [0, p), via float64 BLAS.
+
+    The result is left unreduced: each digit is the exact integer sum, in
+    [0, inner*e*(p-1)^2], of products of reduced digits.
+    """
     t = reduction_tensor(field)
     p, e = field.p, field.degree
     rows, inner = a.shape[0], a.shape[1]
@@ -145,13 +158,12 @@ def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
         prod = prod_buf[:rows * span * e].reshape(rows, span * e)
         np.matmul(left, chunk.reshape(inner * e, span * e), out=prod)
         out[:, j0:j0 + span] = prod.reshape(rows, span, e)
-    np.remainder(out, p, out=out)
     return out
 
 
 def matmul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     """Exact product of digit matrices over the field, reduced mod p."""
-    return _gemm(_reduced(a, field.p), _reduced(b, field.p), field)
+    return _gemm(_reduced(a, field.p), _reduced(b, field.p), field) % field.p
 
 
 def conjugate_transpose_digits(a: np.ndarray, field: Field, q: int) -> np.ndarray:
@@ -192,15 +204,24 @@ def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
     when it is chosen, and every row operation then updates C with the row.
     Pivot k's record is zero past column w + k, so its normalization and
     the update of the rows below stop there.
+
+    The rows below the pivots are left unreduced (see the module notes):
+    only the scanned column and the pivot row are reduced mod p, and the
+    pivot rows come out reduced.  Digits of the other rows are correct
+    mod p but may be negative.
     """
     t = reduction_tensor(field)
+    maps = inverse_table(field)
     p, e = field.p, field.degree
+    index = p ** np.arange(e)
     rows = panel.shape[0]
     k = 0
     for col in range(w):
         if k == rows:
             break
-        nz = k + np.flatnonzero(panel[k:, col].any(axis=1))
+        scan = panel[k:, col]
+        scan %= p
+        nz = k + scan.any(axis=1).nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0] != k:
@@ -208,14 +229,12 @@ def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
             order[[k, nz[0]]] = order[[nz[0], k]]
         end = w + k + 1
         panel[k, end - 1, 0] = 1
-        inv = inverse_digits(panel[k, col], field)
-        prow = panel[k, col:end] @ scalar_matrix(inv, field) % p
+        prow = panel[k, col:end] % p @ maps[int(panel[k, col] @ index)] % p
         panel[k, col:end] = prow
         if nz.size > 1:     # rows k+1 .. nz[-1]; those zero in col take a zero update
             pt = (prow @ t).reshape(e, -1) % p                  # x -> x prow
             below = panel[k + 1:nz[-1] + 1]
             below[:, col:end] -= (below[:, col] @ pt).reshape(len(below), -1, e)
-            below[:, col:end] %= p
         k += 1
     return k
 
@@ -229,11 +248,16 @@ def _panels(a: np.ndarray, field: Field):
     only on the rows up to the last one nonzero in its columns (later rows
     are never pivots and take no update), the rows its swaps moved are
     reordered in place, and the rows below the pivots take the Schur
-    complement rest_T + C S_T, C = -rest_J S_J^-1 from the panel, on the
-    columns up to the last one nonzero in the pivot rows S.  Elimination
-    goes on in a view of the remaining rows.
+    complement rest_T + C S_T, C = -rest_J S_J^-1 from the panel (reduced
+    here, once), on the columns up to the last one nonzero in the pivot
+    rows S.  Elimination goes on in a view of the remaining rows, whose
+    digits stay in [0, p).
     """
     p, e = field.p, field.degree
+    if _PANEL * e * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(
+            f"exact int64 elimination needs {_PANEL}*e*(p-1)^2 < 2^63; "
+            f"got e = {e}, p = {p}")
     a = _reduced(np.array(a, dtype=np.int64, order="C"), p)
     while a.shape[0] and a.shape[1]:
         w = min(_PANEL, a.shape[1])
@@ -249,7 +273,7 @@ def _panels(a: np.ndarray, field: Field):
         cols = int(live[-1]) + 1 if live.size else 0
         if k < last and cols:
             rest = a[k:last, w:w + cols]
-            rest += _gemm(panel[k:, w:w + k], a[:k, w:w + cols], field)
+            rest += _gemm(panel[k:, w:w + k] % p, a[:k, w:w + cols], field)
             rest %= p
         a = a[k:, w:]
         yield k, a

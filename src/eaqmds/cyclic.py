@@ -11,7 +11,9 @@ is {i, n - i}, and its minimal polynomial is the quadratic
 where Tr_i = lam^i + (lam^i)^(q^2) is the trace of lam^i down to GF(q^2).
 So ``generator_digits`` forms g(x) as a product of |Z|/2 quadratics, one
 multiply each, without a tower polynomial, and ``check_digits`` divides
-x^n - 1 by it.
+x^n - 1 by it, reducing mod p only the leading coefficients it reads and
+the final remainder (exact while min(len g, n - deg g + 1)*e*(p-1)^2 <
+2^63, checked).
 """
 
 from __future__ import annotations
@@ -101,22 +103,33 @@ def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
 def check_digits(g: np.ndarray, field: Field, n: int) -> np.ndarray:
     """h(x) = (x^n - 1) / g(x) by long division on digits; g must be monic.
 
-    Raises unless the remainder is zero.
+    The map c -> c g is built once, as an (e, len g * e) matrix of reduced
+    digits.  Each step reduces only the leading coefficient c it reads and
+    subtracts c g, at most e(p-1)^2 a digit, from the remainder unreduced;
+    the remainder is reduced once, for the divisibility test.  A remainder
+    digit takes at most min(len g, n - deg g + 1) subtractions, so the
+    division raises ``ValueError`` unless that count times e(p-1)^2 is
+    below 2^63, and raises unless the remainder is zero.
     """
     p, e = field.p, field.degree
     dg = len(g) - 1
     if not 0 <= dg <= n or g[-1, 0] != 1 or g[-1, 1:].any():
         raise ValueError("generator must be monic of degree at most n")
+    if min(dg + 1, n - dg + 1) * e * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(
+            f"exact int64 division needs min(len g, n - deg g + 1)*e*(p-1)^2 < 2^63; "
+            f"got deg g = {dg}, n = {n}, e = {e}, p = {p}")
+    times_g = (g @ gfa.reduction_tensor(field)).reshape(e, -1) % p
     rem = np.zeros((n + 1, e), dtype=np.int64)
     rem[0, 0] = p - 1
     rem[n, 0] = 1
     quot = np.zeros((n - dg + 1, e), dtype=np.int64)
     for i in range(n, dg - 1, -1):
-        c = rem[i]
+        c = rem[i] % p
         if not c.any():
             continue
         quot[i - dg] = c
-        rem[i - dg:i + 1] = (rem[i - dg:i + 1] - g @ gfa.scalar_matrix(c, field)) % p
-    if rem[:dg].any():
+        rem[i - dg:i + 1] -= (c @ times_g).reshape(dg + 1, e)
+    if (rem[:dg] % p).any():
         raise ValueError("generator does not divide x^n - 1")
     return quot

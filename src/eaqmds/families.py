@@ -390,7 +390,9 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     z1, z2 = dec.z1, dec.z2
 
     t1 = build_T1(spec)
-    t1p = build_T1_prime(spec)
+    # cases 2-4 build T1' as Z1 of the unperturbed Z, which is dec when
+    # there is no fault
+    t1p = dec.z1 if spec.case != 1 and not fault_delta else build_T1_prime(spec)
     ea = assemble_ea_params(n, n - len(z), 2 * delta + 1, cf.c)
 
     checks = {

@@ -16,7 +16,7 @@ from eaqmds import cyclic, rank_oracle
 from eaqmds.cosets import ResidueSet
 from eaqmds.cyclic import check_digits, generator_digits
 from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
-from eaqmds.fields import GF, find_primitive_element, prime_factors, \
+from eaqmds.fields import GF, find_primitive_element, is_prime, prime_factors, \
     quadratic_extension
 from eaqmds.rank_oracle import code_context, entanglement_rank
 
@@ -96,6 +96,35 @@ def test_check_digits_rejects_non_divisor():
     bad[0, 0] = (bad[0, 0] + 1) % subfield.p
     with pytest.raises(ValueError, match="does not divide"):
         check_digits(bad, subfield, 85)
+
+
+def test_check_digits_rejects_each_corrupted_coefficient():
+    # one wrong digit anywhere below the leading term of a real g, and the
+    # unreduced remainder must still be seen to be nonzero
+    spec = FamilySpec(1, 1, 3, 1)       # [[85,33,33;12]]_13, deg g = 32
+    subfield, _, lam = code_context(spec.q, spec.n)
+    g = generator_digits(lam, build_defining_set(spec).defining_set)
+    for j in range(len(g) - 1):
+        for u in range(subfield.degree):
+            bad = g.copy()
+            bad[j, u] = (bad[j, u] + 1 + j % (subfield.p - 1)) % subfield.p
+            with pytest.raises(ValueError, match="does not divide"):
+                check_digits(bad, subfield, spec.n)
+
+
+def test_check_digits_guard_names_the_int64_bound():
+    # x^3 - 1 = (x - w)(x^2 + w x + w^2), w a cube root of unity: each
+    # remainder digit takes min(len g, n - deg g + 1) = 2 subtractions, so
+    # p = 2^31 - 1, the largest prime with 2(p - 1)^2 < 2^63, is exact and
+    # the next prime is refused
+    p = 2**31 - 1
+    w = next(r for r in (pow(a, (p - 1) // 3, p) for a in range(2, 50)) if r != 1)
+    g = np.array([[p - w], [1]], dtype=np.int64)
+    assert check_digits(g, GF(p), 3).tolist() == [[w * w % p], [w], [1]]
+    refused = next(r for r in range(p + 1, p + 100) if is_prime(r))
+    assert 2 * (refused - 1) ** 2 >= 2**63
+    with pytest.raises(ValueError, match=r"int64.*2\^63"):
+        check_digits(np.array([[refused - 1], [1]], dtype=np.int64), GF(refused), 3)
 
 
 def test_singleton_coset_gives_linear_factor():

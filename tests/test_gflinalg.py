@@ -8,9 +8,11 @@ must also leave the same remaining rows, in the same order, after every
 panel as the column-by-column loop, which pins the pivot rule; banded,
 sparse-banded and zero-suffix matrices, and the oracle's Gram matrices,
 check that trimming each panel to its nonzero rows and columns changes
-nothing.  The table of pivot inverses must agree with
-``FieldElement.inverse`` on every unit, and one wrong entry in it must
-break the panel states and flip the oracle.
+nothing; GF(239^2) and GF(251), the largest p of the sweep, carry the
+largest unreduced digits inside a panel, and the elimination is exact at
+the largest p its int64 guard admits.  The table of pivot inverse maps
+must agree with ``FieldElement.inverse`` on every unit, and one wrong
+entry in it must break the panel states and flip the oracle.
 """
 
 import numpy as np
@@ -25,8 +27,8 @@ from eaqmds.fields import GF
 from eaqmds.rank_oracle import code_context, entanglement_rank, gram_digits
 from eaqmds.cyclic import check_digits, generator_digits
 
-FIELDS = [GF(2), GF(13), GF(83), GF(3, 2), GF(13, 2), GF(29, 2), GF(83, 2),
-          GF(3, 6)]
+FIELDS = [GF(2), GF(13), GF(83), GF(251), GF(3, 2), GF(13, 2), GF(29, 2),
+          GF(83, 2), GF(239, 2), GF(3, 6)]
 PANEL = gfa._PANEL
 
 fields = st.sampled_from(FIELDS)
@@ -248,23 +250,30 @@ def test_product_with_many_rows_and_small_inner(field, rows, inner, cols, seed):
                           ref.matmul_digits(a, b, field))
 
 
+def assert_inverse_maps(field):
+    """Each unit c's entry is the map x -> x c^-1, row u the digits of
+    x^u c^-1 by ``FieldElement`` arithmetic; entry 0 is zero."""
+    table = gfa.inverse_table(field)
+    index = field.p ** np.arange(field.degree)
+    basis = [field.from_index(field.p**u) if field.degree > 1 else field.one
+             for u in range(field.degree)]
+    assert not table[0].any()
+    for i in range(1, field.order):
+        x = field.from_index(i)
+        inv = x.inverse()
+        entry = table[int(np.asarray(x.coeffs, dtype=np.int64) @ index)]
+        assert tuple(entry[0].tolist()) == inv.coeffs
+        assert entry.tolist() == [list((inv * xu).coeffs) for xu in basis]
+
+
 @pytest.mark.parametrize("field", [GF(2, 3), GF(3, 2), GF(13, 2), GF(7), GF(29, 2),
                                    GF(2)], ids=repr)
 def test_digit_inverse_matches_field_inverse(field):
-    for i in range(1, field.order):
-        x = field.from_index(i)
-        inv = gfa.inverse_digits(np.asarray(x.coeffs, dtype=np.int64), field)
-        assert tuple(inv.tolist()) == x.inverse().coeffs
+    assert_inverse_maps(field)
 
 
 def test_digit_inverse_over_gf_3_6_and_of_zero():
-    field = GF(3, 6)
-    for i in range(1, field.order):
-        x = field.from_index(i)
-        inv = gfa.inverse_digits(np.asarray(x.coeffs, dtype=np.int64), field)
-        assert tuple(inv.tolist()) == x.inverse().coeffs
-    with pytest.raises(ZeroDivisionError):
-        gfa.inverse_digits(np.zeros(6, dtype=np.int64), field)
+    assert_inverse_maps(GF(3, 6))
 
 
 def test_inverse_table_is_read_only_and_built_once():
@@ -274,10 +283,65 @@ def test_inverse_table_is_read_only_and_built_once():
     assert gfa.inverse_table(field) is table
     info = gfa.inverse_table.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert table.shape == (field.order, field.degree)
+    assert table.shape == (field.order, field.degree, field.degree)
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        table[1, 0] = 0
+        table[1, 0, 0] = 0
+
+
+class PowerInverses:
+    """Inverse maps of GF(p) by Fermat, for a p too large for the table."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __getitem__(self, c):
+        return np.array([[pow(int(c), self.p - 2, self.p)]], dtype=np.int64)
+
+
+def edge_matrix(p, rows):
+    """rows x PANEL digits whose elimination has every multiplier and every
+    normalized pivot-row digit equal to -1: a[r, c] = c - 1 for c <= r and
+    r + 1 for c > r, mod p, with the rows past PANEL repeating the last.
+    Each pivot then subtracts (p - 1)^2 from every later digit of the rows
+    below, so the last column takes PANEL - 1 such updates before it is
+    scanned."""
+    r = np.minimum(np.arange(rows)[:, None], PANEL - 1)
+    c = np.arange(PANEL)
+    return (np.where(c <= r, c - 1, r + 1) % p)[..., None].astype(np.int64)
+
+
+@pytest.mark.parametrize("t", [12, 40])
+def test_panels_exact_at_the_largest_p_the_schur_gemm_admits(monkeypatch, t):
+    # PANEL*(p - 1)^2 just below 2^53: an unreduced coefficient record would
+    # make the Schur GEMM inexact, and an unreduced pivot row would overflow
+    # int64 when it is normalized
+    p = int((2**53 / PANEL) ** 0.5) + 2
+    while PANEL * (p - 1) ** 2 >= 2**53 or not is_prime(p):
+        p -= 1
+    field = GF(p)
+    monkeypatch.setattr(gfa, "inverse_table", lambda f: PowerInverses(f.p))
+    assert_panel_states_match(low_rank(field, 40, 3 * PANEL, t, t), field)
+
+
+def test_elimination_guard_names_the_int64_bound(monkeypatch):
+    # the largest prime p with PANEL*(p - 1)^2 < 2^63 is exact; the first
+    # prime past the bound is refused before any table is built
+    p = int((2**63 / PANEL) ** 0.5) + 2
+    while PANEL * (p - 1) ** 2 >= 2**63 or not is_prime(p):
+        p -= 1
+    field = GF(p)
+    monkeypatch.setattr(gfa, "inverse_table", lambda f: PowerInverses(f.p))
+    a = edge_matrix(p, PANEL + 4)
+    assert gfa.rank_digits(a, field) == PANEL
+    assert_panel_states_match(a, field)
+    refused = p + 1
+    while not is_prime(refused):
+        refused += 1
+    assert PANEL * (refused - 1) ** 2 >= 2**63
+    monkeypatch.setattr(gfa, "inverse_table", None)
+    with pytest.raises(ValueError, match=r"int64.*2\^63"):
+        gfa.rank_digits(edge_matrix(refused, PANEL + 4), GF(refused))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +403,8 @@ def test_fault_wrong_pivot_inverse_breaks_panel_states(monkeypatch):
     g = generator_digits(lam, build_defining_set(spec).defining_set)
     a = gram_digits(check_digits(g, subfield, spec.n), subfield, spec.q, spec.n)
     assert_panel_states_match(a, subfield)
-    # the first pivot is the diagonal entry 10 of GF(13) in GF(169); its
-    # inverse 4 is served as 1
+    # the first pivot is the diagonal entry 10 of GF(13) in GF(169); the
+    # map of its inverse 4 is served as the map of 1, the identity
     assert a[0, 0].tolist() == [10, 0]
     corrupt_inverse(monkeypatch, subfield, 10, 1)
     with pytest.raises(AssertionError):
