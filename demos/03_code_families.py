@@ -35,7 +35,7 @@ for alpha in (1, 2, 3):
 print("\n== inside one instance: [[85,33,33;12]]")
 spec = FamilySpec(1, 1, 3, 1)
 cf = closed_form(spec)
-z = build_defining_set(spec).defining_set
+z = build_defining_set(spec)
 t1, t1p = build_T1(spec), build_T1_prime(spec)
 print(f"   delta = {cf.delta}, |Z| = {len(z)}, classical [n,k,d] = "
       f"[{spec.n},{cf.classical_dim},{cf.d}]")

@@ -12,19 +12,20 @@ import numpy as np
 
 from eaqmds import FamilySpec, build_defining_set, decompose, entanglement_rank
 from eaqmds._gflinalg import rank_digits
-from eaqmds.cyclic import check_digits, generator_digits
+from eaqmds.cyclic import generator_digits
 from eaqmds.rank_oracle import OracleSizeError, code_context
 
 spec = FamilySpec(2, 1, 2, 1)  # q = 11, n = 61
 print(f"== the [[61,9,39;24]] code: q = {spec.q}, n = {spec.n}")
 
 subfield, _, lam = code_context(spec.q, spec.n)
-z = build_defining_set(spec).defining_set
+z = build_defining_set(spec)
 g = generator_digits(lam, z)
 print(f"   generator polynomial degree: {len(g) - 1} (= |Z|)")
 
-# row i of H is h's coefficients reversed, shifted i places
-h = check_digits(g, subfield, spec.n)
+# h = (x^n - 1) / g is the product over the cosets outside Z; row i of H
+# is h's coefficients reversed, shifted i places
+h = generator_digits(lam, z.complement())
 rows = spec.n - (len(h) - 1)
 H = np.zeros((rows, spec.n, subfield.degree), dtype=np.int64)
 for i in range(rows):

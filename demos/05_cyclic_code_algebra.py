@@ -2,9 +2,10 @@
 
 Everything the quantum parameters rest on is classical coding theory:
 x^n - 1 factors into one irreducible per coset, the defining set picks
-which factors divide g(x), and a consecutive run of roots forces the
-distance up.  For a code small enough to enumerate, the brute-force
-minimum distance confirms the designed one.
+which factors make up g(x), the other factors make up the check
+polynomial h(x), and a consecutive run of roots forces the distance up.
+For a code small enough to enumerate, the brute-force minimum distance
+confirms the designed one.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from eaqmds import (
     quadratic_extension,
 )
 from eaqmds._gflinalg import polymul_digits
-from eaqmds.cyclic import check_digits, generator_digits
+from eaqmds.cyclic import generator_digits
 
 q, n = 13, 85
 subfield = GF(q, 2)
@@ -42,7 +43,7 @@ print(f"   product == x^{n} - 1: {np.array_equal(product, full)}")
 print("\n== generator and check polynomial of the [[85,33,33;12]] code")
 z = ResidueSet.of(n, range(27, 59))
 g = generator_digits(lam, z)
-h = check_digits(g, subfield, n)
+h = generator_digits(lam, z.complement())  # the cosets outside Z
 print(f"   deg g = {len(g) - 1}, deg h = {len(h) - 1}, "
       f"g * h == x^n - 1: {np.array_equal(polymul_digits(g, h, subfield), full)}")
 

@@ -31,7 +31,6 @@ from .cosets import (
 )
 from .families import (
     EAParams,
-    CodeRecord,
     ClosedForm,
     FamilySpec,
     VerificationReport,
@@ -60,7 +59,7 @@ __all__ = [
     "project", "quadratic_extension",
     "Decomposition", "ResidueSet", "all_cosets", "cyclotomic_coset",
     "decompose", "neg_q_image", "run_defining_set",
-    "EAParams", "CodeRecord", "ClosedForm", "FamilySpec",
+    "EAParams", "ClosedForm", "FamilySpec",
     "VerificationReport", "build_T1", "build_T1_prime", "build_defining_set",
     "closed_form", "ea_params", "enumerate_admissible", "spec_from_q",
     "sweep_specs", "theorem_quantum_dim", "verify_family",

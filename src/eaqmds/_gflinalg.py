@@ -48,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, element_digits, find_primitive_element, mul_tensor
+from .fields import Field, _matrix_power, element_digits, find_primitive_element, \
+    mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
 _CHUNK_FLOATS = 1 << 15     # float64 entries per chunk of a _gemm factor or product
@@ -68,15 +69,15 @@ def reduction_tensor(field: Field) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def frobenius_matrix(field: Field, q: int) -> np.ndarray:
-    """Matrix of x -> x^q on the digit representation (a GF(p)-linear map)."""
+    """Matrix of x -> x^q on the digit representation (a GF(p)-linear map).
+
+    Column i holds the digits of b_i^q, b_i = x^i the i-th basis element:
+    row 0 (the digits of 1) of the q-th power of b_i's multiplication map.
+    So conj(a) = a @ M.T on a digit array a.
+    """
     _require_flat(field)
-    e = field.degree
-    mat = np.zeros((e, e), dtype=np.int64)
-    for i in range(e):
-        basis = field.from_index(field.p**i) if e > 1 else field.one
-        image = basis**q
-        mat[:, i] = image.coeffs
-    return mat
+    t = mul_tensor(field)
+    return np.stack([_matrix_power(m, q, field.p)[0] for m in t], axis=1)
 
 
 def scalar_matrix(c: np.ndarray, field: Field) -> np.ndarray:
@@ -164,12 +165,6 @@ def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
 def matmul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     """Exact product of digit matrices over the field, reduced mod p."""
     return _gemm(_reduced(a, field.p), _reduced(b, field.p), field) % field.p
-
-
-def conjugate_transpose_digits(a: np.ndarray, field: Field, q: int) -> np.ndarray:
-    """Transpose with entry-wise q-th power, on digit arrays."""
-    f = frobenius_matrix(field, q)
-    return np.einsum("wu,iju->jiw", f, a) % field.p
 
 
 def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:

@@ -123,6 +123,9 @@ class ResidueSet:
         self._like(other)
         return ResidueSet.from_mask(self.n, self.mask & ~other.mask)
 
+    def complement(self) -> "ResidueSet":
+        return ResidueSet.from_mask(self.n, ~self.mask)
+
     def is_consecutive_run(self) -> bool:
         """Whether the members form one gap-free integer interval."""
         arr = self.array

@@ -8,12 +8,13 @@ is {i, n - i}, and its minimal polynomial is the quadratic
 
     (x - lam^i)(x - lam^-i) = x^2 - Tr_i x + 1,   Tr_i = lam^i + lam^-i,
 
-where Tr_i = lam^i + (lam^i)^(q^2) is the trace of lam^i down to GF(q^2).
-So ``generator_digits`` forms g(x) as a product of |Z|/2 quadratics, one
-multiply each, without a tower polynomial, and ``check_digits`` divides
-x^n - 1 by it, reducing mod p only the leading coefficients it reads and
-the final remainder (exact while min(len g, n - deg g + 1)*e*(p-1)^2 <
-2^63, checked).
+where Tr_i = lam^i + (lam^i)^(q^2) is the trace of lam^i down to GF(q^2)
+(the singleton cosets {0} and, for even n, {n/2} give x - 1 and x + 1).
+So ``generator_digits`` forms the product over any coset-closed set as
+one multiply per coset, without a tower polynomial.  g(x) is the product
+over Z.  Since x^n - 1 is the product over all cosets, the check
+polynomial h = (x^n - 1) / g is the product over the complement of Z,
+built the same way; no division is needed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _gflinalg as gfa
-from .fields import Field, FieldElement, _matrix_power, _times_matrix
+from .fields import FieldElement, _matrix_power, _times_matrix
 from .cosets import ResidueSet, is_coset_closed
 
 
@@ -52,14 +53,15 @@ def _root_pairs(step: np.ndarray, p: int, n: int, reps):
 
 @lru_cache(maxsize=16)
 def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
-    """g(x) as a read-only (|Z| + 1, e) digit array over GF(q^2), low first.
+    """The product of the minimal polynomials of the cosets of Z, low first.
 
-    Each coset {i, n - i} of Z contributes x^2 - Tr_i x + 1 (x - lam^i
-    when i = n - i), and its coefficient is checked to lie in GF(q^2)
-    before projection, so a set that is not coset-closed for this root
-    fails loudly.  Requires
-    q^2 = -1 mod n and lam^n = 1.  Memoized on (lam, Z), so the oracle's
-    rank and G H^T checks build g once per spec.
+    A read-only (|Z| + 1, e) digit array over GF(q^2): g(x) for the
+    defining set Z, and h(x) for its complement.  Each coset {i, n - i}
+    contributes x^2 - Tr_i x + 1 (x - lam^i when i = n - i), and its
+    coefficient is checked to lie in GF(q^2) before projection, so a set
+    that is not coset-closed for this root fails loudly.  Requires
+    q^2 = -1 mod n and lam^n = 1.  Memoized on (lam, Z), the oracle's one
+    cache, so its rank and G H^T checks build h once per spec.
     """
     tower = lam.field
     if tower.base is None:
@@ -99,37 +101,3 @@ def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
     g.setflags(write=False)
     return g
 
-
-def check_digits(g: np.ndarray, field: Field, n: int) -> np.ndarray:
-    """h(x) = (x^n - 1) / g(x) by long division on digits; g must be monic.
-
-    The map c -> c g is built once, as an (e, len g * e) matrix of reduced
-    digits.  Each step reduces only the leading coefficient c it reads and
-    subtracts c g, at most e(p-1)^2 a digit, from the remainder unreduced;
-    the remainder is reduced once, for the divisibility test.  A remainder
-    digit takes at most min(len g, n - deg g + 1) subtractions, so the
-    division raises ``ValueError`` unless that count times e(p-1)^2 is
-    below 2^63, and raises unless the remainder is zero.
-    """
-    p, e = field.p, field.degree
-    dg = len(g) - 1
-    if not 0 <= dg <= n or g[-1, 0] != 1 or g[-1, 1:].any():
-        raise ValueError("generator must be monic of degree at most n")
-    if min(dg + 1, n - dg + 1) * e * (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(
-            f"exact int64 division needs min(len g, n - deg g + 1)*e*(p-1)^2 < 2^63; "
-            f"got deg g = {dg}, n = {n}, e = {e}, p = {p}")
-    times_g = (g @ gfa.reduction_tensor(field)).reshape(e, -1) % p
-    rem = np.zeros((n + 1, e), dtype=np.int64)
-    rem[0, 0] = p - 1
-    rem[n, 0] = 1
-    quot = np.zeros((n - dg + 1, e), dtype=np.int64)
-    for i in range(n, dg - 1, -1):
-        c = rem[i] % p
-        if not c.any():
-            continue
-        quot[i - dg] = c
-        rem[i - dg:i + 1] -= (c @ times_g).reshape(dg + 1, e)
-    if (rem[:dg] % p).any():
-        raise ValueError("generator does not divide x^n - 1")
-    return quot

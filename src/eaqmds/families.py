@@ -173,18 +173,7 @@ def theorem_quantum_dim(spec: FamilySpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# code records and EA parameters
-
-
-@dataclass(frozen=True)
-class CodeRecord:
-    """A cyclic code given by its defining set."""
-
-    n: int
-    defining_set: ResidueSet
-    dim: int
-    designed_distance: int
-    mds: bool
+# defining sets and EA parameters
 
 
 @dataclass(frozen=True)
@@ -202,19 +191,12 @@ class EAParams:
         return f"[[{self.n},{self.kq},{self.d};{self.c}]]_{q}"
 
 
-def build_defining_set(spec: FamilySpec) -> CodeRecord:
-    """The defining set Z = C_{s+1} u ... u C_{s+delta} as a code record."""
+def build_defining_set(spec: FamilySpec) -> ResidueSet:
+    """The defining set Z = C_{s+1} u ... u C_{s+delta} of the instance."""
     cf = closed_form(spec)
     if cf.delta > spec.s:
         raise AssertionError("delta exceeds s; alpha <= k should prevent this")
-    z = run_defining_set(spec.n, spec.s, cf.delta)
-    return CodeRecord(
-        n=spec.n,
-        defining_set=z,
-        dim=spec.n - len(z),
-        designed_distance=len(z) + 1,
-        mds=z.is_consecutive_run(),
-    )
+    return run_defining_set(spec.n, spec.s, cf.delta)
 
 
 def assemble_ea_params(n: int, classical_dim: int, d: int, c: int) -> EAParams:
@@ -338,8 +320,7 @@ def build_T1_prime(spec: FamilySpec) -> ResidueSet:
     """
     if spec.case == 1:
         return _t1_prime_case1(spec)
-    record = build_defining_set(spec)
-    return decompose(spec.n, spec.q, record.defining_set).z1
+    return decompose(spec.n, spec.q, build_defining_set(spec)).z1
 
 
 # ---------------------------------------------------------------------------

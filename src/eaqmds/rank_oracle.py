@@ -7,12 +7,15 @@ transpose (the Wilde-Brun entanglement formula).  The two routes share no
 code path, so their agreement checks the decomposition lemma against the
 matrix-rank characterization.
 
-The oracle runs on digit arrays and never forms H: g(x) is a product of
-one quadratic x^2 - Tr_i x + 1 per coset {i, n - i} of Z, and h =
-(x^n - 1) / g comes by digit long division (see ``cyclic``), once per
-spec (``_code_digits``).  H's rows are shifts of the reversed h, so H H†
-is the Hermitian Toeplitz band of h's autocorrelation (``gram_digits``),
-and G H^T = 0 says that g h has no terms of degrees 1 .. n - 1.
+The oracle runs on digit arrays and never forms H.  x^n - 1 is the
+product of one minimal polynomial per cyclotomic coset, so the check
+polynomial h = (x^n - 1) / g is the product of those of the cosets
+outside Z, built by ``cyclic.generator_digits`` exactly as g is from Z.
+The rank route builds only h.  H's rows are shifts of the reversed h, so
+H H† is the Hermitian Toeplitz band of h's autocorrelation
+(``gram_digits``).  G H^T = 0 says that g h has no terms of degrees
+1 .. n - 1; since g and h are two separately built products, and not a
+quotient and its divisor, that check can fail.
 
 Elimination stays cubic in the worst case, so the oracle refuses lengths
 above a guard (default 300); larger family instances are covered by the
@@ -29,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _gflinalg as gfa
 from .cosets import ResidueSet, decompose
-from .cyclic import check_digits, generator_digits
+from .cyclic import generator_digits
 from .families import FamilySpec, build_defining_set, closed_form
 from .fields import GF, Field, FieldElement, nth_root_of_unity, prime_power_base, \
     quadratic_extension
@@ -80,16 +83,12 @@ class RankReport:
         return self.rank_hh_dagger == self.closed_form_c
 
 
-@lru_cache(maxsize=16)
-def _code_digits(spec: FamilySpec) -> tuple[Field, ResidueSet, np.ndarray, np.ndarray]:
-    """(GF(q^2), Z, g, h) of the instance's code, memoized on the spec; g
-    and h are read-only digits."""
+def _code(spec: FamilySpec) -> tuple[Field, FieldElement, ResidueSet]:
+    """(GF(q^2), the n-th root of unity lam in GF(q^4), Z) of the instance's
+    code: g is ``generator_digits(lam, Z)`` and h the same over Z's
+    complement."""
     subfield, _, lam = code_context(spec.q, spec.n)
-    z = build_defining_set(spec).defining_set
-    g = generator_digits(lam, z)
-    h = check_digits(g, subfield, spec.n)
-    h.setflags(write=False)
-    return subfield, z, g, h
+    return subfield, lam, build_defining_set(spec)
 
 
 def gram_digits(h: np.ndarray, field: Field, q: int, n: int) -> np.ndarray:
@@ -103,7 +102,7 @@ def gram_digits(h: np.ndarray, field: Field, q: int, n: int) -> np.ndarray:
     """
     k = len(h) - 1
     rows, band = n - k, min(k, n - k - 1)
-    conj = gfa.conjugate_transpose_digits(h[None], field, q)[:, 0]
+    conj = h @ gfa.frobenius_matrix(field, q).T % field.p
     r = gfa.polymul_digits(h[::-1], conj, field)
     diag = np.zeros((2 * rows - 1, field.degree), dtype=np.int64)
     diag[rows - 1 - band:rows + band] = r[k - band:k + band + 1]  # r_-s at rows-1+s
@@ -119,7 +118,8 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     if n > n_max:
         raise OracleSizeError(
             f"n = {n} exceeds the rank oracle guard n_max = {n_max}")
-    subfield, z, _, h = _code_digits(spec)
+    subfield, lam, z = _code(spec)
+    h = generator_digits(lam, z.complement())
     rank = gfa.rank_digits(gram_digits(h, subfield, q, n), subfield)
 
     dec = decompose(n, q, z)
@@ -135,8 +135,11 @@ def generator_parity_orthogonal(spec: FamilySpec) -> bool:
     """Exact check that G H^T = 0 for the instance's code (plain transpose).
 
     (G H^T)_ij = (g h)_(k + j - i) for i < k = deg h and j < n - k, so the
-    check is that g h, formed afresh rather than read off the division
-    that produced h, has no terms of degrees 1 .. n - 1.
+    check is that g h has no terms of degrees 1 .. n - 1.  g is built from
+    Z and h from its complement (the h the rank route built), so a wrong
+    factor on either side shows.
     """
-    subfield, _, g, h = _code_digits(spec)
+    subfield, lam, z = _code(spec)
+    g = generator_digits(lam, z)
+    h = generator_digits(lam, z.complement())
     return not gfa.polymul_digits(g, h, subfield)[1:spec.n].any()

@@ -46,7 +46,6 @@ class SweepSummary:
     check_counts: dict[str, list[int]] = field(default_factory=dict)  # name -> [pass, fail]
     identity_counts: list[int] = field(default_factory=lambda: [0, 0])
     oracle_counts: list[int] | None = None  # None: skipped
-    oracle_instances: int = 0
 
     @property
     def ok(self) -> bool:
@@ -71,7 +70,7 @@ class SweepSummary:
         else:
             oracle = {
                 "status": "ran",
-                "instances": self.oracle_instances,
+                "instances": sum(self.oracle_counts),
                 "passed": self.oracle_counts[0],
                 "failed": self.oracle_counts[1],
             }
@@ -103,7 +102,8 @@ def run_verification_sweep(m_max: int = 5, q_max: int = 250,
     resulting failures prove the checks can fail at all.
     """
     summary = SweepSummary(m_max=m_max, q_max=q_max, oracle_n_max=oracle_n_max,
-                           fault_injected=fault_inject)
+                           fault_injected=fault_inject,
+                           oracle_counts=[0, 0] if oracle_n_max > 0 else None)
     summary.check_counts = {name: [0, 0] for name in CHECK_NAMES}
 
     identity_seen: set[tuple[int, int]] = set()
@@ -125,15 +125,9 @@ def run_verification_sweep(m_max: int = 5, q_max: int = 250,
             ok = coset_identity_holds(spec.q, spec.n)
             summary.identity_counts[0 if ok else 1] += 1
 
-        if oracle_n_max > 0 and spec.n <= oracle_n_max:
-            if summary.oracle_counts is None:
-                summary.oracle_counts = [0, 0]
+        if summary.oracle_counts is not None and spec.n <= oracle_n_max:
             rep = entanglement_rank(spec, n_max=oracle_n_max)
             ok = rep.match and rep.matches_closed_form \
                 and generator_parity_orthogonal(spec)
             summary.oracle_counts[0 if ok else 1] += 1
-            summary.oracle_instances += 1
-
-    if oracle_n_max > 0 and summary.oracle_counts is None:
-        summary.oracle_counts = [0, 0]
     return summary

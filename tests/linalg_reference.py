@@ -5,13 +5,14 @@ path: the product is one ``tensordot`` per digit against the reduction
 tensor, and rank is column-by-column Gaussian elimination with field
 inverses taken on ``FieldElement`` objects.  ``_gflinalg`` must agree
 with them exactly.  Below them: the explicit generator and parity-check
-matrices the rank oracle no longer forms, and a conjugate transpose
-taken entry by entry on ``FieldElement`` objects.
+matrices the rank oracle no longer forms, and the conjugate transpose
+two ways: with the Frobenius matrix of ``_gflinalg`` on whole digit
+arrays, and entry by entry on ``FieldElement`` objects.
 """
 
 import numpy as np
 
-from eaqmds._gflinalg import reduction_tensor
+from eaqmds._gflinalg import frobenius_matrix, reduction_tensor
 from eaqmds.fields import FieldElement
 
 
@@ -109,6 +110,11 @@ def parity_check_digits(h, n):
 
 # ---------------------------------------------------------------------------
 # element-wise conjugation
+
+
+def conjugate_transpose_digits(a, field, q):
+    """Transpose with entry-wise q-th power, by the Frobenius matrix."""
+    return np.einsum("wu,iju->jiw", frobenius_matrix(field, q), a) % field.p
 
 
 def conjugate_transpose(a, field, q):

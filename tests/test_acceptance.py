@@ -14,7 +14,7 @@ import numpy as np
 from eaqmds.cli import main as cli_main
 from eaqmds.cosets import all_cosets, decompose, neg_q_image
 from eaqmds._gflinalg import polymul_digits
-from eaqmds.cyclic import check_digits, generator_digits
+from eaqmds.cyclic import generator_digits
 from eaqmds.families import (
     build_T1,
     build_T1_prime,
@@ -75,7 +75,7 @@ def test_criterion_2_closed_form_vs_decomposition(acceptance_log):
     failures = []
     count = 0
     for spec in sweep_specs(SWEEP_M_MAX, SWEEP_Q_MAX):
-        z = build_defining_set(spec).defining_set
+        z = build_defining_set(spec)
         z1 = decompose(spec.n, spec.q, z).z1
         if len(z1) != closed_form(spec).c:
             failures.append((spec, len(z1), closed_form(spec).c))
@@ -92,7 +92,7 @@ def test_criterion_2b_closed_form_vs_decomposition_past_q250(acceptance_log):
     failures = []
     count = 0
     for spec in sweep_specs(SWEEP_M_MAX, 500):
-        z = build_defining_set(spec).defining_set
+        z = build_defining_set(spec)
         z1 = decompose(spec.n, spec.q, z).z1
         if len(z1) != closed_form(spec).c:
             failures.append((spec, len(z1), closed_form(spec).c))
@@ -224,12 +224,15 @@ def test_criterion_5_algebraic_consistency(acceptance_log):
             failures.append(("minimal polynomial product", n))
 
         spec = spec_from_q(case, m, q, alpha)
-        z = build_defining_set(spec).defining_set
+        z = build_defining_set(spec)
         g = generator_digits(lam, z)
         if len(g) - 1 != len(z):
             failures.append(("deg g != |Z|", n, len(g) - 1, len(z)))
+        h = generator_digits(lam, z.complement())   # the cosets outside Z
+        if not np.array_equal(polymul_digits(g, h, subfield), x_n_minus_1):
+            failures.append(("g h != x^n - 1", n))
         gmat = generator_matrix_digits(g, n)
-        hmat = parity_check_digits(check_digits(g, subfield, n), n)
+        hmat = parity_check_digits(h, n)
         if matmul_digits(gmat, hmat.transpose(1, 0, 2), subfield).any():
             failures.append(("G H^T != 0", n))
 
@@ -241,8 +244,8 @@ def test_criterion_5_algebraic_consistency(acceptance_log):
             if not (assembled == theorem_quantum_dim(spec) == kq):
                 failures.append(("dimension formula", case, m, q, alpha))
 
-    report(acceptance_log, 5, "x^n - 1 factorization, deg g, G H^T = 0, dimension formulas "
-              "across all 57 rows", failures, time.monotonic() - t0, 30.0)
+    report(acceptance_log, 5, "x^n - 1 factorization, deg g, g h = x^n - 1, G H^T = 0, "
+              "dimension formulas across all 57 rows", failures, time.monotonic() - t0, 30.0)
 
 
 def test_criterion_6_singleton_and_distance_flags(acceptance_log):

@@ -1,7 +1,8 @@
 """Generator and check polynomials of the cyclic codes, and toy distances.
 
 The digit builders of ``cyclic`` are checked against ``cyclic_reference``
-(the plain product of x - lam^j in the tower, and long division), and the
+(the plain product of x - lam^j in the tower, and long division, which
+``cyclic`` no longer has: h is the product over Z's complement), and the
 explicit G and H of ``linalg_reference`` against their ranks and G H^T = 0.
 """
 
@@ -12,7 +13,7 @@ import cyclic_reference as cref
 import linalg_reference as ref
 from eaqmds import _gflinalg as gfa
 from eaqmds.cosets import ResidueSet, all_cosets, run_defining_set
-from eaqmds.cyclic import check_digits, generator_digits
+from eaqmds.cyclic import generator_digits
 from eaqmds.fields import GF, embed, nth_root_of_unity, quadratic_extension
 
 
@@ -92,7 +93,7 @@ def test_generator_polynomial_case1_q13():
     z = run_defining_set(85, 42, 16)
     g = generator_digits(lam, z)
     assert len(g) - 1 == 32 and g[-1].tolist() == [1, 0]
-    assert len(check_digits(g, sub, 85)) - 1 == 85 - 32
+    assert len(generator_digits(lam, z.complement())) - 1 == 85 - 32
     # every defining-set exponent is a root
     lifted = [embed(c, tower) for c in cref.elements(g, sub)]
     for i in list(z)[:6]:
@@ -106,21 +107,25 @@ def test_generator_polynomial_case1_q13():
 def test_check_polynomial():
     sub, _, lam = context(13, 85)
     full = cref.digits(cref.x_pow_minus_one(sub, 85))
-    assert check_digits(full, sub, 85).tolist() == [[1, 0]]
-    assert check_digits(as_digits(sub, [1]), sub, 85).tobytes() == full.tobytes()
-    g = generator_digits(lam, run_defining_set(85, 42, 16))
-    h = check_digits(g, sub, 85)
+    everything = ResidueSet.of(85, range(85))
+    assert generator_digits(lam, everything).tobytes() == full.tobytes()
+    assert generator_digits(lam, everything.complement()).tolist() == [[1, 0]]
+    z = run_defining_set(85, 42, 16)
+    g = generator_digits(lam, z)
+    h = generator_digits(lam, z.complement())
     assert len(h) - 1 == 53
     assert gfa.polymul_digits(g, h, sub).tobytes() == full.tobytes()
-    with pytest.raises(ValueError):
-        check_digits(as_digits(sub, [1, 1]), sub, 85)  # x + 1 does not divide
+    assert h.tobytes() == cref.digits(cref.check(cref.elements(g, sub), 85)).tobytes()
+    with pytest.raises(ValueError, match="does not divide"):    # the reference's
+        cref.check(cref.elements(as_digits(sub, [1, 1]), sub), 85)  # x + 1, n odd
 
 
 def test_matrices_case1_q13():
     sub, _, lam = context(13, 85)
-    g = generator_digits(lam, run_defining_set(85, 42, 16))
+    z = run_defining_set(85, 42, 16)
+    g = generator_digits(lam, z)
     G = ref.generator_matrix_digits(g, 85)
-    H = ref.parity_check_digits(check_digits(g, sub, 85), 85)
+    H = ref.parity_check_digits(generator_digits(lam, z.complement()), 85)
     assert G.shape[:2] == (53, 85)
     assert H.shape[:2] == (32, 85)
     assert not ref.matmul_digits(G, H.transpose(1, 0, 2), sub).any()

@@ -1,8 +1,9 @@
 """Digit builders of the rank oracle against the object-level reference.
 
-The oracle builds g and h on digit arrays and finds its root of unity
-with a primitive-element scan that skips the subfield.  These tests pin
-both to ``cyclic_reference`` (the tower-root product and long division on
+The oracle builds g from Z and h from Z's complement, both as products
+of coset quadratics on digit arrays, and finds its root of unity with a
+primitive-element scan that skips the subfield.  These tests pin both to
+``cyclic_reference`` (the tower-root product and long division on
 ``FieldElement`` lists) and to a full scan, byte for byte, and show that
 faults on the digit path flip or stop the oracle.
 """
@@ -14,10 +15,10 @@ import cyclic_reference as cref
 from eaqmds import _gflinalg as gfa
 from eaqmds import cyclic, rank_oracle
 from eaqmds.cosets import ResidueSet
-from eaqmds.cyclic import check_digits, generator_digits
+from eaqmds.cyclic import generator_digits
 from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
-from eaqmds.fields import GF, find_primitive_element, is_prime, prime_factors, \
-    quadratic_extension
+from eaqmds.fields import GF, find_primitive_element, prime_factors, quadratic_extension
+from eaqmds.published_params import PUBLISHED_ROWS
 from eaqmds.rank_oracle import code_context, entanglement_rank
 
 from field_reference import full_scan_primitive
@@ -34,18 +35,36 @@ def spec_id(spec):
 def test_digit_builders_match_object_path(spec):
     n = spec.n
     subfield, _, lam = code_context(spec.q, n)
-    z = build_defining_set(spec).defining_set
+    z = build_defining_set(spec)
     g = cref.generator(lam, z)
     gd = generator_digits(lam, z)
     assert gd.dtype == np.int64
     assert gd.tobytes() == cref.digits(g).tobytes()
-    hd = check_digits(gd, subfield, n)
+    # h from the cosets outside Z against the long division of x^n - 1 by g
+    hd = generator_digits(lam, z.complement())
     assert hd.tobytes() == cref.digits(cref.check(g, n)).tobytes()
 
 
 def test_oracle_specs_are_the_benchmark_subset():
     assert len(ORACLE_SPECS) == 29
     assert PUBLISHED_421.n == 421
+
+
+SWEEP_1000 = [s for s in sweep_specs(5, 250) if s.n <= 1000]
+PUBLISHED_LARGE = [spec_from_q(case, m, q, alpha)
+                   for case, rows in PUBLISHED_ROWS.items()
+                   for m, q, n, alpha, _, _, _ in rows if n in (2017, 2197)]
+
+
+def test_g_times_h_is_x_n_minus_1_on_sweep_and_large_published_codes():
+    assert (len(SWEEP_1000), len(PUBLISHED_LARGE)) == (185, 8)
+    for spec in SWEEP_1000 + PUBLISHED_LARGE:
+        subfield, _, lam = code_context(spec.q, spec.n)
+        z = build_defining_set(spec)
+        g, h = generator_digits(lam, z), generator_digits(lam, z.complement())
+        x_n_minus_1 = np.zeros((spec.n + 1, subfield.degree), dtype=np.int64)
+        x_n_minus_1[0, 0], x_n_minus_1[spec.n, 0] = subfield.p - 1, 1
+        assert np.array_equal(gfa.polymul_digits(g, h, subfield), x_n_minus_1), spec
 
 
 def test_generator_digits_rejects_open_set():
@@ -79,52 +98,21 @@ def test_generator_digits_is_memoized_read_only_and_bounded():
 
 def test_code_digits_built_once_per_spec_and_read_only():
     spec = FamilySpec(1, 1, 3, 1)
-    rank_oracle._code_digits.cache_clear()
+    _, _, lam = code_context(spec.q, spec.n)
+    z = build_defining_set(spec)
+    generator_digits.cache_clear()
     assert entanglement_rank(spec).match
+    info = generator_digits.cache_info()
+    assert (info.misses, info.hits) == (1, 0)           # one polynomial built ...
+    h = generator_digits(lam, z.complement())
+    info = generator_digits.cache_info()
+    assert (info.misses, info.hits) == (1, 1)           # ... and it is h, not g
     assert rank_oracle.generator_parity_orthogonal(spec)
-    info = rank_oracle._code_digits.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    _, z, g, h = rank_oracle._code_digits(spec)
-    assert z == build_defining_set(spec).defining_set
+    info = generator_digits.cache_info()
+    assert (info.misses, info.hits) == (2, 2)           # G H^T builds g, reuses h
+    g = generator_digits(lam, z)
+    assert len(g) - 1 == len(z) and len(h) - 1 == spec.n - len(z)
     assert not g.flags.writeable and not h.flags.writeable
-
-
-def test_check_digits_rejects_non_divisor():
-    subfield, _, lam = code_context(13, 85)
-    gd = generator_digits(lam, ResidueSet.of(85, [42, 43]))
-    bad = gd.copy()
-    bad[0, 0] = (bad[0, 0] + 1) % subfield.p
-    with pytest.raises(ValueError, match="does not divide"):
-        check_digits(bad, subfield, 85)
-
-
-def test_check_digits_rejects_each_corrupted_coefficient():
-    # one wrong digit anywhere below the leading term of a real g, and the
-    # unreduced remainder must still be seen to be nonzero
-    spec = FamilySpec(1, 1, 3, 1)       # [[85,33,33;12]]_13, deg g = 32
-    subfield, _, lam = code_context(spec.q, spec.n)
-    g = generator_digits(lam, build_defining_set(spec).defining_set)
-    for j in range(len(g) - 1):
-        for u in range(subfield.degree):
-            bad = g.copy()
-            bad[j, u] = (bad[j, u] + 1 + j % (subfield.p - 1)) % subfield.p
-            with pytest.raises(ValueError, match="does not divide"):
-                check_digits(bad, subfield, spec.n)
-
-
-def test_check_digits_guard_names_the_int64_bound():
-    # x^3 - 1 = (x - w)(x^2 + w x + w^2), w a cube root of unity: each
-    # remainder digit takes min(len g, n - deg g + 1) = 2 subtractions, so
-    # p = 2^31 - 1, the largest prime with 2(p - 1)^2 < 2^63, is exact and
-    # the next prime is refused
-    p = 2**31 - 1
-    w = next(r for r in (pow(a, (p - 1) // 3, p) for a in range(2, 50)) if r != 1)
-    g = np.array([[p - w], [1]], dtype=np.int64)
-    assert check_digits(g, GF(p), 3).tolist() == [[w * w % p], [w], [1]]
-    refused = next(r for r in range(p + 1, p + 100) if is_prime(r))
-    assert 2 * (refused - 1) ** 2 >= 2**63
-    with pytest.raises(ValueError, match=r"int64.*2\^63"):
-        check_digits(np.array([[refused - 1], [1]], dtype=np.int64), GF(refused), 3)
 
 
 def test_singleton_coset_gives_linear_factor():
@@ -157,9 +145,8 @@ def test_primitive_scan_skip_matches_full_scan(q):
 def test_fault_conjugate_with_exponent_one_flips_match(monkeypatch):
     spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13
     assert entanglement_rank(spec).match
-    plain = gfa.conjugate_transpose_digits
-    monkeypatch.setattr(gfa, "conjugate_transpose_digits",
-                        lambda a, field, q: plain(a, field, 1))
+    plain = gfa.frobenius_matrix
+    monkeypatch.setattr(gfa, "frobenius_matrix", lambda field, q: plain(field, 1))
     report = entanglement_rank(spec)
     assert not report.match
     assert report.rank_hh_dagger == 32
@@ -178,27 +165,43 @@ def test_fault_dropped_row_of_h_flips_match(monkeypatch):
     assert report.rank_hh_dagger == 59
 
 
+def fault_in_h(monkeypatch, fault):
+    """Serve ``fault(lam, set)`` in place of the oracle's h; the complement
+    of Z is the set that holds 0 (Z is a run that never does)."""
+    build = rank_oracle.generator_digits
+    monkeypatch.setattr(rank_oracle, "generator_digits",
+                        lambda lam, z: fault(lam, z) if 0 in z else build(lam, z))
+
+
 @pytest.mark.parametrize("pos", [0, 1, 26, 52, 53])
 def test_fault_corrupted_check_coefficient_breaks_orthogonality(monkeypatch, pos):
     spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13: deg h = 53
     assert rank_oracle.generator_parity_orthogonal(spec)
-    build = rank_oracle._code_digits
 
-    def corrupted(s):
-        field, z, g, h = build(s)
-        h = h.copy()
-        h[pos, 0] = (h[pos, 0] + 1) % field.p
-        return field, z, g, h
+    def corrupted(lam, z):
+        h = generator_digits(lam, z).copy()
+        h[pos, 0] = (h[pos, 0] + 1) % lam.field.p
+        return h
 
-    monkeypatch.setattr(rank_oracle, "_code_digits", corrupted)
+    fault_in_h(monkeypatch, corrupted)
+    assert not rank_oracle.generator_parity_orthogonal(spec)
+
+
+@pytest.mark.parametrize("rep", [0, 1, 26])
+def test_fault_coset_left_out_of_h_breaks_orthogonality(monkeypatch, rep):
+    # h built from the complement of Z without the coset {rep, n - rep}:
+    # g h is then x^n - 1 divided by that coset's minimal polynomial
+    spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13, Z = 27 .. 58
+    assert rank_oracle.generator_parity_orthogonal(spec)
+    fault_in_h(monkeypatch, lambda lam, z: generator_digits(
+        lam, z.difference(ResidueSet.of(z.n, [rep, -rep]))))
     assert not rank_oracle.generator_parity_orthogonal(spec)
 
 
 def test_fault_corrupted_trace_escapes_subfield(monkeypatch):
     spec = FamilySpec(1, 1, 3, 1)
     walk = cyclic._root_pairs
-    cyclic.generator_digits.cache_clear()    # g is memoized; rebuild it under the fault
-    rank_oracle._code_digits.cache_clear()
+    cyclic.generator_digits.cache_clear()    # h is memoized; rebuild it under the fault
     monkeypatch.setattr(cyclic, "_root_pairs",
                         lambda *args: ((up, up) for up, _ in walk(*args)))
     with pytest.raises(ValueError, match="escapes the subfield"):

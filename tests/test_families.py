@@ -94,28 +94,27 @@ def test_closed_form_anchors():
 
 
 def test_build_defining_set_case1_q13():
-    rec = build_defining_set(FamilySpec(1, 1, 3, 1))
-    assert rec.defining_set.members == tuple(range(27, 59))
-    assert rec.dim == 53 and rec.designed_distance == 33 and rec.mds
+    z = build_defining_set(FamilySpec(1, 1, 3, 1))
+    assert z.members == tuple(range(27, 59))
+    assert 85 - len(z) == 53 and len(z) + 1 == 33 and z.is_consecutive_run()
 
-    rec3 = build_defining_set(FamilySpec(1, 1, 3, 3))
-    assert rec3.dim == 1 and rec3.designed_distance == 85
+    z3 = build_defining_set(FamilySpec(1, 1, 3, 3))
+    assert 85 - len(z3) == 1 and len(z3) + 1 == 85
     assert ea_params(FamilySpec(1, 1, 3, 3)).kq == 1
 
 
 @pytest.mark.parametrize("case,m,k", [(1, 1, 3), (2, 1, 2), (3, 1, 7), (4, 1, 5)])
 def test_alpha_max_consumes_everything(case, m, k):
     spec = FamilySpec(case, m, k, k)
-    rec = build_defining_set(spec)
-    assert len(rec.defining_set) == spec.n - 1
-    assert rec.dim == 1
+    z = build_defining_set(spec)
+    assert spec.n - len(z) == 1
     ea = ea_params(spec)
     assert ea.kq == 1 and ea.d == spec.n and ea.c == spec.n - 1
 
 
 def test_build_T1_case1_q13():
     spec = FamilySpec(1, 1, 3, 1)
-    z = build_defining_set(spec).defining_set
+    z = build_defining_set(spec)
     t1 = build_T1(spec)
     t1p = build_T1_prime(spec)
     assert len(t1) == len(z) - 12 == 20
@@ -138,7 +137,7 @@ def test_build_T1_prime_case3_anchor():
 
 def test_T1_partition_small_sweep():
     for spec in sweep_specs(3, 60):
-        z = build_defining_set(spec).defining_set
+        z = build_defining_set(spec)
         t1 = build_T1(spec)
         t1p = build_T1_prime(spec)
         assert t1.as_set <= z.as_set, spec
@@ -230,6 +229,5 @@ def test_verify_family_fault_injection():
 
 def test_decomposition_matches_closed_form_sample():
     for spec in sweep_specs(3, 60):
-        rec = build_defining_set(spec)
-        dec = decompose(spec.n, spec.q, rec.defining_set)
+        dec = decompose(spec.n, spec.q, build_defining_set(spec))
         assert len(dec.z1) == closed_form(spec).c, spec

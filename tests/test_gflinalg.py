@@ -25,7 +25,7 @@ from eaqmds import _gflinalg as gfa
 from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
 from eaqmds.fields import GF
 from eaqmds.rank_oracle import code_context, entanglement_rank, gram_digits
-from eaqmds.cyclic import check_digits, generator_digits
+from eaqmds.cyclic import generator_digits
 
 FIELDS = [GF(2), GF(13), GF(83), GF(251), GF(3, 2), GF(13, 2), GF(29, 2),
           GF(83, 2), GF(239, 2), GF(3, 6)]
@@ -276,6 +276,19 @@ def test_digit_inverse_over_gf_3_6_and_of_zero():
     assert_inverse_maps(GF(3, 6))
 
 
+@pytest.mark.parametrize("field, q", [(GF(2), 2), (GF(3, 2), 3), (GF(13, 2), 13),
+                                      (GF(239, 2), 239), (GF(3, 6), 27), (GF(2, 3), 2)],
+                         ids=repr)
+def test_frobenius_matrix_matches_element_power(field, q):
+    # the matrix comes from powers of multiplication maps; check it on
+    # every element (at most 512) or 512 spread ones against FieldElement ** q
+    frob = gfa.frobenius_matrix(field, q)
+    for i in range(0, field.order, max(1, field.order // 512)):
+        x = field.from_index(i)
+        image = np.asarray(x.coeffs, dtype=np.int64) @ frob.T % field.p
+        assert tuple(image.tolist()) == (x ** q).coeffs
+
+
 def test_inverse_table_is_read_only_and_built_once():
     field = GF(13, 2)
     gfa.inverse_table.cache_clear()
@@ -354,9 +367,9 @@ PUBLISHED_421 = spec_from_q(3, 1, 29, 3)   # [[421,129,189;84]]_29
 
 def hh_dagger(spec):
     subfield, _, lam = code_context(spec.q, spec.n)
-    g = generator_digits(lam, build_defining_set(spec).defining_set)
-    hd = parity_check_digits(check_digits(g, subfield, spec.n), spec.n)
-    hdag = gfa.conjugate_transpose_digits(hd, subfield, spec.q)
+    hd = parity_check_digits(
+        generator_digits(lam, build_defining_set(spec).complement()), spec.n)
+    hdag = ref.conjugate_transpose_digits(hd, subfield, spec.q)
     return hd, hdag, subfield
 
 
@@ -378,8 +391,7 @@ def test_oracle_gram_panels_leave_the_column_loop_state():
     # the banded Hermitian Toeplitz matrices the oracle eliminates
     for spec in ORACLE_SPECS:
         subfield, _, lam = code_context(spec.q, spec.n)
-        g = generator_digits(lam, build_defining_set(spec).defining_set)
-        h = check_digits(g, subfield, spec.n)
+        h = generator_digits(lam, build_defining_set(spec).complement())
         assert_panel_states_match(gram_digits(h, subfield, spec.q, spec.n), subfield)
 
 
@@ -400,8 +412,8 @@ def corrupt_inverse(monkeypatch, field, index, replacement):
 def test_fault_wrong_pivot_inverse_breaks_panel_states(monkeypatch):
     spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13
     subfield, _, lam = code_context(spec.q, spec.n)
-    g = generator_digits(lam, build_defining_set(spec).defining_set)
-    a = gram_digits(check_digits(g, subfield, spec.n), subfield, spec.q, spec.n)
+    h = generator_digits(lam, build_defining_set(spec).complement())
+    a = gram_digits(h, subfield, spec.q, spec.n)
     assert_panel_states_match(a, subfield)
     # the first pivot is the diagonal entry 10 of GF(13) in GF(169); the
     # map of its inverse 4 is served as the map of 1, the identity

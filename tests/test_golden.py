@@ -18,6 +18,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SNAPSHOTS = [
     *[(f"table_case{c}.{fmt}", ["table", "--case", str(c), "--format", fmt], 0)
       for c in (1, 2, 3, 4) for fmt in ("json", "csv")],
+    *[(f"family_case1_m1_k3_a2.{fmt}",
+       ["family", "--case", "1", "--m", "1", "--k", "3", "--alpha", "2", "--format", fmt], 0)
+      for fmt in ("json", "csv")],
+    *[(f"oracle_case1_m1_k3_a1.{fmt}",
+       ["oracle", "--case", "1", "--m", "1", "--k", "3", "--alpha", "1", "--format", fmt], 0)
+      for fmt in ("json", "csv")],
+    ("oracle_case3_m1_k7_a3_n421.json",     # the published [[421,129,189;84]]_29 row
+     ["oracle", "--case", "3", "--m", "1", "--k", "7", "--alpha", "3",
+      "--oracle-n-max", "421"], 0),
     ("verify_q60.json", ["verify", "--q-max", "60"], 0),
     ("verify_q120_fault.json",
      ["verify", "--q-max", "120", "--oracle-n-max", "0", "--fault-inject"], 1),

@@ -17,6 +17,7 @@ import cyclic_reference as cref
 import linalg_reference as ref
 from eaqmds import _gflinalg as gfa
 from eaqmds import rank_oracle
+from eaqmds.cyclic import generator_digits
 from eaqmds.families import spec_from_q, sweep_specs
 from eaqmds.fields import GF
 from eaqmds.published_params import PUBLISHED_ROWS
@@ -139,9 +140,10 @@ def test_spec_lists():
 
 def test_gram_matches_product_on_sweep_and_published_codes():
     for spec in SWEEP_300 + PUBLISHED_421:
-        field, _, _, h = rank_oracle._code_digits(spec)
+        field, lam, z = rank_oracle._code(spec)
+        h = generator_digits(lam, z.complement())
         hd = ref.parity_check_digits(h, spec.n)
-        hdag = gfa.conjugate_transpose_digits(hd, field, spec.q)
+        hdag = ref.conjugate_transpose_digits(hd, field, spec.q)
         expected = gfa.matmul_digits(hd, hdag, field)
         assert gram_digits(h, field, spec.q, spec.n).tobytes() == expected.tobytes(), spec
 
@@ -181,7 +183,8 @@ ORACLE_SPECS = [s for s in sweep_specs(5, 250) if s.n <= 150]
 def test_g_h_check_matches_explicit_g_ht_on_oracle_specs():
     assert len(ORACLE_SPECS) == 29
     for spec in ORACLE_SPECS:
-        field, _, g, h = rank_oracle._code_digits(spec)
+        field, lam, z = rank_oracle._code(spec)
+        g, h = generator_digits(lam, z), generator_digits(lam, z.complement())
         assert not explicit_g_ht(g, h, field, spec.n).any(), spec
         assert rank_oracle.generator_parity_orthogonal(spec), spec
         bad = h.copy()

@@ -9,7 +9,8 @@ import linalg_reference as ref
 from eaqmds import _gflinalg as gfa
 from eaqmds.families import FamilySpec
 from eaqmds.fields import GF
-from eaqmds.rank_oracle import OracleSizeError, _code_digits, entanglement_rank
+from eaqmds.cyclic import generator_digits
+from eaqmds.rank_oracle import OracleSizeError, _code, entanglement_rank
 
 
 def random_matrix(field, rows, cols, rng):
@@ -26,7 +27,7 @@ def identity_matrix(field, r):
 def test_conjugate_transpose_prime_subfield_is_plain_transpose():
     f = GF(13, 2)
     m = np.array([[[3, 0], [5, 0]], [[7, 0], [11, 0]]])
-    ct = gfa.conjugate_transpose_digits(m, f, 13)
+    ct = ref.conjugate_transpose_digits(m, f, 13)
     assert np.array_equal(ct, m.transpose(1, 0, 2))
 
 
@@ -34,12 +35,12 @@ def test_conjugate_transpose_involution_and_1x1():
     f = GF(13, 2)
     rng = random.Random(5)
     m = random_matrix(f, 3, 4, rng)
-    ct = gfa.conjugate_transpose_digits(m, f, 13)
+    ct = ref.conjugate_transpose_digits(m, f, 13)
     assert np.array_equal(ct, ref.conjugate_transpose(m, f, 13))
-    assert np.array_equal(gfa.conjugate_transpose_digits(ct, f, 13), m)
+    assert np.array_equal(ref.conjugate_transpose_digits(ct, f, 13), m)
     a = f.from_index(37)
     single = np.array([[a.coeffs]])
-    assert gfa.conjugate_transpose_digits(single, f, 13).tolist() == [[list((a**13).coeffs)]]
+    assert ref.conjugate_transpose_digits(single, f, 13).tolist() == [[list((a**13).coeffs)]]
 
 
 def test_rank_identity_and_zero():
@@ -84,8 +85,8 @@ def test_entanglement_rank_table_anchors(case, m, k, alpha, expected):
 
 def parity_check(spec):
     """H of the instance's code, from the oracle's check polynomial."""
-    field, _, _, h = _code_digits(spec)
-    return field, ref.parity_check_digits(h, spec.n)
+    field, lam, z = _code(spec)
+    return field, ref.parity_check_digits(generator_digits(lam, z.complement()), spec.n)
 
 
 def test_rank_bounded_by_parity_rank():
@@ -97,7 +98,7 @@ def test_rank_bounded_by_parity_rank():
 
 def hh_dagger_rank(h, f, q):
     return gfa.rank_digits(
-        gfa.matmul_digits(h, gfa.conjugate_transpose_digits(h, f, q), f), f)
+        gfa.matmul_digits(h, ref.conjugate_transpose_digits(h, f, q), f), f)
 
 
 def test_rank_invariant_under_row_operations():
