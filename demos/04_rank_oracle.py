@@ -18,14 +18,14 @@ from eaqmds.rank_oracle import OracleSizeError, code_context
 spec = FamilySpec(2, 1, 2, 1)  # q = 11, n = 61
 print(f"== the [[61,9,39;24]] code: q = {spec.q}, n = {spec.n}")
 
-subfield, _, lam = code_context(spec.q, spec.n)
+subfield, tower, lam = code_context(spec.q, spec.n)
 z = build_defining_set(spec)
-g = generator_digits(lam, z)
+g = generator_digits(tower, lam, z)
 print(f"   generator polynomial degree: {len(g) - 1} (= |Z|)")
 
 # h = (x^n - 1) / g is the product over the cosets outside Z; row i of H
 # is h's coefficients reversed, shifted i places
-h = generator_digits(lam, z.complement())
+h = generator_digits(tower, lam, z.complement())
 rows = spec.n - (len(h) - 1)
 H = np.zeros((rows, spec.n, subfield.degree), dtype=np.int64)
 for i in range(rows):

@@ -33,7 +33,7 @@ full[0, 0], full[n, 0] = subfield.p - 1, 1
 product = full[n:]  # the constant 1
 degrees = []
 for coset in all_cosets(n, (q * q) % n):
-    mp = generator_digits(lam, coset)  # the coset's minimal polynomial
+    mp = generator_digits(tower, lam, coset)  # the coset's minimal polynomial
     degrees.append(len(mp) - 1)
     product = polymul_digits(product, mp, subfield)
 print(f"   {len(degrees)} irreducible factors, degrees: "
@@ -42,8 +42,8 @@ print(f"   product == x^{n} - 1: {np.array_equal(product, full)}")
 
 print("\n== generator and check polynomial of the [[85,33,33;12]] code")
 z = ResidueSet.of(n, range(27, 59))
-g = generator_digits(lam, z)
-h = generator_digits(lam, z.complement())  # the cosets outside Z
+g = generator_digits(tower, lam, z)
+h = generator_digits(tower, lam, z.complement())  # the cosets outside Z
 print(f"   deg g = {len(g) - 1}, deg h = {len(h) - 1}, "
       f"g * h == x^n - 1: {np.array_equal(polymul_digits(g, h, subfield), full)}")
 
@@ -52,12 +52,12 @@ f9 = GF(3, 2)
 t81 = quadratic_extension(f9)
 mu = nth_root_of_unity(t81, 5)
 z5 = ResidueSet.of(5, [1, 2, 3, 4])
-g5 = generator_digits(mu, z5)
+g5 = generator_digits(t81, mu, z5)
 
 
 def weight(message):
     """Nonzero coefficients of m(x) g5(x), m given by its field indices."""
-    m = np.array([f9.from_index(i).coeffs for i in message])
+    m = np.array([(i % f9.p, i // f9.p) for i in message])  # digits, low first
     return int(polymul_digits(m, g5, f9).any(axis=1).sum())
 
 

@@ -12,10 +12,9 @@ reduced mod p, and one BLAS call per column chunk multiplies the left
 factor's digits into it.  Every product and partial sum is an integer
 below inner*e*(p-1)^2, so the result is exact as long as that bound is
 below 2^53; ``_gemm`` raises ``ValueError`` when it is not.  It returns
-those sums unreduced: ``matmul_digits`` reduces them, and the Schur
-update of ``rank_digits`` reduces them once, together with the rows they
-are added to.  Polynomials
-are (length, e) digit arrays; ``polymul_digits`` multiplies two with e^2
+those sums unreduced: the Schur update of ``rank_digits`` reduces them
+once, together with the rows they are added to.  Polynomials are
+(length, e) digit arrays; ``polymul_digits`` multiplies two with e^2
 int64 convolutions of digit planes.
 
 Rank is blocked Gaussian elimination (the FFLAS/FFPACK design of Dumas,
@@ -48,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, _matrix_power, element_digits, find_primitive_element, \
+from .fields import Field, _matrix_power, _times_matrix, find_primitive_element, \
     mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
@@ -76,19 +75,13 @@ def frobenius_matrix(field: Field, q: int) -> np.ndarray:
     So conj(a) = a @ M.T on a digit array a.
     """
     _require_flat(field)
-    t = mul_tensor(field)
-    return np.stack([_matrix_power(m, q, field.p)[0] for m in t], axis=1)
-
-
-def scalar_matrix(c: np.ndarray, field: Field) -> np.ndarray:
-    """The map x -> x c on digits, as a right factor: (x @ M) = x c."""
-    return c @ reduction_tensor(field) % field.p
+    return _matrix_power(mul_tensor(field), q, field.p)[:, 0].T
 
 
 @lru_cache(maxsize=None)
 def inverse_table(field: Field) -> np.ndarray:
     """Read-only (order, e, e) table: at the index digits(c) . p^arange(e)
-    of a unit c, the map x -> x c^-1 (``scalar_matrix`` of c^-1).
+    of a unit c, the map x -> x c^-1 (``fields._times_matrix`` of c^-1).
 
     Built once per field from the powers g^j of the canonical primitive
     element, by doubling on its multiplication map: the block g^[m, 2m)
@@ -101,7 +94,7 @@ def inverse_table(field: Field) -> np.ndarray:
     p, e, units = field.p, field.degree, field.order - 1
     powers = np.zeros((units, e), dtype=np.int64)
     powers[0, 0] = 1
-    step = scalar_matrix(element_digits(find_primitive_element(field)), field)
+    step = _times_matrix(find_primitive_element(field), field)
     done = 1
     while done < units:
         span = min(done, units - done)
@@ -110,8 +103,7 @@ def inverse_table(field: Field) -> np.ndarray:
         done += span
     table = np.zeros((field.order, e, e), dtype=np.int64)
     inverses = powers[-np.arange(units) % units]
-    table[powers @ p ** np.arange(e)] = np.tensordot(
-        inverses, reduction_tensor(field), axes=(1, 0)) % p
+    table[powers @ p ** np.arange(e)] = _times_matrix(inverses, field)
     table.flags.writeable = False
     return table
 
@@ -160,11 +152,6 @@ def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
         np.matmul(left, chunk.reshape(inner * e, span * e), out=prod)
         out[:, j0:j0 + span] = prod.reshape(rows, span, e)
     return out
-
-
-def matmul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
-    """Exact product of digit matrices over the field, reduced mod p."""
-    return _gemm(_reduced(a, field.p), _reduced(b, field.p), field) % field.p
 
 
 def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:

@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _gflinalg as gfa
-from .fields import FieldElement, _matrix_power, _times_matrix
+from .fields import Field, _matrix_power, _times_matrix
 from .cosets import ResidueSet, is_coset_closed
 
 
@@ -52,18 +51,18 @@ def _root_pairs(step: np.ndarray, p: int, n: int, reps):
 
 
 @lru_cache(maxsize=16)
-def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
+def generator_digits(tower: Field, lam: tuple[int, ...], z: ResidueSet) -> np.ndarray:
     """The product of the minimal polynomials of the cosets of Z, low first.
 
-    A read-only (|Z| + 1, e) digit array over GF(q^2): g(x) for the
-    defining set Z, and h(x) for its complement.  Each coset {i, n - i}
-    contributes x^2 - Tr_i x + 1 (x - lam^i when i = n - i), and its
-    coefficient is checked to lie in GF(q^2) before projection, so a set
-    that is not coset-closed for this root fails loudly.  Requires
-    q^2 = -1 mod n and lam^n = 1.  Memoized on (lam, Z), the oracle's one
-    cache, so its rank and G H^T checks build h once per spec.
+    A read-only (|Z| + 1, e) digit array over GF(q^2) = ``tower.base``:
+    g(x) for the defining set Z, and h(x) for its complement.  ``lam`` is
+    the digit tuple of an n-th root of unity in the tower GF(q^4).  Each
+    coset {i, n - i} contributes x^2 - Tr_i x + 1 (x - lam^i when i =
+    n - i), and its coefficient is checked to lie in GF(q^2) before
+    projection, so a set that is not coset-closed for this root fails
+    loudly.  Requires q^2 = -1 mod n and lam^n = 1.  Memoized on
+    (tower, lam, Z), so the rank and G H^T checks build h once per spec.
     """
-    tower = lam.field
     if tower.base is None:
         raise ValueError("root of unity must live in a tower extension")
     subfield = tower.base
@@ -74,7 +73,7 @@ def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
     if (qsq + 1) % n:
         raise ValueError(f"q^2 is not -1 mod {n}; the cosets are not {{i, n - i}}")
     p, e = subfield.p, subfield.degree
-    step = _times_matrix(lam)
+    step = _times_matrix(lam, tower)
     if not np.array_equal(_matrix_power(step, n, p), np.eye(2 * e, dtype=np.int64)):
         raise ValueError(f"element is not an n-th root of unity for n = {n}")
     reps = [i for i in z.members if 2 * i <= n]
@@ -88,7 +87,7 @@ def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
             raise ValueError(
                 f"coefficient of coset {sorted(coset)} escapes the subfield; "
                 "the coset is not closed for this root")
-        scaled = g @ gfa.scalar_matrix(coeff[:e], subfield)
+        scaled = g @ _times_matrix(coeff[:e], subfield)
         out = np.zeros((len(g) + (1 if single else 2), e), dtype=np.int64)
         if single:                       # x - lam^i
             out[1:] += g
@@ -100,4 +99,3 @@ def generator_digits(lam: FieldElement, z: ResidueSet) -> np.ndarray:
         g = out % p
     g.setflags(write=False)
     return g
-

@@ -1,22 +1,27 @@
-"""Exact arithmetic in GF(p^e) with a canonical quadratic tower.
+"""Exact arithmetic in GF(p^e) with a canonical quadratic tower, on digits.
 
-Fields are built in a polynomial basis over their base field: a prime
-field GF(p), a direct extension GF(p^e) with integer coefficients mod p,
-or a quadratic tower level whose coefficients are elements of the level
-below.  The tower construction realizes GF(q^4) as a degree-2 extension
-of GF(q^2), so subfield membership is a zero-top-coefficient test and
-projection back to GF(q^2) is exact.
+A field is GF(p), a direct extension GF(p^e) of it by a monic irreducible
+modulus, or a quadratic tower level over another field; the tower
+realizes GF(q^4) as a degree-2 extension of GF(q^2).  An element is its
+digit tuple: its GF(p) coefficients in the polynomial basis, low first
+through every tower level, which are exactly the base-p digits of its
+index in the canonical counting order.  A base-field element lies in the
+tower level above it as its digits followed by zeros, so subfield
+membership is a zero-top-half test and projection is exact.
+
+On digit row vectors the map x -> x a is a GF(p)-linear matrix
+(``_times_matrix``, read off the multiplication tensor ``mul_tensor``),
+so a product is a vector-matrix product and a^k is row 0 of that matrix
+to the k-th power.  Every search here runs on such maps.
 
 Moduli and primitive elements are chosen canonically (smallest candidate
 in the counting order where the constant coefficient is the least
 significant digit), so repeated construction yields identical fields.
-The tower-modulus, primitive-element and root-of-unity searches run their
-exponentiations on GF(p)-linear multiplication maps of digit vectors
-(``mul_tensor``), not on FieldElement objects.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,341 +70,34 @@ def prime_power_base(x: int) -> int | None:
     return x  # x itself is prime
 
 
-# ---------------------------------------------------------------------------
-# integer-level polynomial helpers over GF(p), used only for modulus search
-
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by monic f
-    df = len(f) - 1
-    for i in range(len(prod) - 1, df - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(df):
-                prod[i - df + j] = (prod[i - df + j] - c * f[j]) % p
-    return _poly_trim(prod)
-
-
-def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = a[:]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _poly_trim(a[:])
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = (a[-1] * inv) % p
-        shift = len(a) - len(b)
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _is_irreducible_mod_p(coeffs: list[int], p: int) -> bool:
-    """Irreducibility over GF(p) of a monic polynomial given low-first.
-
-    Degrees 2 and 3 use root absence; higher degrees use the distinct-degree
-    criterion x^(p^e) == x mod f together with gcd(x^(p^(e/r)) - x, f) = 1
-    for every prime r dividing e.
-    """
-    e = len(coeffs) - 1
-    if e == 1:
-        return True
-    if e in (2, 3):
-        return all(
-            sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p != 0
-            for x in range(p)
-        )
-    x = [0, 1]
-    xq = _poly_powmod(x, p**e, coeffs, p)
-    if _poly_sub(xq, x, p):
-        return False
-    for r in prime_factors(e):
-        xr = _poly_powmod(x, p ** (e // r), coeffs, p)
-        if len(_poly_gcd(_poly_sub(xr, x, p), coeffs, p)) != 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-
-
+@dataclass(frozen=True)
 class Field:
-    """Finite field GF(p^e) in a polynomial basis.
+    """Finite field GF(p^e) in a polynomial basis, compared by value.
 
-    Three shapes, distinguished by ``base``:
-      * prime field: base is None, degree 1, elements are single ints mod p;
-      * direct extension of GF(p): base is None, degree e >= 2, elements are
-        int coefficient tuples reduced by a monic irreducible modulus;
-      * tower level: base is another Field, coefficients are its elements.
-
-    Instances are immutable; all element operations are pure functions, so
-    fields and elements are safe to share across threads.
+    ``base`` is None over GF(p) and the level below for a tower level.
+    ``modulus`` is monic and low first, of length degree + 1: GF(p) ints
+    for a direct extension, element indices of ``base`` for a tower
+    level, and None for GF(p) itself.
     """
 
-    __slots__ = ("p", "degree", "base", "modulus", "order", "_sig", "_hash",
-                 "_zero", "_one")
+    p: int
+    degree: int
+    base: Field | None = None
+    modulus: tuple[int, ...] | None = None
 
-    def __init__(self, p: int, degree: int, base: "Field | None",
-                 modulus: tuple | None):
-        self.p = p
-        self.degree = degree
-        self.base = base
-        self.modulus = modulus  # monic, low-first, length degree+1; None for degree 1
-        base_order = base.order if base is not None else p
-        self.order = base_order ** degree if degree > 1 else base_order
-        mod_sig = None
-        if modulus is not None:
-            mod_sig = tuple(
-                c.index if isinstance(c, FieldElement) else c for c in modulus)
-        self._sig = (p, degree, base._sig if base is not None else None, mod_sig)
-        self._hash = hash(self._sig)
-        if base is None:
-            self._zero = FieldElement(self, (0,) * degree)
-            self._one = FieldElement(self, (1,) + (0,) * (degree - 1))
-        else:
-            self._zero = FieldElement(self, (base.zero,) * degree)
-            self._one = FieldElement(self, (base.one,) +
-                                     (base.zero,) * (degree - 1))
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self._sig == other._sig
+    def __post_init__(self):    # every cached map is looked up by field
+        object.__setattr__(self, "_hash", hash((self.p, self.degree, self.base,
+                                                self.modulus)))
 
     def __hash__(self):
         return self._hash
 
+    @property
+    def order(self) -> int:
+        return (self.p if self.base is None else self.base.order) ** self.degree
+
     def __repr__(self):
         return f"GF({self.order})"
-
-    # -- element construction ----------------------------------------------
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        return self._one
-
-    def element(self, coeffs) -> "FieldElement":
-        """Element from a coefficient sequence (constant term first).
-
-        Prime-level coefficients are ints (reduced mod p); tower-level
-        coefficients are elements of the base field.  A bare int is accepted
-        as shorthand for a prime-subfield constant.
-        """
-        if isinstance(coeffs, FieldElement):
-            if coeffs.field != self:
-                raise ValueError("element belongs to a different field")
-            return coeffs
-        if isinstance(coeffs, int):
-            if self.base is None:
-                c = (coeffs % self.p,) + (0,) * (self.degree - 1)
-            else:
-                c = (self.base.element(coeffs),) + \
-                    (self.base.zero,) * (self.degree - 1)
-            return FieldElement(self, c)
-        coeffs = list(coeffs)
-        if len(coeffs) > self.degree:
-            raise ValueError("too many coefficients")
-        if self.base is None:
-            c = [int(x) % self.p for x in coeffs]
-            c += [0] * (self.degree - len(c))
-        else:
-            c = [self.base.element(x) for x in coeffs]
-            c += [self.base.zero] * (self.degree - len(c))
-        return FieldElement(self, tuple(c))
-
-    def from_index(self, i: int) -> "FieldElement":
-        """The i-th element in the canonical counting order, 0 <= i < order.
-
-        Digits of i in base |base field| become the coefficients, constant
-        term least significant.  This is the order used for modulus and
-        primitive-element searches.
-        """
-        if not 0 <= i < self.order:
-            raise ValueError(f"index {i} outside [0, {self.order})")
-        if self.base is None:
-            digits = []
-            for _ in range(self.degree):
-                digits.append(i % self.p)
-                i //= self.p
-            return FieldElement(self, tuple(digits))
-        digits = []
-        for _ in range(self.degree):
-            digits.append(self.base.from_index(i % self.base.order))
-            i //= self.base.order
-        return FieldElement(self, tuple(digits))
-
-    def elements(self):
-        """Iterate over all elements in canonical counting order."""
-        for i in range(self.order):
-            yield self.from_index(i)
-
-    # -- coefficient arithmetic (int or base-field element) -----------------
-
-    def _cadd(self, x, y):
-        return (x + y) % self.p if self.base is None else x + y
-
-    def _csub(self, x, y):
-        return (x - y) % self.p if self.base is None else x - y
-
-    def _cmul(self, x, y):
-        return (x * y) % self.p if self.base is None else x * y
-
-    def _cneg(self, x):
-        return (-x) % self.p if self.base is None else -x
-
-    def _czero(self):
-        return 0 if self.base is None else self.base.zero
-
-    def _ciszero(self, x) -> bool:
-        return x == 0 if self.base is None else x.is_zero()
-
-
-class FieldElement:
-    """Immutable element of a Field, held as a coefficient tuple."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-
-    # -- identity ------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.index))
-
-    def __repr__(self):
-        return f"{self.field!r}:{self.index}"
-
-    @property
-    def index(self) -> int:
-        """Position in the field's canonical counting order."""
-        f = self.field
-        if f.base is None:
-            v = 0
-            for c in reversed(self.coeffs):
-                v = v * f.p + c
-            return v
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * f.base.order + c.index
-        return v
-
-    def is_zero(self) -> bool:
-        f = self.field
-        return all(f._ciszero(c) for c in self.coeffs)
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(
-                f"field mismatch: {self.field!r} vs {other.field!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.field
-        return FieldElement(f, tuple(f._cadd(a, b)
-                                     for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.field
-        return FieldElement(f, tuple(f._csub(a, b)
-                                     for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        f = self.field
-        return FieldElement(f, tuple(f._cneg(a) for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        e = f.degree
-        if e == 1:
-            return FieldElement(f, (f._cmul(self.coeffs[0], other.coeffs[0]),))
-        a, b = self.coeffs, other.coeffs
-        prod = [f._czero()] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if not f._ciszero(ai):
-                for j, bj in enumerate(b):
-                    prod[i + j] = f._cadd(prod[i + j], f._cmul(ai, bj))
-        mod = f.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if not f._ciszero(c):
-                for j in range(e):
-                    prod[i - e + j] = f._csub(prod[i - e + j], f._cmul(c, mod[j]))
-        return FieldElement(f, tuple(prod[:e]))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via a ^ (order - 2)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero field element")
-        f = self.field
-        if f.base is None and f.degree == 1:
-            return FieldElement(f, (pow(self.coeffs[0], f.p - 2, f.p),))
-        return self ** (f.order - 2)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +106,7 @@ class FieldElement:
 # The digits of an element are its GF(p) coefficients, low first through
 # every tower level: exactly the base-p digits of its index.  On digit row
 # vectors the map x -> x a is a dim x dim matrix over GF(p), so a^k is the
-# first row of that matrix to the k-th power.  The field-context searches
-# run their exponentiations here instead of on FieldElement objects.
+# first row of that matrix to the k-th power.
 
 
 def _index_digits(indices, p: int, dim: int) -> np.ndarray:
@@ -420,15 +117,6 @@ def _index_digits(indices, p: int, dim: int) -> np.ndarray:
         out[:, k] = x % p
         x = x // p
     return out
-
-
-def element_digits(x: FieldElement) -> np.ndarray:
-    """Digits of x over GF(p), low first through every tower level."""
-    return _index_digits([x.index], x.field.p, len(mul_tensor(x.field)))[0]
-
-
-def _from_digits(field: Field, digits: np.ndarray) -> FieldElement:
-    return field.from_index(sum(int(d) * field.p**k for k, d in enumerate(digits)))
 
 
 @lru_cache(maxsize=None)
@@ -453,8 +141,7 @@ def mul_tensor(field: Field) -> np.ndarray:
         return base.astype(dtype)
     y = np.zeros((t * d, t * d), dtype=dtype)
     y[:-d, d:] = np.eye((t - 1) * d, dtype=dtype)
-    for j, c in enumerate(field.modulus[:t]):
-        digits = element_digits(c) if field.base is not None else [c]
+    for j, digits in enumerate(_index_digits(field.modulus[:t], p, d)):
         y[-d:, j * d:(j + 1) * d] = -np.tensordot(digits, base, 1) % p
     lifted = [np.kron(np.eye(t, dtype=dtype), s) for s in base]
     maps, y_i = [], np.eye(t * d, dtype=dtype)
@@ -464,31 +151,37 @@ def mul_tensor(field: Field) -> np.ndarray:
     return np.stack(maps)
 
 
-def _times_matrix(a: FieldElement) -> np.ndarray:
-    """The GF(p)-linear map x -> x a on digits, as a right factor."""
-    return np.tensordot(element_digits(a), mul_tensor(a.field), 1) % a.field.p
+def _times_matrix(a, field: Field) -> np.ndarray:
+    """The map x -> x a on digits, as a right factor: (x @ M) = x a.
+
+    ``a`` holds digits in its last axis, so a (..., dim) stack of
+    elements gives a (..., dim, dim) stack of maps.
+    """
+    t, a = mul_tensor(field), np.asarray(a)
+    return (a @ t.reshape(len(t), -1) % field.p).reshape(a.shape + (len(t),))
 
 
 def _matrix_power(m: np.ndarray, k: int, p: int) -> np.ndarray:
-    """m^k mod p by repeated squaring, for k >= 0."""
-    out = np.eye(len(m), dtype=m.dtype)
+    """m^k mod p by repeated squaring, for k >= 0, on a stack (..., d, d)."""
+    out = np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), m.shape).copy()
     while k:
         if k & 1:
             out = out @ m % p
-        m = m @ m % p
         k >>= 1
+        if k:
+            m = m @ m % p
     return out
 
 
-def _powers(digits: np.ndarray, maps: np.ndarray, exps, p: int) -> np.ndarray:
+def _powers(digits: np.ndarray, field: Field, exps) -> np.ndarray:
     """Digits of a^E for every row a of ``digits`` and every E in ``exps``.
 
     Each a's map M is built once and squared once per bit of max(exps);
     every exponent reads its power off the same squares.  The result has
     shape (len(exps), len(digits), dim).
     """
-    squares = np.tensordot(digits, maps, 1) % p
-    out = np.tile(maps[0, 0], (len(exps), len(digits), 1))
+    p, squares = field.p, _times_matrix(digits, field)
+    out = np.tile(mul_tensor(field)[0, 0], (len(exps), len(digits), 1))
     for j in range(max(exps).bit_length()):
         if j:
             squares = squares @ squares % p
@@ -519,83 +212,86 @@ def _first_index(start: int, stop: int, p: int, dim: int, accept) -> int:
 # constructors
 
 
+def _irreducible(low: np.ndarray, p: int) -> np.ndarray:
+    """Which monic f = X^e + sum_j low_j X^j, one per row, are irreducible.
+
+    Rabin's test (SIAM J. Comput. 9, 1980) on the companion matrix C of
+    each f, the map x -> x X of GF(p)[X]/(f), whose powers C^k have the
+    digits of X^k in row 0.  f is irreducible iff X^(p^e) = X and, for
+    each prime r | e, the element a = X^(p^(e/r)) - X is a unit.  Once the
+    first holds, GF(p)[X]/(f) is a product of fields GF(p^d) with d | e,
+    so a is a unit iff a^(p^e - 1) = 1, decided on a's map sum_k a_k C^k.
+    """
+    k, e = low.shape
+    dtype = np.int64 if e * (p - 1) ** 2 < 2**63 else object
+    comp = np.zeros((k, e, e), dtype=dtype)
+    comp[:, :-1, 1:] = np.eye(e - 1, dtype=dtype)
+    comp[:, -1] = -low % p
+    x = comp[0, 0]                                  # the digits of X
+    frobenius = [comp]                              # the maps of X^(p^j)
+    for _ in range(e):
+        frobenius.append(_matrix_power(frobenius[-1], p, p))
+    ok = (frobenius[e][:, 0] == x).all(1)
+    basis = [np.broadcast_to(np.eye(e, dtype=dtype), comp.shape)]
+    for _ in range(e - 1):                          # the maps of X^j, j < e
+        basis.append(basis[-1] @ comp % p)
+    basis, one = np.stack(basis, axis=1), basis[0][0, 0]
+    for r in prime_factors(e):
+        a = (frobenius[e // r][ok, 0] - x) % p
+        a_map = (a[:, :, None, None] * basis[ok]).sum(1) % p
+        ok[ok] = (_matrix_power(a_map, p**e - 1, p)[:, 0] == one).all(1)
+    return ok
+
+
 @lru_cache(maxsize=None)
 def GF(p: int, e: int = 1) -> Field:
     """Construct GF(p^e) with the canonical modulus.
 
     The modulus is the first monic irreducible of degree e in counting
-    order (constant coefficient as least significant digit), found by
-    exhaustive scan, so the construction is deterministic.
+    order (constant coefficient as least significant digit), found by a
+    scan that tests a block of candidates at a time, so the construction
+    is deterministic.
     """
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be >= 1")
     if e == 1:
-        return Field(p, 1, None, None)
-    for v in range(p**e):
-        coeffs = []
-        x = v
-        for _ in range(e):
-            coeffs.append(x % p)
-            x //= p
-        coeffs.append(1)  # monic
-        if _is_irreducible_mod_p(coeffs, p):
-            return Field(p, e, None, tuple(coeffs))
-    raise AssertionError("no irreducible modulus found")  # cannot happen
+        return Field(p, 1)
+    v = _first_index(0, p**e, p, e, lambda low: _irreducible(low, p))
+    return Field(p, e, None, tuple(_index_digits([v], p, e)[0].tolist()) + (1,))
 
 
 @lru_cache(maxsize=None)
 def quadratic_extension(base: Field) -> Field:
     """Degree-2 tower level over ``base`` with the canonical modulus.
 
-    Realizes GF(q^4) over GF(q^2): base elements embed as the tower
-    elements with zero top coefficient.  The modulus y^2 + b y + c is the
-    first irreducible in counting order; irreducibility is decided by the
-    discriminant non-square test (odd characteristic only): Euler's
-    criterion disc^((Q-1)/2) != 1, on the multiplication map of disc.
+    Realizes GF(q^4) over GF(q^2): a base element with digits c lies in
+    the tower as the digits c followed by zeros.  The modulus y^2 + b y +
+    c is the first irreducible in counting order; irreducibility is
+    decided by the discriminant non-square test (odd characteristic
+    only): Euler's criterion disc^((Q-1)/2) != 1, on the multiplication
+    map of disc.
     """
     if base.p == 2:
         raise ValueError("quadratic tower requires odd characteristic")
-    p, maps = base.p, mul_tensor(base)
-    dim, exp = len(maps), (base.order - 1) // 2
+    p, one = base.p, mul_tensor(base)[0, 0]
+    dim, exp = len(one), (base.order - 1) // 2
 
     def irreducible(digits):    # digits of v = c + b Q: c low, b high
         c, b = digits[:, :dim], digits[:, dim:]
-        b_sq = (b[:, None, :] @ (np.tensordot(b, maps, 1) % p))[:, 0]
+        b_sq = (b[:, None, :] @ _times_matrix(b, base))[:, 0]
         disc = (b_sq - 4 * c) % p
-        return disc.any(1) & (_powers(disc, maps, [exp], p)[0] != maps[0, 0]).any(1)
+        return disc.any(1) & (_powers(disc, base, [exp])[0] != one).any(1)
 
     v = _first_index(0, base.order ** 2, p, 2 * dim, irreducible)
-    return Field(base.p, 2, base, (base.from_index(v % base.order),
-                                   base.from_index(v // base.order)))
-
-
-def embed(a: FieldElement, ext: Field) -> FieldElement:
-    """Lift a base-field element into the tower level above it."""
-    if ext.base is None or a.field != ext.base:
-        raise ValueError("element is not in the base of the extension")
-    return FieldElement(ext, (a, ext.base.zero))
-
-
-def in_subfield(x: FieldElement) -> bool:
-    """Whether a tower element lies in the level below (zero top coefficient)."""
-    f = x.field
-    if f.base is None:
-        raise ValueError("field is not a tower level")
-    return all(f._ciszero(c) for c in x.coeffs[1:])
-
-
-def project(x: FieldElement) -> FieldElement:
-    """Project a tower element back down; errors if it is not in the subfield."""
-    if not in_subfield(x):
-        raise ValueError(f"{x!r} does not lie in the subfield")
-    return x.coeffs[0]
+    return Field(base.p, 2, base, (v % base.order, v // base.order, 1))
 
 
 @lru_cache(maxsize=None)
-def find_primitive_element(field: Field) -> FieldElement:
-    """Smallest element (canonical counting order) generating the unit group.
+def find_primitive_element(field: Field) -> tuple[int, ...]:
+    """Digits of the smallest element (canonical counting order) that
+    generates the unit group.
 
     Order is certified by g^((N-1)/r) != 1 for every prime r | N-1,
     where N is the field order.  The checks run on the candidates'
@@ -609,20 +305,19 @@ def find_primitive_element(field: Field) -> FieldElement:
     its primitive element is 1.
     """
     if field.order == 2:
-        return field.one
+        return (1,)
     n = field.order - 1
     checks = [(n // r) for r in prime_factors(n)]
-    maps = mul_tensor(field)
+    one = mul_tensor(field)[0, 0]
     start = 2 if field.base is None else field.base.order
     i = _first_index(
-        start, field.order, field.p, len(maps),
-        lambda digits: (_powers(digits, maps, checks, field.p)
-                        != maps[0, 0]).any(2).all(0))
-    return field.from_index(i)
+        start, field.order, field.p, len(one),
+        lambda digits: (_powers(digits, field, checks) != one).any(2).all(0))
+    return tuple(_index_digits([i], field.p, len(one))[0].tolist())
 
 
-def nth_root_of_unity(field: Field, n: int) -> FieldElement:
-    """The canonical primitive n-th root of unity g^((N-1)/n).
+def nth_root_of_unity(field: Field, n: int) -> tuple[int, ...]:
+    """Digits of the canonical primitive n-th root of unity g^((N-1)/n).
 
     Requires n to divide the multiplicative group order N-1.
     """
@@ -631,17 +326,5 @@ def nth_root_of_unity(field: Field, n: int) -> FieldElement:
     group = field.order - 1
     if group % n:
         raise ValueError(f"{n} does not divide the group order {group}")
-    g = find_primitive_element(field)
-    lam = _matrix_power(_times_matrix(g), group // n, field.p)[0]
-    return _from_digits(field, lam)
-
-
-def multiplicative_order(a: FieldElement) -> int:
-    """Exact order of a nonzero element, via the factored group order."""
-    if a.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    n = a.field.order - 1
-    for r in prime_factors(n):
-        while n % r == 0 and a ** (n // r) == a.field.one:
-            n //= r
-    return n
+    g = _times_matrix(find_primitive_element(field), field)
+    return tuple(_matrix_power(g, group // n, field.p)[0].tolist())

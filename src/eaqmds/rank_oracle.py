@@ -34,8 +34,7 @@ from . import _gflinalg as gfa
 from .cosets import ResidueSet, decompose
 from .cyclic import generator_digits
 from .families import FamilySpec, build_defining_set, closed_form
-from .fields import GF, Field, FieldElement, nth_root_of_unity, prime_power_base, \
-    quadratic_extension
+from .fields import GF, Field, nth_root_of_unity, prime_power_base, quadratic_extension
 
 DEFAULT_N_MAX = 300
 
@@ -45,8 +44,9 @@ class OracleSizeError(ValueError):
 
 
 @lru_cache(maxsize=32)
-def code_context(q: int, n: int) -> tuple[Field, Field, FieldElement]:
-    """(GF(q^2), its quadratic tower GF(q^4), primitive n-th root of unity)."""
+def code_context(q: int, n: int) -> tuple[Field, Field, tuple[int, ...]]:
+    """(GF(q^2), its quadratic tower GF(q^4), the digits of the canonical
+    primitive n-th root of unity in the tower)."""
     p = prime_power_base(q)
     if p is None:
         raise ValueError(f"q = {q} is not a prime power")
@@ -83,12 +83,12 @@ class RankReport:
         return self.rank_hh_dagger == self.closed_form_c
 
 
-def _code(spec: FamilySpec) -> tuple[Field, FieldElement, ResidueSet]:
-    """(GF(q^2), the n-th root of unity lam in GF(q^4), Z) of the instance's
-    code: g is ``generator_digits(lam, Z)`` and h the same over Z's
+def _code(spec: FamilySpec) -> tuple[Field, tuple[int, ...], ResidueSet]:
+    """(GF(q^4), the n-th root of unity lam in it, Z) of the instance's
+    code: g is ``generator_digits(tower, lam, Z)`` and h the same over Z's
     complement."""
-    subfield, _, lam = code_context(spec.q, spec.n)
-    return subfield, lam, build_defining_set(spec)
+    _, tower, lam = code_context(spec.q, spec.n)
+    return tower, lam, build_defining_set(spec)
 
 
 def gram_digits(h: np.ndarray, field: Field, q: int, n: int) -> np.ndarray:
@@ -118,9 +118,9 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     if n > n_max:
         raise OracleSizeError(
             f"n = {n} exceeds the rank oracle guard n_max = {n_max}")
-    subfield, lam, z = _code(spec)
-    h = generator_digits(lam, z.complement())
-    rank = gfa.rank_digits(gram_digits(h, subfield, q, n), subfield)
+    tower, lam, z = _code(spec)
+    h = generator_digits(tower, lam, z.complement())
+    rank = gfa.rank_digits(gram_digits(h, tower.base, q, n), tower.base)
 
     dec = decompose(n, q, z)
     return RankReport(
@@ -139,7 +139,7 @@ def generator_parity_orthogonal(spec: FamilySpec) -> bool:
     Z and h from its complement (the h the rank route built), so a wrong
     factor on either side shows.
     """
-    subfield, lam, z = _code(spec)
-    g = generator_digits(lam, z)
-    h = generator_digits(lam, z.complement())
-    return not gfa.polymul_digits(g, h, subfield)[1:spec.n].any()
+    tower, lam, z = _code(spec)
+    g = generator_digits(tower, lam, z)
+    h = generator_digits(tower, lam, z.complement())
+    return not gfa.polymul_digits(g, h, tower.base)[1:spec.n].any()

@@ -7,17 +7,18 @@ coefficient (the tower products are memoized per lam and extended from
 the largest built subset of Z); h = (x^n - 1) / g comes by schoolbook
 long division; and the minimum distance of a toy code is a numpy brute
 force over all codewords m(x) g(x).  Polynomials are lists of
-``FieldElement``, low degree first.
+``field_reference.FieldElement``, low degree first.
 """
 
 import numpy as np
 
-from eaqmds.fields import FieldElement, in_subfield, project
+from field_reference import in_subfield, object_field, project
 
 
 def elements(digits, field):
     """A (length, e) digit array as a list of field elements."""
-    return [FieldElement(field, tuple(int(d) for d in row)) for row in digits]
+    field = object_field(field)
+    return [field.from_digits(row) for row in digits]
 
 
 def digits(poly):
@@ -50,6 +51,7 @@ def poly_divmod(a, b):
 
 
 def x_pow_minus_one(field, n):
+    field = object_field(field)
     return [-field.one] + [field.zero] * (n - 1) + [field.one]
 
 
@@ -68,12 +70,14 @@ def _root_powers(lam, n):
     return _powers[lam, n]
 
 
-def generator(lam, z):
-    """g = prod_{j in Z} (x - lam^j), computed in lam's tower, over the subfield.
+def generator(tower, lam, z):
+    """g = prod_{j in Z} (x - lam^j), computed in the tower, over the subfield.
 
-    The tower products are memoized per lam; a new Z extends the largest
-    product already built for a subset of Z by the factors it lacks.
+    ``lam`` is a digit tuple of ``fields``.  The tower products are
+    memoized per lam; a new Z extends the largest product already built
+    for a subset of Z by the factors it lacks.
     """
+    lam = object_field(tower).from_digits(lam)
     powers = _root_powers(lam, z.n)
     built = _products.setdefault(lam, {})
     members = frozenset(z.members)
@@ -106,7 +110,7 @@ def min_distance(g, n, guard=10**5):
     sum of a previous codeword and one of the Q multiples of x^i g(x);
     codeword 0 is the zero message.  Refuses more than ``guard`` codewords.
     """
-    field = g[0].field
+    field = object_field(g[0].field)
     k = n - (len(g) - 1)
     if k < 1:
         raise ValueError("code has no nonzero codewords")

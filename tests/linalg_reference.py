@@ -3,17 +3,18 @@
 These are the int64 kernels the package used before its float64 BLAS
 path: the product is one ``tensordot`` per digit against the reduction
 tensor, and rank is column-by-column Gaussian elimination with field
-inverses taken on ``FieldElement`` objects.  ``_gflinalg`` must agree
-with them exactly.  Below them: the explicit generator and parity-check
-matrices the rank oracle no longer forms, and the conjugate transpose
-two ways: with the Frobenius matrix of ``_gflinalg`` on whole digit
-arrays, and entry by entry on ``FieldElement`` objects.
+inverses taken on ``field_reference.FieldElement`` objects.  The BLAS
+product of ``_gflinalg`` (``_gemm`` reduced mod p) and its rank must
+agree with them exactly.  Below them: the explicit generator and
+parity-check matrices the rank oracle no longer forms, and the conjugate
+transpose two ways: with the Frobenius matrix of ``_gflinalg`` on whole
+digit arrays, and entry by entry on ``FieldElement`` objects.
 """
 
 import numpy as np
 
 from eaqmds._gflinalg import frobenius_matrix, reduction_tensor
-from eaqmds.fields import FieldElement
+from field_reference import object_field
 
 
 def matmul_digits(a, b, field):
@@ -51,7 +52,7 @@ def _columns(a, field):
             pivot = rank + int(nz[0])
             if pivot != rank:
                 a[[rank, pivot]] = a[[pivot, rank]]
-            pe = FieldElement(field, tuple(int(d) for d in a[rank, col]))
+            pe = object_field(field).from_digits(a[rank, col])
             inv = np.asarray(pe.inverse().coeffs, dtype=np.int64)
             a[rank] = (a[rank] @ np.einsum("v,uvw->uw", inv, t)) % p
             below = a[rank + 1:, col]
@@ -120,8 +121,9 @@ def conjugate_transpose_digits(a, field, q):
 def conjugate_transpose(a, field, q):
     """H†: the transpose of a digit matrix, each entry raised to the q-th
     power as a ``FieldElement``."""
+    objects = object_field(field)
     out = np.empty((a.shape[1], a.shape[0], field.degree), dtype=np.int64)
     for i, row in enumerate(a):
         for j, cell in enumerate(row):
-            out[j, i] = (FieldElement(field, tuple(int(d) for d in cell)) ** q).coeffs
+            out[j, i] = (objects.from_digits(cell) ** q).coeffs
     return out

@@ -214,21 +214,22 @@ def test_criterion_5_algebraic_consistency(acceptance_log):
     failures = []
 
     for q, n, case, m, k, alpha in ((11, 61, 2, 1, 2, 1), (13, 85, 1, 1, 3, 1)):
-        subfield, _, lam = code_context(q, n)
+        subfield, tower, lam = code_context(q, n)
         x_n_minus_1 = np.zeros((n + 1, subfield.degree), dtype=np.int64)
         x_n_minus_1[0, 0], x_n_minus_1[n, 0] = subfield.p - 1, 1
         product = x_n_minus_1[n:]     # the constant 1
         for coset in all_cosets(n, (q * q) % n):
-            product = polymul_digits(product, generator_digits(lam, coset), subfield)
+            product = polymul_digits(product, generator_digits(tower, lam, coset),
+                                     subfield)
         if not np.array_equal(product, x_n_minus_1):
             failures.append(("minimal polynomial product", n))
 
         spec = spec_from_q(case, m, q, alpha)
         z = build_defining_set(spec)
-        g = generator_digits(lam, z)
+        g = generator_digits(tower, lam, z)
         if len(g) - 1 != len(z):
             failures.append(("deg g != |Z|", n, len(g) - 1, len(z)))
-        h = generator_digits(lam, z.complement())   # the cosets outside Z
+        h = generator_digits(tower, lam, z.complement())   # the cosets outside Z
         if not np.array_equal(polymul_digits(g, h, subfield), x_n_minus_1):
             failures.append(("g h != x^n - 1", n))
         gmat = generator_matrix_digits(g, n)

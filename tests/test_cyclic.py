@@ -14,7 +14,8 @@ import linalg_reference as ref
 from eaqmds import _gflinalg as gfa
 from eaqmds.cosets import ResidueSet, all_cosets, run_defining_set
 from eaqmds.cyclic import generator_digits
-from eaqmds.fields import GF, embed, nth_root_of_unity, quadratic_extension
+from eaqmds.fields import GF, nth_root_of_unity, quadratic_extension
+from field_reference import embed, object_field
 
 
 def context(q, n):
@@ -24,95 +25,95 @@ def context(q, n):
 
 
 def as_digits(field, coeffs):
-    return cref.digits([field.element(c) for c in coeffs])
+    return cref.digits([object_field(field).element(c) for c in coeffs])
 
 
 def test_polynomial_basics():
-    f = GF(13)
+    f = object_field(GF(13))
     p = [f.element(c) for c in (1, 2, 3)]
     q = [f.element(c) for c in (4, 5)]
     pq = cref.poly_mul(p, q)
     assert pq == [f.element(c) for c in (4, 13, 22, 15)]
-    assert np.array_equal(gfa.polymul_digits(cref.digits(p), cref.digits(q), f),
+    assert np.array_equal(gfa.polymul_digits(cref.digits(p), cref.digits(q), f.field),
                           cref.digits(pq))
     quot, rem = cref.poly_divmod(pq, q)
     assert quot == p and all(c.is_zero() for c in rem)
 
 
 def test_polynomial_division_errors():
-    f = GF(13)
+    f = object_field(GF(13))
     with pytest.raises(ZeroDivisionError):
         cref.poly_divmod([f.one], [f.one, f.zero])
 
 
 def test_minimal_polynomial_zero_coset_is_x_minus_1():
-    sub, _, lam = context(13, 85)
-    mp = generator_digits(lam, ResidueSet.of(85, (0,)))
+    sub, tower, lam = context(13, 85)
+    mp = generator_digits(tower, lam, ResidueSet.of(85, (0,)))
     assert mp.tobytes() == as_digits(sub, [-1, 1]).tobytes()
 
 
 def test_minimal_polynomial_degree_and_subfield():
-    sub, _, lam = context(13, 85)
+    sub, tower, lam = context(13, 85)
     for c in all_cosets(85, 84)[:10]:
-        mp = generator_digits(lam, c)
+        mp = generator_digits(tower, lam, c)
         assert len(mp) - 1 == len(c)
         assert mp[-1].tolist() == [1, 0]     # monic
         # the reference checks that every coefficient lies in GF(q^2)
-        assert mp.tobytes() == cref.digits(cref.generator(lam, c)).tobytes()
+        assert mp.tobytes() == cref.digits(cref.generator(tower, lam, c)).tobytes()
 
 
 def test_minimal_polynomial_rejects_non_coset():
-    _, _, lam = context(13, 85)
+    _, tower, lam = context(13, 85)
     one = ResidueSet.of(85, (1,))   # orbit of 1 is {1, 84}
     with pytest.raises(ValueError):
-        generator_digits(lam, one)
+        generator_digits(tower, lam, one)
     with pytest.raises(ValueError, match="escapes the subfield"):
-        cref.generator(lam, one)
+        cref.generator(tower, lam, one)
 
 
 @pytest.mark.parametrize("q,n", [(13, 85), (11, 61)])
 def test_product_of_all_minimal_polynomials(q, n):
-    sub, _, lam = context(q, n)
+    sub, tower, lam = context(q, n)
     product = as_digits(sub, [1])
     for c in all_cosets(n, (q * q) % n):
-        product = gfa.polymul_digits(product, generator_digits(lam, c), sub)
+        product = gfa.polymul_digits(product, generator_digits(tower, lam, c), sub)
     assert product.tobytes() == cref.digits(cref.x_pow_minus_one(sub, n)).tobytes()
 
 
 def test_generator_polynomial_edges():
-    sub, _, lam = context(13, 85)
-    assert generator_digits(lam, ResidueSet.empty(85)).tolist() == [[1, 0]]
-    assert generator_digits(lam, ResidueSet.of(85, [0])).tobytes() == \
+    sub, tower, lam = context(13, 85)
+    assert generator_digits(tower, lam, ResidueSet.empty(85)).tolist() == [[1, 0]]
+    assert generator_digits(tower, lam, ResidueSet.of(85, [0])).tobytes() == \
         as_digits(sub, [-1, 1]).tobytes()
     with pytest.raises(ValueError):
-        generator_digits(lam, ResidueSet.of(85, [1]))
+        generator_digits(tower, lam, ResidueSet.of(85, [1]))
 
 
 def test_generator_polynomial_case1_q13():
     sub, tower, lam = context(13, 85)
     z = run_defining_set(85, 42, 16)
-    g = generator_digits(lam, z)
+    g = generator_digits(tower, lam, z)
     assert len(g) - 1 == 32 and g[-1].tolist() == [1, 0]
-    assert len(generator_digits(lam, z.complement())) - 1 == 85 - 32
+    assert len(generator_digits(tower, lam, z.complement())) - 1 == 85 - 32
     # every defining-set exponent is a root
     lifted = [embed(c, tower) for c in cref.elements(g, sub)]
     for i in list(z)[:6]:
-        root = lam ** i
-        acc = tower.zero
+        root = object_field(tower).from_digits(lam) ** i
+        acc = object_field(tower).zero
         for c in reversed(lifted):
             acc = acc * root + c
         assert acc.is_zero()
 
 
 def test_check_polynomial():
-    sub, _, lam = context(13, 85)
+    sub, tower, lam = context(13, 85)
     full = cref.digits(cref.x_pow_minus_one(sub, 85))
     everything = ResidueSet.of(85, range(85))
-    assert generator_digits(lam, everything).tobytes() == full.tobytes()
-    assert generator_digits(lam, everything.complement()).tolist() == [[1, 0]]
+    assert generator_digits(tower, lam, everything).tobytes() == full.tobytes()
+    assert generator_digits(tower, lam, everything.complement()).tolist() == [[1, 0]]
     z = run_defining_set(85, 42, 16)
-    g = generator_digits(lam, z)
-    h = generator_digits(lam, z.complement())
+    g = generator_digits(tower, lam, z)
+    h = generator_digits(tower, lam, z.complement())
     assert len(h) - 1 == 53
     assert gfa.polymul_digits(g, h, sub).tobytes() == full.tobytes()
     assert h.tobytes() == cref.digits(cref.check(cref.elements(g, sub), 85)).tobytes()
@@ -121,11 +122,11 @@ def test_check_polynomial():
 
 
 def test_matrices_case1_q13():
-    sub, _, lam = context(13, 85)
+    sub, tower, lam = context(13, 85)
     z = run_defining_set(85, 42, 16)
-    g = generator_digits(lam, z)
+    g = generator_digits(tower, lam, z)
     G = ref.generator_matrix_digits(g, 85)
-    H = ref.parity_check_digits(generator_digits(lam, z.complement()), 85)
+    H = ref.parity_check_digits(generator_digits(tower, lam, z.complement()), 85)
     assert G.shape[:2] == (53, 85)
     assert H.shape[:2] == (32, 85)
     assert not ref.matmul_digits(G, H.transpose(1, 0, 2), sub).any()
@@ -137,8 +138,9 @@ def test_matrices_case1_q13():
 
 
 def test_generator_matrix_cyclicity_witness():
-    sub, _, lam = context(3, 5)
-    G = ref.generator_matrix_digits(generator_digits(lam, ResidueSet.of(5, [1, 4])), 5)
+    sub, tower, lam = context(3, 5)
+    g = generator_digits(tower, lam, ResidueSet.of(5, [1, 4]))
+    G = ref.generator_matrix_digits(g, 5)
     k = len(G)
     for row in G:
         shifted = np.roll(row, 1, axis=0)
@@ -147,15 +149,15 @@ def test_generator_matrix_cyclicity_witness():
 
 
 def test_brute_min_distance_repetition_code():
-    _, _, lam = context(3, 5)
-    g = cref.generator(lam, ResidueSet.of(5, [1, 2, 3, 4]))
+    _, tower, lam = context(3, 5)
+    g = cref.generator(tower, lam, ResidueSet.of(5, [1, 2, 3, 4]))
     assert len(g) - 1 == 4
     assert cref.min_distance(g, 5) == 5
 
 
 def test_brute_min_distance_full_space():
     sub, _, _ = context(3, 5)
-    assert cref.min_distance([sub.one], 5) == 1
+    assert cref.min_distance([object_field(sub).one], 5) == 1
 
 
 @pytest.mark.parametrize("n,reps,designed", [
@@ -165,15 +167,15 @@ def test_brute_min_distance_full_space():
     (10, [0, 1, 2, 3, 4], 6),  # adds C_0; run 0..4
 ])
 def test_bch_bound_cross_check_toys(n, reps, designed):
-    sub, _, lam = context(3, n)
+    sub, tower, lam = context(3, n)
     z = ResidueSet.of(n, [x for i in reps for x in (i, (n - i) % n)])
-    g = generator_digits(lam, z)
+    g = generator_digits(tower, lam, z)
     d = cref.min_distance(cref.elements(g, sub), n)
     assert d >= designed, (reps, d, designed)
 
 
 def test_brute_min_distance_guard():
-    sub, _, lam = context(13, 85)
-    g = generator_digits(lam, run_defining_set(85, 42, 16))
+    sub, tower, lam = context(13, 85)
+    g = generator_digits(tower, lam, run_defining_set(85, 42, 16))
     with pytest.raises(ValueError, match="guard"):   # 169^53 codewords
         cref.min_distance(cref.elements(g, sub), 85)

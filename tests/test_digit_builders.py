@@ -4,8 +4,8 @@ The oracle builds g from Z and h from Z's complement, both as products
 of coset quadratics on digit arrays, and finds its root of unity with a
 primitive-element scan that skips the subfield.  These tests pin both to
 ``cyclic_reference`` (the tower-root product and long division on
-``FieldElement`` lists) and to a full scan, byte for byte, and show that
-faults on the digit path flip or stop the oracle.
+``field_reference.FieldElement`` lists) and to a full scan, byte for
+byte, and show that faults on the digit path flip or stop the oracle.
 """
 
 import numpy as np
@@ -34,14 +34,14 @@ def spec_id(spec):
 @pytest.mark.parametrize("spec", ORACLE_SPECS + [PUBLISHED_421], ids=spec_id)
 def test_digit_builders_match_object_path(spec):
     n = spec.n
-    subfield, _, lam = code_context(spec.q, n)
+    subfield, tower, lam = code_context(spec.q, n)
     z = build_defining_set(spec)
-    g = cref.generator(lam, z)
-    gd = generator_digits(lam, z)
+    g = cref.generator(tower, lam, z)
+    gd = generator_digits(tower, lam, z)
     assert gd.dtype == np.int64
     assert gd.tobytes() == cref.digits(g).tobytes()
     # h from the cosets outside Z against the long division of x^n - 1 by g
-    hd = generator_digits(lam, z.complement())
+    hd = generator_digits(tower, lam, z.complement())
     assert hd.tobytes() == cref.digits(cref.check(g, n)).tobytes()
 
 
@@ -59,68 +59,69 @@ PUBLISHED_LARGE = [spec_from_q(case, m, q, alpha)
 def test_g_times_h_is_x_n_minus_1_on_sweep_and_large_published_codes():
     assert (len(SWEEP_1000), len(PUBLISHED_LARGE)) == (185, 8)
     for spec in SWEEP_1000 + PUBLISHED_LARGE:
-        subfield, _, lam = code_context(spec.q, spec.n)
+        subfield, tower, lam = code_context(spec.q, spec.n)
         z = build_defining_set(spec)
-        g, h = generator_digits(lam, z), generator_digits(lam, z.complement())
+        g = generator_digits(tower, lam, z)
+        h = generator_digits(tower, lam, z.complement())
         x_n_minus_1 = np.zeros((spec.n + 1, subfield.degree), dtype=np.int64)
         x_n_minus_1[0, 0], x_n_minus_1[spec.n, 0] = subfield.p - 1, 1
         assert np.array_equal(gfa.polymul_digits(g, h, subfield), x_n_minus_1), spec
 
 
 def test_generator_digits_rejects_open_set():
-    _, _, lam = code_context(13, 85)
+    _, tower, lam = code_context(13, 85)
     with pytest.raises(ValueError, match="cyclotomic cosets"):
-        generator_digits(lam, ResidueSet.of(85, [1]))
+        generator_digits(tower, lam, ResidueSet.of(85, [1]))
 
 
 def test_generator_digits_rejects_wrong_root():
     # 17 | 13^2 + 1, and {8, 9} is a coset mod 17, but lam has order 85
-    _, _, lam = code_context(13, 85)
+    _, tower, lam = code_context(13, 85)
     with pytest.raises(ValueError, match="root of unity"):
-        generator_digits(lam, ResidueSet.of(17, [8, 9]))
+        generator_digits(tower, lam, ResidueSet.of(17, [8, 9]))
 
 
 def test_generator_digits_rejects_length_without_pair_cosets():
     # 13^2 = 1 mod 7, so the cosets mod 7 are singletons, not {i, n - i}
-    _, _, lam = code_context(13, 85)
+    _, tower, lam = code_context(13, 85)
     with pytest.raises(ValueError, match="not -1"):
-        generator_digits(lam, ResidueSet.of(7, [1]))
+        generator_digits(tower, lam, ResidueSet.of(7, [1]))
 
 
 def test_generator_digits_is_memoized_read_only_and_bounded():
-    _, _, lam = code_context(13, 85)
+    _, tower, lam = code_context(13, 85)
     z = ResidueSet.of(85, [42, 43])
-    gd = generator_digits(lam, z)
-    assert generator_digits(lam, ResidueSet.of(85, [43, 42])) is gd
+    gd = generator_digits(tower, lam, z)
+    assert generator_digits(tower, lam, ResidueSet.of(85, [43, 42])) is gd
     assert not gd.flags.writeable
     assert generator_digits.cache_info().maxsize == 16
 
 
 def test_code_digits_built_once_per_spec_and_read_only():
     spec = FamilySpec(1, 1, 3, 1)
-    _, _, lam = code_context(spec.q, spec.n)
+    _, tower, lam = code_context(spec.q, spec.n)
     z = build_defining_set(spec)
     generator_digits.cache_clear()
     assert entanglement_rank(spec).match
     info = generator_digits.cache_info()
     assert (info.misses, info.hits) == (1, 0)           # one polynomial built ...
-    h = generator_digits(lam, z.complement())
+    h = generator_digits(tower, lam, z.complement())
     info = generator_digits.cache_info()
     assert (info.misses, info.hits) == (1, 1)           # ... and it is h, not g
     assert rank_oracle.generator_parity_orthogonal(spec)
     info = generator_digits.cache_info()
     assert (info.misses, info.hits) == (2, 2)           # G H^T builds g, reuses h
-    g = generator_digits(lam, z)
+    g = generator_digits(tower, lam, z)
     assert len(g) - 1 == len(z) and len(h) - 1 == spec.n - len(z)
     assert not g.flags.writeable and not h.flags.writeable
 
 
 def test_singleton_coset_gives_linear_factor():
     # 0 is its own coset {0}; its minimal polynomial is x - 1
-    _, _, lam = code_context(13, 85)
+    _, tower, lam = code_context(13, 85)
     z = ResidueSet.of(85, [0, 42, 43])
-    gd = generator_digits(lam, z)
-    assert gd.tobytes() == cref.digits(cref.generator(lam, z)).tobytes()
+    gd = generator_digits(tower, lam, z)
+    assert gd.tobytes() == cref.digits(cref.generator(tower, lam, z)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ def test_primitive_scan_skip_matches_full_scan(q):
         j += 1
     assert p**j == q
     tower = quadratic_extension(GF(p, 2 * j))
-    assert find_primitive_element(tower) == full_scan_primitive(tower)
+    assert find_primitive_element(tower) == full_scan_primitive(tower).digits
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +167,12 @@ def test_fault_dropped_row_of_h_flips_match(monkeypatch):
 
 
 def fault_in_h(monkeypatch, fault):
-    """Serve ``fault(lam, set)`` in place of the oracle's h; the complement
-    of Z is the set that holds 0 (Z is a run that never does)."""
+    """Serve ``fault(tower, lam, set)`` in place of the oracle's h; the
+    complement of Z is the set that holds 0 (Z is a run that never does)."""
     build = rank_oracle.generator_digits
     monkeypatch.setattr(rank_oracle, "generator_digits",
-                        lambda lam, z: fault(lam, z) if 0 in z else build(lam, z))
+                        lambda tower, lam, z: fault(tower, lam, z) if 0 in z
+                        else build(tower, lam, z))
 
 
 @pytest.mark.parametrize("pos", [0, 1, 26, 52, 53])
@@ -178,9 +180,9 @@ def test_fault_corrupted_check_coefficient_breaks_orthogonality(monkeypatch, pos
     spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13: deg h = 53
     assert rank_oracle.generator_parity_orthogonal(spec)
 
-    def corrupted(lam, z):
-        h = generator_digits(lam, z).copy()
-        h[pos, 0] = (h[pos, 0] + 1) % lam.field.p
+    def corrupted(tower, lam, z):
+        h = generator_digits(tower, lam, z).copy()
+        h[pos, 0] = (h[pos, 0] + 1) % tower.p
         return h
 
     fault_in_h(monkeypatch, corrupted)
@@ -193,8 +195,8 @@ def test_fault_coset_left_out_of_h_breaks_orthogonality(monkeypatch, rep):
     # g h is then x^n - 1 divided by that coset's minimal polynomial
     spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13, Z = 27 .. 58
     assert rank_oracle.generator_parity_orthogonal(spec)
-    fault_in_h(monkeypatch, lambda lam, z: generator_digits(
-        lam, z.difference(ResidueSet.of(z.n, [rep, -rep]))))
+    fault_in_h(monkeypatch, lambda tower, lam, z: generator_digits(
+        tower, lam, z.difference(ResidueSet.of(z.n, [rep, -rep]))))
     assert not rank_oracle.generator_parity_orthogonal(spec)
 
 

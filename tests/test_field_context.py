@@ -14,11 +14,11 @@ from sympy import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from eaqmds.families import sweep_specs
-from eaqmds.fields import GF, _times_matrix, element_digits, embed, \
-    find_primitive_element, mul_tensor, nth_root_of_unity, prime_power_base, \
-    quadratic_extension
+from eaqmds.fields import GF, _times_matrix, find_primitive_element, mul_tensor, \
+    nth_root_of_unity, prime_power_base, quadratic_extension
 
-from field_reference import full_scan_primitive, quadratic_modulus_reference
+from field_reference import embed, full_scan_primitive, object_field, \
+    quadratic_modulus_reference
 
 SWEEP = list(sweep_specs(5, 250))
 SWEEP_QS = sorted({s.q for s in SWEEP})
@@ -45,14 +45,14 @@ def test_tower_modulus_and_primitive_element_match_object_scan(q):
     sub = subfield_of(q)
     tower = quadratic_extension(sub)
     assert tower.modulus == quadratic_modulus_reference(sub)
-    assert find_primitive_element(tower) == full_scan_primitive(tower, sub.order)
+    assert find_primitive_element(tower) == full_scan_primitive(tower, sub.order).digits
 
 
 @pytest.mark.parametrize("q,n", SWEEP_PAIRS, ids=lambda v: str(v))
 def test_root_of_unity_matches_object_power(q, n):
-    tower = quadratic_extension(subfield_of(q))
-    g = find_primitive_element(tower)
-    lam = nth_root_of_unity(tower, n)
+    tower = object_field(quadratic_extension(subfield_of(q)))
+    g = tower.from_digits(find_primitive_element(tower.field))
+    lam = tower.from_digits(nth_root_of_unity(tower.field, n))
     assert lam == g ** ((tower.order - 1) // n)
     assert lam ** n == tower.one
 
@@ -63,12 +63,22 @@ def test_prime_field_scan_matches_object_scan(p):
     # maps hold Python ints
     f = GF(p)
     assert mul_tensor(f).dtype == (object if p > 2**32 else np.int64)
-    assert find_primitive_element(f) == full_scan_primitive(f)
+    assert find_primitive_element(f) == full_scan_primitive(f).digits
 
 
-@pytest.mark.parametrize("q", SWEEP_QS)
+# (p, e) the sweep never builds: one prime r | e (e = 3, 5, where the
+# search once used root absence), a repeated prime (e = 9), two primes
+# (e = 12), and characteristic 2
+MODULUS_PE = [(2, 3), (2, 5), (2, 12), (3, 3), (7, 3), (3, 5), (3, 9), (3, 12)]
+
+
+def modulus_id(q):
+    return "p{}-e{}".format(*q) if isinstance(q, tuple) else str(q)
+
+
+@pytest.mark.parametrize("q", SWEEP_QS + MODULUS_PE, ids=modulus_id)
 def test_canonical_subfield_modulus_is_first_irreducible(q):
-    sub = subfield_of(q)
+    sub = GF(*q) if isinstance(q, tuple) else subfield_of(q)
     p, e = sub.p, sub.degree
     mod = sub.modulus
     assert len(mod) == e + 1 and mod[-1] == 1
@@ -87,7 +97,8 @@ TOWER_QS = [3, 5, 9, 13, 25, 27, 81, 243]
 
 @st.composite
 def tower_elements(draw, count):
-    tower = quadratic_extension(subfield_of(draw(st.sampled_from(TOWER_QS))))
+    sub = subfield_of(draw(st.sampled_from(TOWER_QS)))
+    tower = object_field(quadratic_extension(sub))
     idx = st.integers(0, tower.order - 1)
     return tower, [tower.from_index(draw(idx)) for _ in range(count)]
 
@@ -112,11 +123,11 @@ def test_tower_field_axioms(drawn):
 def test_multiplication_map_matches_object_product(drawn):
     f, (a, b) = drawn
     p = f.p
-    assert (element_digits(b) @ _times_matrix(a) % p).tolist() == \
-        element_digits(a * b).tolist()
+    assert tuple((np.array(b.digits) @ _times_matrix(a.digits, f.field) % p).tolist()) \
+        == (a * b).digits
     sub = f.base
     x, y = a.coeffs[0], b.coeffs[0]
-    assert (element_digits(y) @ _times_matrix(x) % p).tolist() == \
-        element_digits(x * y).tolist()
-    assert element_digits(embed(x, f))[:len(mul_tensor(sub))].tolist() == \
-        element_digits(x).tolist()
+    assert tuple((np.array(y.digits) @ _times_matrix(x.digits, sub.field) % p).tolist()) \
+        == (x * y).digits
+    dim = len(mul_tensor(sub.field))
+    assert embed(x, f).digits == x.digits + (0,) * dim

@@ -11,8 +11,9 @@ check that trimming each panel to its nonzero rows and columns changes
 nothing; GF(239^2) and GF(251), the largest p of the sweep, carry the
 largest unreduced digits inside a panel, and the elimination is exact at
 the largest p its int64 guard admits.  The table of pivot inverse maps
-must agree with ``FieldElement.inverse`` on every unit, and one wrong
-entry in it must break the panel states and flip the oracle.
+must agree with the reference ``FieldElement.inverse`` on every unit,
+and one wrong entry in it must break the panel states and flip the
+oracle.  The product under test is ``_gemm`` reduced mod p.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_s
 from eaqmds.fields import GF
 from eaqmds.rank_oracle import code_context, entanglement_rank, gram_digits
 from eaqmds.cyclic import generator_digits
+from field_reference import object_field
 
 FIELDS = [GF(2), GF(13), GF(83), GF(251), GF(3, 2), GF(13, 2), GF(29, 2),
           GF(83, 2), GF(239, 2), GF(3, 6)]
@@ -47,6 +49,11 @@ def low_rank(field, rows, cols, t, seed):
     return ref.matmul_digits(a, b, field)
 
 
+def blas_product(a, b, field):
+    """The float64 BLAS product of reduced digit matrices, reduced mod p."""
+    return gfa._gemm(a, b, field) % field.p
+
+
 def is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
@@ -60,7 +67,7 @@ def is_prime(n):
 def test_product_matches_reference(field, rows, inner, cols, seed):
     a = random_digits(field, (rows, inner), seed)
     b = random_digits(field, (inner, cols), seed + 1)
-    out = gfa.matmul_digits(a, b, field)
+    out = blas_product(a, b, field)
     assert out.dtype == np.int64
     assert np.array_equal(out, ref.matmul_digits(a, b, field))
 
@@ -70,7 +77,7 @@ def test_product_matches_reference(field, rows, inner, cols, seed):
 def test_product_of_all_max_digits(field, rows, inner, cols):
     a = np.full((rows, inner, field.degree), field.p - 1, dtype=np.int64)
     b = np.full((inner, cols, field.degree), field.p - 1, dtype=np.int64)
-    assert np.array_equal(gfa.matmul_digits(a, b, field),
+    assert np.array_equal(blas_product(a, b, field),
                           ref.matmul_digits(a, b, field))
 
 
@@ -86,11 +93,11 @@ def test_product_exact_at_the_float64_edge(inner, rows, cols):
     field = GF(p)
     a = np.full((rows, inner, 1), p - 1, dtype=np.int64)
     b = np.full((inner, cols, 1), p - 1, dtype=np.int64)
-    out = gfa.matmul_digits(a, b, field)
+    out = blas_product(a, b, field)
     assert (out == inner % p).all()
     assert np.array_equal(out, ref.matmul_digits(a, b, field))
     with pytest.raises(ValueError, match=r"2\^53"):
-        gfa.matmul_digits(np.concatenate([a, a[:, :1]], axis=1),
+        blas_product(np.concatenate([a, a[:, :1]], axis=1),
                           np.concatenate([b, b[:1]], axis=0), field)
 
 
@@ -98,21 +105,22 @@ def test_exactness_guard_names_the_float64_bound():
     field = GF(134217757, 1)
     one = np.ones((1, 1, 1), dtype=np.int64)
     with pytest.raises(ValueError, match=r"float64.*2\^53"):
-        gfa.matmul_digits(one, one, field)
+        blas_product(one, one, field)
 
 
 def test_product_reduces_digits_outside_the_range():
     field = GF(13, 2)
     a = random_digits(field, (5, 6), 1)
     b = random_digits(field, (6, 4), 2)
-    shifted = gfa.matmul_digits(a - 13, b + 26, field)
+    shifted = blas_product(gfa._reduced(a - 13, 13), gfa._reduced(b + 26, 13), field)
     assert np.array_equal(shifted, ref.matmul_digits(a, b, field))
+    assert gfa._reduced(a, 13) is a
 
 
 def test_product_rejects_incompatible_shapes():
     field = GF(13, 2)
     with pytest.raises(ValueError, match="incompatible"):
-        gfa.matmul_digits(random_digits(field, (2, 3), 0),
+        blas_product(random_digits(field, (2, 3), 0),
                           random_digits(field, (4, 2), 0), field)
 
 
@@ -246,20 +254,21 @@ def test_product_with_many_rows_and_small_inner(field, rows, inner, cols, seed):
     # the Schur updates' shape: rows >> inner, so chunks are wide
     a = random_digits(field, (rows, inner), seed)
     b = random_digits(field, (inner, cols), seed + 1)
-    assert np.array_equal(gfa.matmul_digits(a, b, field),
+    assert np.array_equal(blas_product(a, b, field),
                           ref.matmul_digits(a, b, field))
 
 
 def assert_inverse_maps(field):
     """Each unit c's entry is the map x -> x c^-1, row u the digits of
-    x^u c^-1 by ``FieldElement`` arithmetic; entry 0 is zero."""
+    x^u c^-1 by reference ``FieldElement`` arithmetic; entry 0 is zero."""
     table = gfa.inverse_table(field)
     index = field.p ** np.arange(field.degree)
-    basis = [field.from_index(field.p**u) if field.degree > 1 else field.one
+    objects = object_field(field)
+    basis = [objects.from_index(field.p**u) if field.degree > 1 else objects.one
              for u in range(field.degree)]
     assert not table[0].any()
     for i in range(1, field.order):
-        x = field.from_index(i)
+        x = objects.from_index(i)
         inv = x.inverse()
         entry = table[int(np.asarray(x.coeffs, dtype=np.int64) @ index)]
         assert tuple(entry[0].tolist()) == inv.coeffs
@@ -284,7 +293,7 @@ def test_frobenius_matrix_matches_element_power(field, q):
     # every element (at most 512) or 512 spread ones against FieldElement ** q
     frob = gfa.frobenius_matrix(field, q)
     for i in range(0, field.order, max(1, field.order // 512)):
-        x = field.from_index(i)
+        x = object_field(field).from_index(i)
         image = np.asarray(x.coeffs, dtype=np.int64) @ frob.T % field.p
         assert tuple(image.tolist()) == (x ** q).coeffs
 
@@ -366,9 +375,9 @@ PUBLISHED_421 = spec_from_q(3, 1, 29, 3)   # [[421,129,189;84]]_29
 
 
 def hh_dagger(spec):
-    subfield, _, lam = code_context(spec.q, spec.n)
+    subfield, tower, lam = code_context(spec.q, spec.n)
     hd = parity_check_digits(
-        generator_digits(lam, build_defining_set(spec).complement()), spec.n)
+        generator_digits(tower, lam, build_defining_set(spec).complement()), spec.n)
     hdag = ref.conjugate_transpose_digits(hd, subfield, spec.q)
     return hd, hdag, subfield
 
@@ -376,7 +385,7 @@ def hh_dagger(spec):
 def test_oracle_products_and_ranks_match_reference():
     for spec in ORACLE_SPECS + [PUBLISHED_421]:
         hd, hdag, f = hh_dagger(spec)
-        product = gfa.matmul_digits(hd, hdag, f)
+        product = blas_product(hd, hdag, f)
         assert np.array_equal(product, ref.matmul_digits(hd, hdag, f)), spec
         assert gfa.rank_digits(product, f) == ref.rank_digits(product, f), spec
 
@@ -384,14 +393,14 @@ def test_oracle_products_and_ranks_match_reference():
 def test_oracle_panels_leave_the_column_loop_state():
     spec = ORACLE_SPECS[0]
     hd, hdag, f = hh_dagger(spec)
-    assert_panel_states_match(gfa.matmul_digits(hd, hdag, f), f)
+    assert_panel_states_match(blas_product(hd, hdag, f), f)
 
 
 def test_oracle_gram_panels_leave_the_column_loop_state():
     # the banded Hermitian Toeplitz matrices the oracle eliminates
     for spec in ORACLE_SPECS:
-        subfield, _, lam = code_context(spec.q, spec.n)
-        h = generator_digits(lam, build_defining_set(spec).complement())
+        subfield, tower, lam = code_context(spec.q, spec.n)
+        h = generator_digits(tower, lam, build_defining_set(spec).complement())
         assert_panel_states_match(gram_digits(h, subfield, spec.q, spec.n), subfield)
 
 
@@ -411,8 +420,8 @@ def corrupt_inverse(monkeypatch, field, index, replacement):
 
 def test_fault_wrong_pivot_inverse_breaks_panel_states(monkeypatch):
     spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13
-    subfield, _, lam = code_context(spec.q, spec.n)
-    h = generator_digits(lam, build_defining_set(spec).complement())
+    subfield, tower, lam = code_context(spec.q, spec.n)
+    h = generator_digits(tower, lam, build_defining_set(spec).complement())
     a = gram_digits(h, subfield, spec.q, spec.n)
     assert_panel_states_match(a, subfield)
     # the first pivot is the diagonal entry 10 of GF(13) in GF(169); the

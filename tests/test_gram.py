@@ -140,11 +140,12 @@ def test_spec_lists():
 
 def test_gram_matches_product_on_sweep_and_published_codes():
     for spec in SWEEP_300 + PUBLISHED_421:
-        field, lam, z = rank_oracle._code(spec)
-        h = generator_digits(lam, z.complement())
+        tower, lam, z = rank_oracle._code(spec)
+        field = tower.base
+        h = generator_digits(tower, lam, z.complement())
         hd = ref.parity_check_digits(h, spec.n)
         hdag = ref.conjugate_transpose_digits(hd, field, spec.q)
-        expected = gfa.matmul_digits(hd, hdag, field)
+        expected = gfa._gemm(hd, hdag, field) % field.p
         assert gram_digits(h, field, spec.q, spec.n).tobytes() == expected.tobytes(), spec
 
 
@@ -183,8 +184,10 @@ ORACLE_SPECS = [s for s in sweep_specs(5, 250) if s.n <= 150]
 def test_g_h_check_matches_explicit_g_ht_on_oracle_specs():
     assert len(ORACLE_SPECS) == 29
     for spec in ORACLE_SPECS:
-        field, lam, z = rank_oracle._code(spec)
-        g, h = generator_digits(lam, z), generator_digits(lam, z.complement())
+        tower, lam, z = rank_oracle._code(spec)
+        field = tower.base
+        g = generator_digits(tower, lam, z)
+        h = generator_digits(tower, lam, z.complement())
         assert not explicit_g_ht(g, h, field, spec.n).any(), spec
         assert rank_oracle.generator_parity_orthogonal(spec), spec
         bad = h.copy()
