@@ -47,8 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, _matrix_power, _times_matrix, find_primitive_element, \
-    mul_tensor
+from .fields import Field, _matrix_power, _power_table, _times_matrix, \
+    find_primitive_element, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
 _CHUNK_FLOATS = 1 << 15     # float64 entries per chunk of a _gemm factor or product
@@ -72,10 +72,12 @@ def frobenius_matrix(field: Field, q: int) -> np.ndarray:
 
     Column i holds the digits of b_i^q, b_i = x^i the i-th basis element:
     row 0 (the digits of 1) of the q-th power of b_i's multiplication map.
-    So conj(a) = a @ M.T on a digit array a.
+    So conj(a) = a @ M.T on a digit array a.  Cached and read-only.
     """
     _require_flat(field)
-    return _matrix_power(mul_tensor(field), q, field.p)[:, 0].T
+    frob = _matrix_power(mul_tensor(field), q, field.p)[:, 0].T
+    frob.flags.writeable = False
+    return frob
 
 
 @lru_cache(maxsize=None)
@@ -84,23 +86,14 @@ def inverse_table(field: Field) -> np.ndarray:
     of a unit c, the map x -> x c^-1 (``fields._times_matrix`` of c^-1).
 
     Built once per field from the powers g^j of the canonical primitive
-    element, by doubling on its multiplication map: the block g^[m, 2m)
-    is the block g^[0, m) times the map of g^m.  The entry at index(g^j)
-    then holds the map of g^-j, whose row 0 is the digits of g^-j.  Entry
-    0 (zero has no inverse) stays zero and is never read.  The table
-    holds order*e^2 int64 digits.
+    element (``fields._power_table``).  The entry at index(g^j) holds the
+    map of g^-j, whose row 0 is the digits of g^-j.  Entry 0 (zero has no
+    inverse) stays zero and is never read.  The table holds order*e^2
+    int64 digits.
     """
     _require_flat(field)
     p, e, units = field.p, field.degree, field.order - 1
-    powers = np.zeros((units, e), dtype=np.int64)
-    powers[0, 0] = 1
-    step = _times_matrix(find_primitive_element(field), field)
-    done = 1
-    while done < units:
-        span = min(done, units - done)
-        powers[done:done + span] = powers[:span] @ step % p
-        step = step @ step % p
-        done += span
+    powers = _power_table(find_primitive_element(field), field, units)
     table = np.zeros((field.order, e, e), dtype=np.int64)
     inverses = powers[-np.arange(units) % units]
     table[powers @ p ** np.arange(e)] = _times_matrix(inverses, field)

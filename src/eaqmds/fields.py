@@ -12,7 +12,8 @@ membership is a zero-top-half test and projection is exact.
 On digit row vectors the map x -> x a is a GF(p)-linear matrix
 (``_times_matrix``, read off the multiplication tensor ``mul_tensor``),
 so a product is a vector-matrix product and a^k is row 0 of that matrix
-to the k-th power.  Every search here runs on such maps.
+to the k-th power; a run of powers a^0 ... a^(count-1) is one table built
+by doubling (``_power_table``).  Every search here runs on such maps.
 
 Moduli and primitive elements are chosen canonically (smallest candidate
 in the counting order where the constant coefficient is the least
@@ -27,21 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 
-def is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x % 2 == 0:
-        return x == 2
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(x: int) -> tuple[int, ...]:
-    """Distinct prime factors of x, ascending."""
+    """Distinct prime factors of x, ascending; () for x < 2."""
     out = []
     f = 2
     while f * f <= x:
@@ -55,19 +43,14 @@ def prime_factors(x: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_prime(x: int) -> bool:
+    return prime_factors(x) == (x,)
+
+
 def prime_power_base(x: int) -> int | None:
     """Return p if x = p^j for a prime p and j >= 1, else None."""
-    if x < 2:
-        return None
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            y = x
-            while y % f == 0:
-                y //= f
-            return f if y == 1 else None
-        f += 1 if f == 2 else 2
-    return x  # x itself is prime
+    factors = prime_factors(x)
+    return factors[0] if len(factors) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -130,6 +113,7 @@ def mul_tensor(field: Field) -> np.ndarray:
     (I_t (x) S[k]) Y^i, with Y the block companion matrix of y.  Entries
     lie in [0, p); the dtype is int64 while dim * (p-1)^2 < 2^63, so
     every product of two maps is exact, and Python ints beyond that.
+    Cached and read-only.
     """
     p, t = field.p, field.degree
     base = np.ones((1, 1, 1), dtype=np.int64)
@@ -138,17 +122,20 @@ def mul_tensor(field: Field) -> np.ndarray:
     d = len(base)
     dtype = np.int64 if t * d * (p - 1) ** 2 < 2**63 else object
     if field.base is None and t == 1:
-        return base.astype(dtype)
-    y = np.zeros((t * d, t * d), dtype=dtype)
-    y[:-d, d:] = np.eye((t - 1) * d, dtype=dtype)
-    for j, digits in enumerate(_index_digits(field.modulus[:t], p, d)):
-        y[-d:, j * d:(j + 1) * d] = -np.tensordot(digits, base, 1) % p
-    lifted = [np.kron(np.eye(t, dtype=dtype), s) for s in base]
-    maps, y_i = [], np.eye(t * d, dtype=dtype)
-    for _ in range(t):
-        maps.extend(s @ y_i % p for s in lifted)
-        y_i = y_i @ y % p
-    return np.stack(maps)
+        maps = base.astype(dtype)
+    else:
+        y = np.zeros((t * d, t * d), dtype=dtype)
+        y[:-d, d:] = np.eye((t - 1) * d, dtype=dtype)
+        for j, digits in enumerate(_index_digits(field.modulus[:t], p, d)):
+            y[-d:, j * d:(j + 1) * d] = -np.tensordot(digits, base, 1) % p
+        lifted = [np.kron(np.eye(t, dtype=dtype), s) for s in base]
+        maps, y_i = [], np.eye(t * d, dtype=dtype)
+        for _ in range(t):
+            maps.extend(s @ y_i % p for s in lifted)
+            y_i = y_i @ y % p
+        maps = np.stack(maps)
+    maps.flags.writeable = False
+    return maps
 
 
 def _times_matrix(a, field: Field) -> np.ndarray:
@@ -170,6 +157,21 @@ def _matrix_power(m: np.ndarray, k: int, p: int) -> np.ndarray:
         k >>= 1
         if k:
             m = m @ m % p
+    return out
+
+
+def _power_table(a, field: Field, count: int) -> np.ndarray:
+    """(count, dim) digits of a^0 ... a^(count-1), count >= 1, by doubling
+    on a's map M: the block a^[m, 2m) is the block a^[0, m) times M^m."""
+    p, step = field.p, _times_matrix(a, field)
+    out = np.zeros((count, len(step)), dtype=np.int64)
+    out[0, 0] = 1
+    done = 1
+    while done < count:
+        span = min(done, count - done)
+        out[done:done + span] = out[:span] @ step % p
+        step = step @ step % p
+        done += span
     return out
 
 

@@ -201,10 +201,16 @@ def test_fault_coset_left_out_of_h_breaks_orthogonality(monkeypatch, rep):
 
 
 def test_fault_corrupted_trace_escapes_subfield(monkeypatch):
+    # a power table with row i mirrored to row min(i, n - i) reads lam^-i
+    # as lam^i, so Tr_i becomes 2 lam^i, which lies outside GF(q^2)
     spec = FamilySpec(1, 1, 3, 1)
-    walk = cyclic._root_pairs
+    table = cyclic._power_table
+
+    def mirrored(a, field, count):
+        i = np.arange(count)
+        return table(a, field, count)[np.minimum(i, -i % count)]
+
     cyclic.generator_digits.cache_clear()    # h is memoized; rebuild it under the fault
-    monkeypatch.setattr(cyclic, "_root_pairs",
-                        lambda *args: ((up, up) for up, _ in walk(*args)))
+    monkeypatch.setattr(cyclic, "_power_table", mirrored)
     with pytest.raises(ValueError, match="escapes the subfield"):
         entanglement_rank(spec)

@@ -14,8 +14,9 @@ from sympy import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from eaqmds.families import sweep_specs
-from eaqmds.fields import GF, _times_matrix, find_primitive_element, mul_tensor, \
-    nth_root_of_unity, prime_power_base, quadratic_extension
+from eaqmds.fields import GF, _matrix_power, _power_table, _times_matrix, \
+    find_primitive_element, mul_tensor, nth_root_of_unity, prime_power_base, \
+    quadratic_extension
 
 from field_reference import embed, full_scan_primitive, object_field, \
     quadratic_modulus_reference
@@ -64,6 +65,28 @@ def test_prime_field_scan_matches_object_scan(p):
     f = GF(p)
     assert mul_tensor(f).dtype == (object if p > 2**32 else np.int64)
     assert find_primitive_element(f) == full_scan_primitive(f).digits
+
+
+TOWER_13 = quadratic_extension(GF(13, 2))
+POWER_BASES = {           # the primitive elements, and lam of the [[85, ...]]_13 codes
+    "GF(13^2)": (GF(13, 2), find_primitive_element(GF(13, 2))),
+    "GF(3^6)": (GF(3, 6), find_primitive_element(GF(3, 6))),
+    "GF(13^4)": (TOWER_13, find_primitive_element(TOWER_13)),
+    "GF(13^4)-lam85": (TOWER_13, nth_root_of_unity(TOWER_13, 85)),
+}
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 85])
+@pytest.mark.parametrize("name", POWER_BASES)
+def test_power_table_matches_matrix_powers(name, count):
+    # the doubling table behind inverse_table and generator_digits: row k
+    # against row 0 of the k-th power of a's map, block boundaries included
+    f, a = POWER_BASES[name]
+    table = _power_table(a, f, count)
+    assert table.shape == (count, len(mul_tensor(f))) and table.dtype == np.int64
+    step = _times_matrix(a, f)
+    for k in range(count):
+        assert np.array_equal(table[k], _matrix_power(step, k, f.p)[0]), k
 
 
 # (p, e) the sweep never builds: one prime r | e (e = 3, 5, where the

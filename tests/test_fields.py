@@ -9,6 +9,7 @@ tests compare against.
 import random
 
 import pytest
+import sympy
 
 from eaqmds.fields import (
     GF,
@@ -232,6 +233,13 @@ def test_higher_degree_modulus_is_irreducible():
 
 def test_number_theory_helpers():
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(49)
+    # both read the one trial-division loop of prime_factors
+    for x in list(range(-3, 5000)) + [4294967311]:
+        assert is_prime(x) == sympy.isprime(x), x
+        factors = sympy.factorint(x) if x > 0 else {}
+        assert prime_factors(x) == tuple(sorted(factors)), x
+        expected = next(iter(factors)) if len(factors) == 1 else None
+        assert prime_power_base(x) == expected, x
     assert prime_factors(28560) == (2, 3, 5, 7, 17)
     assert prime_power_base(27) == 3
     assert prime_power_base(13) == 13

@@ -24,7 +24,7 @@ import linalg_reference as ref
 from linalg_reference import parity_check_digits
 from eaqmds import _gflinalg as gfa
 from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
-from eaqmds.fields import GF
+from eaqmds.fields import GF, mul_tensor
 from eaqmds.rank_oracle import code_context, entanglement_rank, gram_digits
 from eaqmds.cyclic import generator_digits
 from field_reference import object_field
@@ -298,17 +298,28 @@ def test_frobenius_matrix_matches_element_power(field, q):
         assert tuple(image.tolist()) == (x ** q).coeffs
 
 
-def test_inverse_table_is_read_only_and_built_once():
+# the cached tables of GF(13^2), with their shapes: a write into one would
+# corrupt each later use over that field
+CACHED_TABLES = {
+    "inverse_table": (gfa.inverse_table, (), (169, 2, 2)),
+    "mul_tensor": (mul_tensor, (), (2, 2, 2)),
+    "frobenius_matrix": (gfa.frobenius_matrix, (13,), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CACHED_TABLES)
+def test_cached_table_is_read_only_and_built_once(name):
+    build, args, shape = CACHED_TABLES[name]
     field = GF(13, 2)
-    gfa.inverse_table.cache_clear()
-    table = gfa.inverse_table(field)
-    assert gfa.inverse_table(field) is table
-    info = gfa.inverse_table.cache_info()
+    build.cache_clear()
+    table = build(field, *args)
+    assert build(field, *args) is table
+    info = build.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert table.shape == (field.order, field.degree, field.degree)
+    assert table.shape == shape
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        table[1, 0, 0] = 0
+        table[(1,) + (0,) * (len(shape) - 1)] = 0
 
 
 class PowerInverses:
