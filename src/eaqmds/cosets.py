@@ -9,10 +9,11 @@ coset closure, the -q image and the decomposition are whole-mask numpy
 operations; the sorted member tuple, the frozenset and the int64 member
 array are views derived on first use.
 
-The kernels multiply members (all below n) by q or by a coset multiplier
-in int64, so they require q*n < 2^63 and raise ``OverflowError``
-otherwise.  For the family lengths n = (q^2+1)/(m^2+1) the products reach
-about q^3/2, which stays inside int64 far past q = 10^5.
+The kernels multiply members (all below n) by q or by a coset multiplier,
+so the products stay below |factor| * n.  They compute in int32 when that
+bound is under 2^31 and in int64 otherwise; past 2^63 they raise
+``OverflowError``.  For the family lengths n = (q^2+1)/(m^2+1) the bound
+is about q^3/2: int32 up to q = 1 600 or so, int64 far past q = 10^5.
 """
 
 from __future__ import annotations
@@ -25,19 +26,28 @@ import numpy as np
 
 
 def _times_mod(arr: np.ndarray, factor: int, n: int) -> np.ndarray:
-    """(arr * factor) mod n in [0, n), exactly, for int64 members below n.
+    """(arr * factor) mod n in [0, n), exactly, for members 0 <= x < n.
 
-    The products stay below |factor| * n, which must be under 2^63.  The
-    reduction is spelled x - (x // n) * n because numpy divides by a
-    scalar with a multiply-and-shift, about twice as fast as its remainder.
+    The products stay below |factor| * n.  Under 2^31 they are computed in
+    int32, where numpy's division is about twice as fast; otherwise in
+    int64, and past 2^63 the call is refused.  One fresh array is
+    multiplied and reduced in place; the reduction is spelled
+    x - (x // n) * n because numpy divides by a scalar with a
+    multiply-and-shift, about twice as fast as its remainder.  The result
+    is returned as intp, since every caller indexes a mask with it and
+    numpy would otherwise convert an int32 index array on each use.
     """
-    if abs(factor) * n >= 2 ** 63:
+    bound = abs(factor) * n
+    if bound >= 2 ** 63:
         raise OverflowError(
             f"residue products reach {abs(factor)} * {n} >= 2^63; "
             "the int64 mask kernels require q*n < 2^63")
-    x = arr * factor
-    x -= (x // n) * n
-    return x
+    x = arr.astype(np.int32 if bound < 2 ** 31 else np.int64)
+    x *= factor
+    t = x // n
+    t *= n
+    x -= t
+    return x.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True, eq=False)

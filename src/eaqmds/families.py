@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import prime_power_base
-from .cosets import ResidueSet, decompose, neg_q_image, run_defining_set
+from .cosets import (ResidueSet, _times_mod, decompose, neg_q_image,
+                     run_defining_set)
 
 CASES = (1, 2, 3, 4)
 
@@ -220,21 +221,32 @@ def ea_params(spec: FamilySpec) -> EAParams:
 # piecewise coset unions; they appear nowhere else in the API.
 
 
-def _mark(mask: np.ndarray, q: int, lo: int, hi: int, umax: int,
-          thresh: int | None = None) -> None:
-    """Mark the cosets {idx, n - idx} of idx = uq + v for lo <= v <= hi.
+def _mark(n: int, q: int, blocks, thresh: int | None = None) -> ResidueSet:
+    """The union of the cosets {idx, n - idx} of idx = uq + v over all blocks.
 
-    u runs over 0..umax while v <= thresh (every v when thresh is None)
-    and over 0..umax-1 beyond it.
+    Each block is a triple (lo, hi, umax): v runs over lo..hi, and u over
+    0..umax while v <= thresh (every v when thresh is None) and over
+    0..umax-1 beyond it.  All blocks of a union are marked in one pass:
+    their v ranges are concatenated, and each v carries its own u bound.
+    Only the length-(umax+1) table uq mod n and the concatenated v mod n
+    are reduced with ``%``; their sum lies in [0, 2n), so one conditional
+    subtract reduces the grid, in int32 when 2n < 2^31.  The mirror n - idx
+    is the index -idx, which sends 0 to 0.
     """
-    n = mask.size
-    v = np.arange(lo, hi + 1, dtype=np.int64)
-    u = np.arange(umax + 1, dtype=np.int64)[:, None]
-    idx = (u * q + v) % n
+    v = np.concatenate([np.arange(lo, hi + 1) for lo, hi, _ in blocks])
+    v_umax = np.repeat([umax for _, _, umax in blocks],
+                       [max(hi - lo + 1, 0) for lo, hi, _ in blocks])
     if thresh is not None:
-        idx = idx[u <= np.where(v <= thresh, umax, umax - 1)]
+        v_umax -= v > thresh
+    dtype = np.int32 if 2 * n < 2 ** 31 else np.int64
+    u = np.arange(max(umax for _, _, umax in blocks) + 1)
+    idx = ((u * q) % n).astype(dtype)[:, None] + (v % n).astype(dtype)
+    np.subtract(idx, n, out=idx, where=idx >= n)
+    idx = idx[u[:, None] <= v_umax].astype(np.intp, copy=False)
+    mask = np.zeros(n, dtype=np.bool_)
     mask[idx] = True
-    mask[(n - idx) % n] = True
+    mask[-idx] = True
+    return ResidueSet.from_mask(n, mask)
 
 
 def build_T1(spec: FamilySpec) -> ResidueSet:
@@ -245,7 +257,7 @@ def build_T1(spec: FamilySpec) -> ResidueSet:
     """
     case, m, k, alpha = spec.case, spec.m, spec.k, spec.alpha
     a, q, n, s = spec.a, spec.q, spec.n, spec.s
-    out = np.zeros(n, dtype=np.bool_)
+    blocks = []
 
     if case in (1, 4):
         # odd t from -m to (2m-1)m in blocks of 2m; h steps by block
@@ -256,7 +268,7 @@ def build_T1(spec: FamilySpec) -> ResidueSet:
             h = block if case == 1 else 3 - block
             lo = s + (m + t) * kk + h + alpha
             hi = s + (m + t + 2) * kk + (h - 1 if case == 1 else h - 3) - alpha
-            _mark(out, q, lo, hi, alpha, thresh)
+            blocks.append((lo, hi, alpha))
     else:
         # h from 1 to m; t ranges (h-1)m + g1 .. hm - g2 split around (m+1)/2
         if case == 2:
@@ -277,39 +289,38 @@ def build_T1(spec: FamilySpec) -> ResidueSet:
                 else:
                     lo = s + t * (2 * k + 1) + (2 - h) + alpha
                     hi = s + t * (2 * k + 1) + 2 * k - (h - 1) - alpha
-                _mark(out, q, lo, hi, alpha, thresh)
+                blocks.append((lo, hi, alpha))
 
-    return ResidueSet.from_mask(n, out)
+    return _mark(n, q, blocks, thresh)
 
 
 def _t1_prime_case1(spec: FamilySpec) -> ResidueSet:
     """Case 1's explicit T1' union (elsewhere T1' is obtained as Z1)."""
     m, k, alpha = spec.m, spec.k, spec.alpha
     a, q, n, s = spec.a, spec.q, spec.n, spec.s
-    out = np.zeros(n, dtype=np.bool_)
 
-    _mark(out, q, s + 1, s + alpha, alpha)
+    blocks = [(s + 1, s + alpha, alpha)]
 
     for t in range(1, (m - 1) // 2 + 1):
-        _mark(out, q, s + 2 * t * k + 1 - alpha, s + 2 * t * k + alpha, alpha)
+        blocks.append((s + 2 * t * k + 1 - alpha, s + 2 * t * k + alpha, alpha))
 
     for f in range(1, 2 * m, 2):
         for t in range((f * m + 3) // 2, ((f + 2) * m - 1) // 2 + 1):
             lo = s + 2 * t * k + (f + 3) // 2 - alpha
             hi = s + 2 * t * k + (f + 1) // 2 + alpha
-            _mark(out, q, lo, hi, alpha - 1)
+            blocks.append((lo, hi, alpha - 1))
 
     for t in range(((2 * m - 1) * m + 3) // 2, m * m + 1):
-        _mark(out, q, s + 2 * t * k + m + 1 - alpha, s + 2 * t * k + m + alpha,
-              alpha - 1)
+        blocks.append((s + 2 * t * k + m + 1 - alpha, s + 2 * t * k + m + alpha,
+                       alpha - 1))
 
-    _mark(out, q, s + 2 * a * k + m + 1 - alpha, s + q, alpha - 1)
+    blocks.append((s + 2 * a * k + m + 1 - alpha, s + q, alpha - 1))
 
     for g in range(1, 2 * m, 2):
         mid = s + (g * m + 1) * k + (g + 1) // 2
-        _mark(out, q, mid - alpha, mid + alpha, alpha - 1)
+        blocks.append((mid - alpha, mid + alpha, alpha - 1))
 
-    return ResidueSet.from_mask(n, out)
+    return _mark(n, q, blocks)
 
 
 def build_T1_prime(spec: FamilySpec) -> ResidueSet:
@@ -380,7 +391,7 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
         "defining_set_size": len(z) == 2 * cf.delta,
         "consecutive_run": z.is_consecutive_run(),
         "entanglement_closed_form": len(z1) == cf.c,
-        "t1_disjoint": not (t1.mask & neg_q_image(n, q, t1).mask).any(),
+        "t1_disjoint": not t1.mask[_times_mod(t1.array, -q, n)].any(),
         "t1_prime_stable": neg_q_image(n, q, t1p) == t1p,
         "t1_partition": np.array_equal(t1.mask | t1p.mask, z.mask)
         and not (t1.mask & t1p.mask).any(),

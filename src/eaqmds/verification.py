@@ -23,15 +23,32 @@ def coset_identity_holds(q: int, n: int) -> bool:
     Works on raw residues over the whole q x q grid of (u, v) at once:
     with i = uq + v, x = -qi and w = vq - u mod n, both sides are the
     two-element orbits {x, n-x} and {w, n-w}, which agree exactly when
-    w = x or w = n - x.  Cells with i = 0 are skipped.  Nothing here leans
-    on the coset machinery being correct.
+    w = x or w + x = n.  Cells with i = 0 are skipped.
+
+    Only four length-q tables are reduced with ``%``: uq, -q(uq), -qv and
+    u, each mod n.  Every grid term is a sum or difference of two table
+    entries in [0, n), so one conditional subtract or add of n brings it
+    back into [0, n); the grid sums stay below 2n and run in int32 when
+    2n < 2^31.  The grid is built from u and v alone, with plain modular
+    arithmetic: nothing uses q^2 = -1 mod n, which would make the check
+    a tautology, and nothing leans on the coset machinery being correct.
     """
     r = np.arange(q, dtype=np.int64)
-    u, v = r[:, None], r[None, :]
-    i = (u * q + v) % n
-    x = (-q * i) % n
-    w = (v * q - u) % n
-    return bool(((i == 0) | (w == x) | (w == (n - x) % n)).all())
+    rq = (r * q) % n
+    dtype = np.int32 if 2 * n < 2 ** 31 else np.int64
+    rq, neg_q_rq, neg_q_r, r = (t.astype(dtype) for t in (
+        rq, (-q * rq) % n, (-q * r) % n, r % n))
+    # rows are u, columns v: i = uq + v, x = -q(uq) - qv, w = vq - u
+    i = rq[:, None] + r
+    np.subtract(i, n, out=i, where=i >= n)
+    x = neg_q_rq[:, None] + neg_q_r
+    np.subtract(x, n, out=x, where=x >= n)
+    w = rq - r[:, None]
+    np.add(w, n, out=w, where=w < 0)
+    ok = w == x
+    ok |= w + x == n
+    ok |= i == 0
+    return bool(ok.all())
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Set-and-loop reference versions of the residue kernels.
 
 These are the plain-Python forms of ``cosets.is_coset_closed``,
-``cosets.neg_q_image``, ``cosets.decompose`` and
+``cosets.neg_q_image``, ``cosets.decompose``, ``families._mark`` and
 ``verification.coset_identity_holds``: one residue at a time, on Python
 sets and tuples.  The mask kernels in ``src/`` are tested against them.
 """
@@ -41,3 +41,19 @@ def coset_identity_holds(q: int, n: int) -> bool:
             if left != right:
                 return False
     return True
+
+
+def mark(n: int, q: int, blocks, thresh=None) -> set[int]:
+    """The cosets {idx, n - idx} of idx = uq + v over (lo, hi, umax) blocks.
+
+    v runs over lo..hi; u over 0..umax while v <= thresh (every v when
+    thresh is None) and over 0..umax-1 beyond it.
+    """
+    out = set()
+    for lo, hi, umax in blocks:
+        for v in range(lo, hi + 1):
+            top = umax if thresh is None or v <= thresh else umax - 1
+            for u in range(top + 1):
+                idx = (u * q + v) % n
+                out.update((idx, (n - idx) % n))
+    return out

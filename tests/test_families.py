@@ -1,5 +1,7 @@
 """Family parameter enumeration, closed forms, T1/T1' partitions, EA records."""
 
+import hashlib
+
 import pytest
 
 from eaqmds.cosets import decompose, neg_q_image
@@ -143,6 +145,23 @@ def test_T1_partition_small_sweep():
         assert t1.as_set <= z.as_set, spec
         assert (t1.as_set | t1p.as_set) == z.as_set, spec
         assert not (t1.as_set & t1p.as_set), spec
+
+
+# SHA-256 over the T1 then T1' mask bytes of every default-sweep spec, in
+# sweep order, computed with one mark per block, so it pins the masks
+# against any rewrite of how a union is marked
+T1_MASKS_SHA256 = "8e7639e45006d04560f01ed812c17ab0d337748b5dff40cbeb50605a123b7152"
+
+
+def test_T1_and_T1_prime_masks_are_pinned_on_the_default_sweep():
+    digest = hashlib.sha256()
+    count = 0
+    for spec in sweep_specs(5, 250):
+        digest.update(build_T1(spec).mask.tobytes())
+        digest.update(build_T1_prime(spec).mask.tobytes())
+        count += 1
+    assert count == 3438
+    assert digest.hexdigest() == T1_MASKS_SHA256
 
 
 def test_ea_params_anchors():

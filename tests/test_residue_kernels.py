@@ -1,10 +1,14 @@
-"""Mask kernels against the set-and-loop references, and the int64 guard."""
+"""Mask kernels against the set-and-loop references, on both sides of the
+int32 bound, and the int64 guard."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import residue_reference as ref
-from eaqmds.cosets import ResidueSet, decompose, is_coset_closed, neg_q_image
+from eaqmds.cosets import (ResidueSet, _times_mod, decompose, is_coset_closed,
+                           neg_q_image)
+from eaqmds.families import _mark
 from eaqmds.verification import coset_identity_holds
 
 
@@ -87,6 +91,80 @@ def test_coset_identity_fails_off_the_family_lengths():
     for q, n in ((5, 24), (13, 86), (13, 84)):
         assert not coset_identity_holds(q, n)
         assert not ref.coset_identity_holds(q, n)
+
+
+# (n, q) with q * n on both sides of 2^31, where the kernels leave int32:
+# 2^31 - 1 is prime, so n = 1 is its only (n, q) with a small mask
+INT32_EDGE = (
+    (1, 2 ** 31 - 1),      # 2^31 - 1: int32
+    (65534, 32769),        # 2^31 - 2: int32
+    (65536, 32768),        # 2^31: int64
+    (3, 715827883),        # 2^31 + 1: int64
+)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("n, q", INT32_EDGE)
+def test_closure_and_image_match_reference_at_the_int32_bound(n, q, sign):
+    factor = sign * q
+    rng = np.random.default_rng(n)
+    members = {x for x in (0, 1, 2, n // 2, n - 2, n - 1) if 0 <= x < n}
+    members |= set(rng.integers(0, n, 300).tolist())
+    s = ResidueSet.of(n, members)
+    assert set(neg_q_image(n, factor, s).members) == \
+        set(ref.neg_q_image(n, factor, members))
+    assert is_coset_closed(n, factor, s) == ref.is_coset_closed(n, factor, members)
+    full = ResidueSet.of(n, range(n))  # closed under any factor
+    assert is_coset_closed(n, factor, full)
+
+
+def test_times_mod_at_the_largest_int32_modulus():
+    # n = 2^31 - 1 takes int32 for factor +-1 and int64 for +-2; the
+    # members reach n - 1, so the products reach the edge of each dtype
+    n = 2 ** 31 - 1
+    arr = np.array([0, 1, 2, n // 2, n - 2, n - 1], dtype=np.int64)
+    for factor in (1, -1, 2, -2):
+        got = _times_mod(arr, factor, n)
+        assert got.tolist() == [(x * factor) % n for x in arr.tolist()]
+        assert got.dtype == np.intp
+
+
+@pytest.mark.parametrize("n", (2 ** 30 - 1, 2 ** 30 + 1, 2 ** 31 + 11))
+def test_coset_identity_matches_loop_across_the_int32_bound(n):
+    # 2n = 2^31 - 2 takes int32; 2^31 + 2 and 2^32 + 22 take int64
+    for q in range(2, 13):
+        assert coset_identity_holds(q, n) == ref.coset_identity_holds(q, n), q
+
+
+@st.composite
+def mark_blocks(draw):
+    """(n, q, blocks, thresh): random (lo, hi, umax) blocks, some near n."""
+    n = draw(st.integers(2, 400))
+    q = draw(st.integers(1, 3 * n))
+    block = st.tuples(st.integers(0, 2 * n), st.integers(-2, 12),
+                      st.integers(0, 4))
+    near_end = st.tuples(st.integers(n - 6, n - 1), st.integers(0, 5),
+                         st.integers(0, 4))
+    blocks = [(lo, lo + width, umax) for lo, width, umax in
+              draw(st.lists(st.one_of(block, near_end), min_size=1, max_size=6))]
+    thresh = draw(st.one_of(st.none(), st.integers(-1, 3 * n)))
+    return n, q, blocks, thresh
+
+
+@given(mark_blocks())
+def test_mark_matches_reference(case):
+    n, q, blocks, thresh = case
+    assert _mark(n, q, blocks, thresh).as_set == ref.mark(n, q, blocks, thresh)
+
+
+def test_mark_edges_match_reference():
+    # umax = 0, thresh below, inside and above the blocks, blocks ending at
+    # n - 1 and running past n, and an empty block (hi < lo)
+    n, q = 97, 22
+    blocks = [(0, 3, 0), (90, 96, 2), (95, 101, 1), (40, 39, 3), (10, 30, 0)]
+    for thresh in (None, -1, 0, 20, 95, 96, 200):
+        assert _mark(n, q, blocks, thresh).as_set == \
+            ref.mark(n, q, blocks, thresh), thresh
 
 
 def test_int64_guard_refuses_overflowing_products():
