@@ -230,19 +230,18 @@ def _mark(n: int, q: int, blocks, thresh: int | None = None) -> ResidueSet:
     their v ranges are concatenated, and each v carries its own u bound.
     Only the length-(umax+1) table uq mod n and the concatenated v mod n
     are reduced with ``%``; their sum lies in [0, 2n), so one conditional
-    subtract reduces the grid, in int32 when 2n < 2^31.  The mirror n - idx
-    is the index -idx, which sends 0 to 0.
+    subtract reduces the grid.  The mirror n - idx is the index -idx,
+    which sends 0 to 0.
     """
     v = np.concatenate([np.arange(lo, hi + 1) for lo, hi, _ in blocks])
     v_umax = np.repeat([umax for _, _, umax in blocks],
                        [max(hi - lo + 1, 0) for lo, hi, _ in blocks])
     if thresh is not None:
         v_umax -= v > thresh
-    dtype = np.int32 if 2 * n < 2 ** 31 else np.int64
     u = np.arange(max(umax for _, _, umax in blocks) + 1)
-    idx = ((u * q) % n).astype(dtype)[:, None] + (v % n).astype(dtype)
+    idx = ((u * q) % n)[:, None] + v % n
     np.subtract(idx, n, out=idx, where=idx >= n)
-    idx = idx[u[:, None] <= v_umax].astype(np.intp, copy=False)
+    idx = idx[u[:, None] <= v_umax]
     mask = np.zeros(n, dtype=np.bool_)
     mask[idx] = True
     mask[-idx] = True

@@ -28,16 +28,14 @@ def coset_identity_holds(q: int, n: int) -> bool:
     Only four length-q tables are reduced with ``%``: uq, -q(uq), -qv and
     u, each mod n.  Every grid term is a sum or difference of two table
     entries in [0, n), so one conditional subtract or add of n brings it
-    back into [0, n); the grid sums stay below 2n and run in int32 when
-    2n < 2^31.  The grid is built from u and v alone, with plain modular
-    arithmetic: nothing uses q^2 = -1 mod n, which would make the check
-    a tautology, and nothing leans on the coset machinery being correct.
+    back into [0, n).  The grid is built from u and v alone, with plain
+    modular arithmetic: nothing uses q^2 = -1 mod n, which would make the
+    check a tautology, and nothing leans on the coset machinery being
+    correct.
     """
     r = np.arange(q, dtype=np.int64)
     rq = (r * q) % n
-    dtype = np.int32 if 2 * n < 2 ** 31 else np.int64
-    rq, neg_q_rq, neg_q_r, r = (t.astype(dtype) for t in (
-        rq, (-q * rq) % n, (-q * r) % n, r % n))
+    neg_q_rq, neg_q_r, r = (-q * rq) % n, (-q * r) % n, r % n
     # rows are u, columns v: i = uq + v, x = -q(uq) - qv, w = vq - u
     i = rq[:, None] + r
     np.subtract(i, n, out=i, where=i >= n)

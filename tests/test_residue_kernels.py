@@ -1,5 +1,5 @@
-"""Mask kernels against the set-and-loop references, on both sides of the
-int32 bound, and the int64 guard."""
+"""Mask kernels against the set-and-loop references, on both sides of
+``_times_mod``'s int32 bound, and the int64 guard."""
 
 import numpy as np
 import pytest
@@ -93,7 +93,7 @@ def test_coset_identity_fails_off_the_family_lengths():
         assert not ref.coset_identity_holds(q, n)
 
 
-# (n, q) with q * n on both sides of 2^31, where the kernels leave int32:
+# (n, q) with q * n on both sides of 2^31, where _times_mod leaves int32:
 # 2^31 - 1 is prime, so n = 1 is its only (n, q) with a small mask
 INT32_EDGE = (
     (1, 2 ** 31 - 1),      # 2^31 - 1: int32
@@ -130,8 +130,10 @@ def test_times_mod_at_the_largest_int32_modulus():
 
 
 @pytest.mark.parametrize("n", (2 ** 30 - 1, 2 ** 30 + 1, 2 ** 31 + 11))
-def test_coset_identity_matches_loop_across_the_int32_bound(n):
-    # 2n = 2^31 - 2 takes int32; 2^31 + 2 and 2^32 + 22 take int64
+def test_coset_identity_matches_loop_at_large_n(n):
+    # the grid sums reach 2n, past 2^31 for the last two n.  With q <= 12
+    # only the u = 0 row holds here, so both sides answer False: this pins
+    # the answer at large n, not the arithmetic of every grid cell
     for q in range(2, 13):
         assert coset_identity_holds(q, n) == ref.coset_identity_holds(q, n), q
 
