@@ -7,11 +7,17 @@ yields Z1, whose size is the number of pre-shared entangled pairs the
 quantum code needs.
 """
 
-from eaqmds import all_cosets, decompose, neg_q_image, run_defining_set, ResidueSet
+from eaqmds import all_cosets, decompose, run_defining_set
 
 q, n = 13, 85
 s = (n - 1) // 2
 qsq = (q * q) % n
+
+
+def neg_q(members):
+    """The image -qS = {-q x mod n | x in S} as a sorted tuple."""
+    return tuple(sorted({(-q * x) % n for x in members}))
+
 
 print(f"== cosets mod {n} under multiplication by q^2 = {qsq} (= -1 mod n)")
 cosets = all_cosets(n, qsq)
@@ -23,23 +29,21 @@ print(f"   C_1  = {cosets[1].members}")
 print(f"   C_42 = {all_cosets(n, qsq)[42].members}  (the middle pair)")
 
 print("\n== the -q map")
-one = ResidueSet.of(n, [1])
-print(f"   -q * {{1}} = {neg_q_image(n, q, one).members}   (since -13 = 72 mod 85)")
-z0 = ResidueSet.of(n, [0])
-print(f"   -q * {{0}} = {neg_q_image(n, q, z0).members}   (fixed point)")
+print(f"   -q * {{1}} = {neg_q([1])}   (since -13 = 72 mod 85)")
+print(f"   -q * {{0}} = {neg_q([0])}   (fixed point)")
 
 print("\n== the defining set of the [[85,33,33;12]] code (delta = 16)")
 z = run_defining_set(n, s, 16)
 print(f"   Z = [{z.members[0]}, {z.members[-1]}], size {len(z)}, "
       f"consecutive: {z.is_consecutive_run()}")
 
-dec = decompose(n, q, z)
-print(f"   Z1 = Z n (-qZ): size {len(dec.z1)}   <- entanglement count c")
-print(f"   Z2 = Z \\ Z1:    size {len(dec.z2)}")
-print(f"   Z1 members: {dec.z1.members}")
-print(f"   -q Z1 == Z1: {neg_q_image(n, q, dec.z1).members == dec.z1.members}")
+z1 = decompose(n, q, z)
+print(f"   Z1 = Z n (-qZ): size {len(z1)}   <- entanglement count c")
+print(f"   Z2 = Z \\ Z1:    size {len(z) - len(z1)}")
+print(f"   Z1 members: {z1.members}")
+print(f"   -q Z1 == Z1: {neg_q(z1) == z1.members}")
 
 print("\n== the same split for q = 17, n = 145, delta = 21")
 z145 = run_defining_set(145, 72, 21)
-print(f"   |Z1| = {decompose(145, 17, z145).entanglement_count} "
+print(f"   |Z1| = {len(decompose(145, 17, z145))} "
       "(both length-85 and length-145 codes need 12 pairs at alpha = 1)")

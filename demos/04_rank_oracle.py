@@ -35,7 +35,7 @@ print(f"   parity-check matrix H: {rows} x {spec.n}, rank {rank_digits(H, subfie
 report = entanglement_rank(spec)
 print(f"   rank(H H†)      = {report.rank_hh_dagger}")
 
-z1 = decompose(spec.n, spec.q, z).z1
+z1 = decompose(spec.n, spec.q, z)
 print(f"   |Z n (-qZ)|     = {len(z1)}")
 print(f"   closed-form c   = {report.closed_form_c}")
 print(f"   all three agree: {report.match and report.matches_closed_form}")

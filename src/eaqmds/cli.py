@@ -67,7 +67,7 @@ def _cmd_table(args) -> int:
     for m, q, n, alpha, kq, d, c in published:
         spec = spec_from_q(case, m, q, alpha)
         ea = ea_params(spec)
-        z1 = decompose(spec.n, spec.q, build_defining_set(spec)).z1
+        z1 = decompose(spec.n, spec.q, build_defining_set(spec))
         computed = (m, q, spec.n, alpha, ea.kq, ea.d, ea.c)
         verified = computed == (m, q, n, alpha, kq, d, c) and len(z1) == ea.c
         all_match &= verified

@@ -1,19 +1,20 @@
 """Residue arithmetic mod n for cyclic defining sets.
 
 Covers q^2-cyclotomic cosets, the -q map x -> n - qx, consecutive-run
-defining sets, and the decomposition Z = Z1 u Z2 with Z1 = Z n (-qZ).
+defining sets, and Z1 = Z n (-qZ) of a defining set Z.
 
 A set of residues is a ``ResidueSet``: a read-only numpy bool mask over
-[0, n), True at each member.  Cosets are ResidueSets too.  Set algebra,
-coset closure, the -q image and the decomposition are whole-mask numpy
-operations; the sorted member tuple, the frozenset and the int64 member
-array are views derived on first use.
+[0, n), True at each member.  Cosets are ResidueSets too.  Coset closure
+and Z1 are gathers, the mask read at the members times a unit mod n; no
+image set is built.  The sorted member tuple and the int64 member array
+are views derived on first use.
 
-The kernels multiply members (all below n) by q or by a coset multiplier,
-so the products stay below |factor| * n.  They compute in int32 when that
-bound is under 2^31 and in int64 otherwise; past 2^63 they raise
-``OverflowError``.  For the family lengths n = (q^2+1)/(m^2+1) the bound
-is about q^3/2: int32 up to q = 1 600 or so, int64 far past q = 10^5.
+The kernels multiply members (all below n) by -q, by (-q)^-1 mod n (q on
+the family lengths) or by a coset multiplier, so the products stay below
+|factor| * n.  They compute in int32 when that bound is under 2^31 and in
+int64 otherwise; past 2^63 they raise ``OverflowError``.  For the family
+lengths n = (q^2+1)/(m^2+1) the bound is about q^3/2: int32 up to
+q = 1 600 or so, int64 far past q = 10^5.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class ResidueSet:
         """Wrap a length-n bool mask; the array is frozen, not copied."""
         return cls(n, np.asarray(mask, dtype=np.bool_))
 
-    @classmethod
-    def empty(cls, n: int) -> "ResidueSet":
-        return cls.from_mask(n, np.zeros(n, dtype=np.bool_))
-
     @cached_property
     def array(self) -> np.ndarray:
         """The members as a sorted, read-only int64 array."""
@@ -92,10 +89,6 @@ class ResidueSet:
     def members(self) -> tuple[int, ...]:
         """The members as a sorted tuple of ints."""
         return tuple(self.array.tolist())
-
-    @cached_property
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.array.tolist())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
@@ -117,22 +110,6 @@ class ResidueSet:
     def __repr__(self) -> str:
         return f"ResidueSet(n={self.n}, members={self.members})"
 
-    def _like(self, other: "ResidueSet"):
-        if self.n != other.n:
-            raise ValueError(f"modulus mismatch: {self.n} vs {other.n}")
-
-    def union(self, other: "ResidueSet") -> "ResidueSet":
-        self._like(other)
-        return ResidueSet.from_mask(self.n, self.mask | other.mask)
-
-    def intersection(self, other: "ResidueSet") -> "ResidueSet":
-        self._like(other)
-        return ResidueSet.from_mask(self.n, self.mask & other.mask)
-
-    def difference(self, other: "ResidueSet") -> "ResidueSet":
-        self._like(other)
-        return ResidueSet.from_mask(self.n, self.mask & ~other.mask)
-
     def complement(self) -> "ResidueSet":
         return ResidueSet.from_mask(self.n, ~self.mask)
 
@@ -142,19 +119,6 @@ class ResidueSet:
         if not arr.size:
             return False
         return int(arr[-1] - arr[0]) + 1 == arr.size
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Split of a defining set into Z1 = Z n (-qZ) and Z2 = Z \\ Z1."""
-
-    z1: ResidueSet
-    z2: ResidueSet
-
-    @property
-    def entanglement_count(self) -> int:
-        """|Z1|: the number of entangled pairs the code consumes."""
-        return len(self.z1)
 
 
 def cyclotomic_coset(n: int, multiplier: int, i: int) -> ResidueSet:
@@ -193,13 +157,6 @@ def all_cosets(n: int, multiplier: int) -> list[ResidueSet]:
     return out
 
 
-def neg_q_image(n: int, q: int, s: ResidueSet) -> ResidueSet:
-    """The set -qS = {(n - q x) mod n | x in S}."""
-    out = np.zeros(n, dtype=np.bool_)
-    out[_times_mod(s.array, -q, n)] = True
-    return ResidueSet.from_mask(n, out)
-
-
 def run_defining_set(n: int, s: int, delta: int) -> ResidueSet:
     """Union of the cosets C_{s+1} ... C_{s+delta} for s = (n-1)/2.
 
@@ -218,19 +175,23 @@ def is_coset_closed(n: int, multiplier: int, s: ResidueSet) -> bool:
     return bool(s.mask[_times_mod(s.array, multiplier, n)].all())
 
 
-def decompose(n: int, q: int, z: ResidueSet) -> Decomposition:
-    """Decompose a defining set as Z1 = Z n (-qZ), Z2 = Z \\ Z1.
+def decompose(n: int, q: int, z: ResidueSet) -> ResidueSet:
+    """Z1 = Z n (-qZ) of a defining set Z, as a ResidueSet.
 
-    Rejects sets that are not unions of q^2-cyclotomic cosets, since the
-    entanglement count |Z1| is only meaningful for defining sets.
+    x lies in -qZ exactly when (-q)^-1 x lies in Z; that factor is q when
+    q^2 = -1 mod n, which is not assumed.  Rejects a q that is not a unit
+    mod n, and sets that are not unions of q^2-cyclotomic cosets, since
+    the entanglement count |Z1| is only meaningful for defining sets.
     """
     if z.n != n:
         raise ValueError(f"modulus mismatch: {z.n} vs {n}")
+    if math.gcd(q, n) != 1:
+        raise ValueError(f"q = {q} is not a unit mod n = {n}; "
+                         "the -q map is not a permutation of the residues")
     qsq = (q * q) % n
     if not is_coset_closed(n, qsq, z):
         raise ValueError("set is not closed under the q^2-cyclotomic action")
-    neg = neg_q_image(n, q, z).mask
-    return Decomposition(
-        z1=ResidueSet.from_mask(n, z.mask & neg),
-        z2=ResidueSet.from_mask(n, z.mask & ~neg),
-    )
+    hit = z.mask[_times_mod(z.array, pow(-q, -1, n), n)]
+    z1 = np.zeros(n, dtype=np.bool_)
+    z1[z.array[hit]] = True
+    return ResidueSet.from_mask(n, z1)

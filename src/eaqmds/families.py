@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import prime_power_base
-from .cosets import (ResidueSet, _times_mod, decompose, neg_q_image,
+from .cosets import (ResidueSet, _times_mod, decompose, is_coset_closed,
                      run_defining_set)
 
 CASES = (1, 2, 3, 4)
@@ -330,7 +330,7 @@ def build_T1_prime(spec: FamilySpec) -> ResidueSet:
     """
     if spec.case == 1:
         return _t1_prime_case1(spec)
-    return decompose(spec.n, spec.q, build_defining_set(spec)).z1
+    return decompose(spec.n, spec.q, build_defining_set(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +377,12 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     n, q, s = spec.n, spec.q, spec.s
     delta = cf.delta + fault_delta
     z = run_defining_set(n, s, delta)
-    dec = decompose(n, q, z)
-    z1, z2 = dec.z1, dec.z2
+    z1 = decompose(n, q, z)
 
     t1 = build_T1(spec)
-    # cases 2-4 build T1' as Z1 of the unperturbed Z, which is dec when
+    # cases 2-4 build T1' as Z1 of the unperturbed Z, which is z1 when
     # there is no fault
-    t1p = dec.z1 if spec.case != 1 and not fault_delta else build_T1_prime(spec)
+    t1p = z1 if spec.case != 1 and not fault_delta else build_T1_prime(spec)
     ea = assemble_ea_params(n, n - len(z), 2 * delta + 1, cf.c)
 
     checks = {
@@ -391,7 +390,8 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
         "consecutive_run": z.is_consecutive_run(),
         "entanglement_closed_form": len(z1) == cf.c,
         "t1_disjoint": not t1.mask[_times_mod(t1.array, -q, n)].any(),
-        "t1_prime_stable": neg_q_image(n, q, t1p) == t1p,
+        # -q is a unit mod n, so a finite set closed under it is its image
+        "t1_prime_stable": is_coset_closed(n, -q, t1p),
         "t1_partition": np.array_equal(t1.mask | t1p.mask, z.mask)
         and not (t1.mask & t1p.mask).any(),
         "quantum_dim_formula": ea.kq == theorem_quantum_dim(spec)
@@ -399,7 +399,7 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
         "ea_singleton_equality": ea.ea_singleton_equality,
     }
     return VerificationReport(spec=spec, checks=checks,
-                              z1_size=len(z1), z2_size=len(z2))
+                              z1_size=len(z1), z2_size=len(z) - len(z1))
 
 
 def sweep_specs(m_max: int = 5, q_max: int = 250):

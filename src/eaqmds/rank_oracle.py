@@ -122,11 +122,10 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     h = generator_digits(tower, lam, z.complement())
     rank = gfa.rank_digits(gram_digits(h, tower.base, q, n), tower.base)
 
-    dec = decompose(n, q, z)
     return RankReport(
         case=spec.case, m=spec.m, q=spec.q, alpha=spec.alpha, n=n,
         rank_hh_dagger=rank,
-        z1_size=len(dec.z1),
+        z1_size=len(decompose(n, q, z)),
         closed_form_c=closed_form(spec).c,
     )
 

@@ -1,10 +1,24 @@
-"""Set-and-loop reference versions of the residue kernels.
+"""Set-and-loop reference versions of the residue kernels, and the image
+form of the -q laws.
 
-These are the plain-Python forms of ``cosets.is_coset_closed``,
-``cosets.neg_q_image``, ``cosets.decompose``, ``families._mark`` and
-``verification.coset_identity_holds``: one residue at a time, on Python
-sets and tuples.  The mask kernels in ``src/`` are tested against them.
+``is_coset_closed``, ``neg_q_image``, ``decompose``, ``mark`` and
+``coset_identity_holds`` are the plain-Python forms of
+``cosets.is_coset_closed``, the -q map of ``cosets._times_mod``,
+``cosets.decompose``, ``families._mark`` and
+``verification.coset_identity_holds``, one residue at a time on Python
+sets and tuples.  ``image_mask`` scatters factor * S into a fresh mask,
+so the laws T1 n (-qT1) = {} and -qT1' = T1' can be checked as written,
+apart from the gathers ``src/`` checks them with.
 """
+
+import numpy as np
+
+
+def image_mask(n: int, factor: int, members) -> np.ndarray:
+    """The bool mask of {factor * x mod n | x in S}, for members below n."""
+    out = np.zeros(n, dtype=np.bool_)
+    out[np.asarray(members, dtype=np.int64) * (factor % n) % n] = True
+    return out
 
 
 def is_coset_closed(n: int, multiplier: int, members) -> bool:
@@ -17,14 +31,13 @@ def neg_q_image(n: int, q: int, members) -> tuple[int, ...]:
     return tuple(sorted((-q * x) % n for x in members))
 
 
-def decompose(n: int, q: int, members) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(Z1, Z2) = (Z n -qZ, Z \\ Z1) as sorted tuples; rejects non-closed Z."""
+def decompose(n: int, q: int, members) -> tuple[int, ...]:
+    """Z1 = Z n -qZ as a sorted tuple; rejects non-closed Z."""
     zset = {x % n for x in members}
     if not is_coset_closed(n, (q * q) % n, zset):
         raise ValueError("set is not closed under the q^2-cyclotomic action")
     neg = {(-q * x) % n for x in zset}
-    z1 = zset & neg
-    return tuple(sorted(z1)), tuple(sorted(zset - z1))
+    return tuple(sorted(zset & neg))
 
 
 def coset_identity_holds(q: int, n: int) -> bool:

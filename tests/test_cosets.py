@@ -2,15 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 
+import residue_reference as ref
 from eaqmds.cosets import (
     ResidueSet,
+    _times_mod,
     all_cosets,
     cyclotomic_coset,
     decompose,
     is_coset_closed,
-    neg_q_image,
     run_defining_set,
 )
 from eaqmds.families import sweep_specs
@@ -48,17 +50,20 @@ def test_coset_shape_exhaustive_for_admissible_lengths():
         for c in all_cosets(n, qsq):
             assert len(c) <= 2
             i = c.members[0]
-            assert c.as_set == {i, (n - i) % n}
+            assert c == ResidueSet.of(n, [i, -i])
     assert seen, "sweep produced no admissible lengths"
 
 
+def neg_q_image(n, q, s):
+    """-qS, scattered by the test reference rather than gathered."""
+    return ResidueSet.from_mask(n, ref.image_mask(n, -q, s.array))
+
+
 def test_neg_q_image_values():
-    s = ResidueSet.of(85, [1])
-    assert neg_q_image(85, 13, s).members == (72,)
-    z = ResidueSet.of(85, [0])
-    assert neg_q_image(85, 13, z).members == (0,)
+    assert _times_mod(ResidueSet.of(85, [1]).array, -13, 85).tolist() == [72]
+    assert _times_mod(ResidueSet.of(85, [0]).array, -13, 85).tolist() == [0]
     r = ResidueSet.of(85, range(10, 20))
-    assert len(neg_q_image(85, 13, r)) == len(r)
+    assert len(set(_times_mod(r.array, -13, 85).tolist())) == len(r)
 
 
 def test_neg_q_image_is_involution_on_coset_closed_sets():
@@ -71,8 +76,12 @@ def test_neg_q_image_is_involution_on_coset_closed_sets():
     for _ in range(50):
         chosen = rng.sample(cosets, rng.randrange(1, 20))
         pools.append(ResidueSet.of(n, [x for c in chosen for x in c.members]))
+    inverse = pow(-q, -1, n)
     for s in pools:
-        assert neg_q_image(n, q, neg_q_image(n, q, s)).members == s.members
+        image = neg_q_image(n, q, s)
+        assert neg_q_image(n, q, image).members == s.members
+        # the gather src/ uses: x lies in -qS exactly when (-q)^-1 x lies in S
+        assert np.array_equal(image.mask, s.mask[_times_mod(np.arange(n), inverse, n)])
 
 
 def neg_q_pair(n, q, u, v):
@@ -138,26 +147,24 @@ def test_run_defining_set_values():
 def test_run_defining_set_is_union_of_cosets():
     z = run_defining_set(85, 42, 16)
     assert is_coset_closed(85, 84, z)
-    expected = set()
+    expected = np.zeros(85, dtype=np.bool_)
     for j in range(1, 17):
-        expected |= cyclotomic_coset(85, 84, 42 + j).as_set
-    assert z.as_set == expected
+        expected |= cyclotomic_coset(85, 84, 42 + j).mask
+    assert np.array_equal(z.mask, expected)
 
 
 def test_decompose_table_anchors():
     z = run_defining_set(85, 42, 16)
-    dec = decompose(85, 13, z)
-    assert dec.entanglement_count == 12
-    assert len(dec.z1) + len(dec.z2) == len(z)
-    assert not (dec.z1.as_set & dec.z2.as_set)
+    z1 = decompose(85, 13, z)
+    assert len(z1) == 12
+    assert np.array_equal(z1.mask, z.mask & neg_q_image(85, 13, z).mask)
 
     z145 = run_defining_set(145, 72, 21)
-    assert decompose(145, 17, z145).entanglement_count == 12
+    assert len(decompose(145, 17, z145)) == 12
 
 
 def test_decompose_empty_set():
-    dec = decompose(85, 13, ResidueSet.empty(85))
-    assert dec.z1.members == () and dec.z2.members == ()
+    assert decompose(85, 13, ResidueSet.of(85, [])).members == ()
 
 
 def test_decompose_rejects_non_coset_closed():
@@ -165,22 +172,27 @@ def test_decompose_rejects_non_coset_closed():
         decompose(85, 13, ResidueSet.of(85, [1]))  # misses 84
 
 
+def test_decompose_rejects_q_that_is_not_a_unit():
+    # gcd(17, 85) = 17: -q is not a permutation of the residues mod 85
+    with pytest.raises(ValueError, match=r"q = 17 is not a unit mod n = 85"):
+        decompose(85, 17, run_defining_set(85, 42, 16))
+
+
 def test_decompose_z1_is_coset_closed_and_stable():
     z = run_defining_set(85, 42, 16)
-    z1 = decompose(85, 13, z).z1
+    z1 = decompose(85, 13, z)
     assert is_coset_closed(85, 84, z1)
+    assert is_coset_closed(85, -13, z1)
     assert neg_q_image(85, 13, z1).members == z1.members
 
 
 def test_residue_set_operations():
     a = ResidueSet.of(10, [1, 2, 3])
-    b = ResidueSet.of(10, [3, 4])
-    assert a.union(b).members == (1, 2, 3, 4)
-    assert a.intersection(b).members == (3,)
-    assert a.difference(b).members == (1, 2)
+    assert a.complement().members == (0, 4, 5, 6, 7, 8, 9)
+    assert a.complement().complement() == a
     assert ResidueSet.of(10, [12, 2]).members == (2,)  # normalized, deduplicated
     with pytest.raises(ValueError):
-        a.union(ResidueSet.of(11, [1]))
+        ResidueSet.from_mask(11, a.mask)  # a mask mod 10 is not a set mod 11
 
 
 def test_coset_container_protocol():

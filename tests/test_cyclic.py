@@ -82,7 +82,7 @@ def test_product_of_all_minimal_polynomials(q, n):
 
 def test_generator_polynomial_edges():
     sub, tower, lam = context(13, 85)
-    assert generator_digits(tower, lam, ResidueSet.empty(85)).tolist() == [[1, 0]]
+    assert generator_digits(tower, lam, ResidueSet.of(85, [])).tolist() == [[1, 0]]
     assert generator_digits(tower, lam, ResidueSet.of(85, [0])).tobytes() == \
         as_digits(sub, [-1, 1]).tobytes()
     with pytest.raises(ValueError):

@@ -196,7 +196,7 @@ def test_fault_coset_left_out_of_h_breaks_orthogonality(monkeypatch, rep):
     spec = FamilySpec(1, 1, 3, 1)   # [[85,33,33;12]]_13, Z = 27 .. 58
     assert rank_oracle.generator_parity_orthogonal(spec)
     fault_in_h(monkeypatch, lambda tower, lam, z: generator_digits(
-        tower, lam, z.difference(ResidueSet.of(z.n, [rep, -rep]))))
+        tower, lam, ResidueSet.of(z.n, set(z) - {rep, z.n - rep})))
     assert not rank_oracle.generator_parity_orthogonal(spec)
 
 

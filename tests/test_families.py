@@ -2,9 +2,12 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from eaqmds.cosets import decompose, neg_q_image
+import residue_reference as ref
+from eaqmds import families
+from eaqmds.cosets import ResidueSet, decompose
 from eaqmds.families import (
     FamilySpec,
     assemble_ea_params,
@@ -120,16 +123,16 @@ def test_build_T1_case1_q13():
     t1 = build_T1(spec)
     t1p = build_T1_prime(spec)
     assert len(t1) == len(z) - 12 == 20
-    assert t1.as_set == z.as_set - t1p.as_set
-    assert t1.as_set <= z.as_set
-    assert not (t1.as_set & neg_q_image(spec.n, spec.q, t1).as_set)
+    assert np.array_equal(t1.mask, z.mask & ~t1p.mask)
+    assert not (t1.mask & ~z.mask).any()
+    assert not (t1.mask & ref.image_mask(spec.n, -spec.q, t1.array)).any()
 
 
 def test_build_T1_prime_case1_q13():
     spec = FamilySpec(1, 1, 3, 1)
     t1p = build_T1_prime(spec)
     assert len(t1p) == 12 == closed_form(spec).c
-    assert neg_q_image(spec.n, spec.q, t1p).members == t1p.members
+    assert np.array_equal(ref.image_mask(spec.n, -spec.q, t1p.array), t1p.mask)
 
 
 def test_build_T1_prime_case3_anchor():
@@ -142,9 +145,9 @@ def test_T1_partition_small_sweep():
         z = build_defining_set(spec)
         t1 = build_T1(spec)
         t1p = build_T1_prime(spec)
-        assert t1.as_set <= z.as_set, spec
-        assert (t1.as_set | t1p.as_set) == z.as_set, spec
-        assert not (t1.as_set & t1p.as_set), spec
+        assert not (t1.mask & ~z.mask).any(), spec
+        assert np.array_equal(t1.mask | t1p.mask, z.mask), spec
+        assert not (t1.mask & t1p.mask).any(), spec
 
 
 # SHA-256 over the T1 then T1' mask bytes of every default-sweep spec, in
@@ -246,7 +249,36 @@ def test_verify_family_fault_injection():
     assert not report.passed
 
 
+def test_fault_t1_prime_missing_a_coset_is_not_stable(monkeypatch):
+    # case 1 builds T1' from its explicit union; drop one coset {x, n - x}
+    # whose -q image is another coset of T1', which stays in
+    spec = FamilySpec(1, 1, 3, 1)  # [[85,33,33;12]]_13
+    n, q = spec.n, spec.q
+    assert verify_family(spec).passed
+    t1p = build_T1_prime(spec)
+    x = next(x for x in t1p if (q * x - x) % n and (q * x + x) % n)
+    mask = t1p.mask.copy()
+    mask[[x, -x]] = False
+    monkeypatch.setattr(families, "build_T1_prime",
+                        lambda s: ResidueSet.from_mask(n, mask))
+    report = verify_family(spec)
+    assert report.failed_checks() == ["t1_prime_stable", "t1_partition"]
+
+
+def test_fault_t1_holding_the_image_of_its_own_coset_is_not_disjoint(monkeypatch):
+    spec = FamilySpec(1, 1, 3, 1)  # [[85,33,33;12]]_13
+    n, q = spec.n, spec.q
+    assert verify_family(spec).passed
+    t1 = build_T1(spec)
+    x = t1.members[0]
+    image = ref.image_mask(n, -q, [x, n - x])
+    monkeypatch.setattr(families, "build_T1",
+                        lambda s: ResidueSet.from_mask(n, t1.mask | image))
+    report = verify_family(spec)
+    assert report.failed_checks() == ["t1_disjoint", "t1_partition"]
+
+
 def test_decomposition_matches_closed_form_sample():
     for spec in sweep_specs(3, 60):
-        dec = decompose(spec.n, spec.q, build_defining_set(spec))
-        assert len(dec.z1) == closed_form(spec).c, spec
+        z1 = decompose(spec.n, spec.q, build_defining_set(spec))
+        assert len(z1) == closed_form(spec).c, spec

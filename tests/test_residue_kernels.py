@@ -1,13 +1,15 @@
 """Mask kernels against the set-and-loop references, on both sides of
 ``_times_mod``'s int32 bound, and the int64 guard."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import residue_reference as ref
-from eaqmds.cosets import (ResidueSet, _times_mod, decompose, is_coset_closed,
-                           neg_q_image)
+from eaqmds.cosets import (ResidueSet, _times_mod, all_cosets, decompose,
+                           is_coset_closed)
 from eaqmds.families import _mark
 from eaqmds.verification import coset_identity_holds
 
@@ -37,11 +39,23 @@ def closed_union(draw):
 def test_decompose_matches_reference(case):
     q, n, members = case
     z = ResidueSet.of(n, members)
-    dec = decompose(n, q, z)
-    z1, z2 = ref.decompose(n, q, members)
-    assert dec.z1.members == z1 and dec.z2.members == z2
+    z1 = decompose(n, q, z)
+    assert z1.members == ref.decompose(n, q, members)
     assert is_coset_closed(n, (q * q) % n, z)
-    assert neg_q_image(n, q, z).members == ref.neg_q_image(n, q, members)
+    # the gather agrees with the image form Z n (-qZ)
+    assert np.array_equal(z1.mask, z.mask & ref.image_mask(n, -q, members))
+
+
+@given(st.integers(1, 200), st.integers(2, 60), st.data())
+def test_decompose_matches_reference_off_the_family_lengths(n, q, data):
+    # q^2 = -1 mod n is not assumed: Z is any union of q^2-cyclotomic
+    # cosets, and (-q)^-1 mod n need not be q
+    assume(math.gcd(q, n) == 1)
+    cosets = all_cosets(n, (q * q) % n)
+    chosen = data.draw(st.sets(st.integers(0, len(cosets) - 1)))
+    members = sorted(x for i in chosen for x in cosets[i].members)
+    z = ResidueSet.of(n, members)
+    assert decompose(n, q, z).members == ref.decompose(n, q, members)
 
 
 @given(closed_union(), st.data())
@@ -64,7 +78,10 @@ def test_closure_and_image_match_reference_on_any_set(n, factor, data):
     members = data.draw(st.sets(st.integers(0, n - 1)))
     s = ResidueSet.of(n, members)
     assert is_coset_closed(n, factor, s) == ref.is_coset_closed(n, factor, members)
-    assert set(neg_q_image(n, factor, s).members) == set(ref.neg_q_image(n, factor, members))
+    image = ref.neg_q_image(n, factor, members)
+    assert set(_times_mod(s.array, -factor, n).tolist()) == set(image)
+    assert np.flatnonzero(ref.image_mask(n, -factor, s.array)).tolist() == \
+        sorted(set(image))
 
 
 @settings(max_examples=60)
@@ -111,7 +128,7 @@ def test_closure_and_image_match_reference_at_the_int32_bound(n, q, sign):
     members = {x for x in (0, 1, 2, n // 2, n - 2, n - 1) if 0 <= x < n}
     members |= set(rng.integers(0, n, 300).tolist())
     s = ResidueSet.of(n, members)
-    assert set(neg_q_image(n, factor, s).members) == \
+    assert set(_times_mod(s.array, -factor, n).tolist()) == \
         set(ref.neg_q_image(n, factor, members))
     assert is_coset_closed(n, factor, s) == ref.is_coset_closed(n, factor, members)
     full = ResidueSet.of(n, range(n))  # closed under any factor
@@ -156,7 +173,8 @@ def mark_blocks(draw):
 @given(mark_blocks())
 def test_mark_matches_reference(case):
     n, q, blocks, thresh = case
-    assert _mark(n, q, blocks, thresh).as_set == ref.mark(n, q, blocks, thresh)
+    assert _mark(n, q, blocks, thresh) == \
+        ResidueSet.of(n, ref.mark(n, q, blocks, thresh))
 
 
 def test_mark_edges_match_reference():
@@ -165,25 +183,25 @@ def test_mark_edges_match_reference():
     n, q = 97, 22
     blocks = [(0, 3, 0), (90, 96, 2), (95, 101, 1), (40, 39, 3), (10, 30, 0)]
     for thresh in (None, -1, 0, 20, 95, 96, 200):
-        assert _mark(n, q, blocks, thresh).as_set == \
-            ref.mark(n, q, blocks, thresh), thresh
+        assert _mark(n, q, blocks, thresh) == \
+            ResidueSet.of(n, ref.mark(n, q, blocks, thresh)), thresh
 
 
 def test_int64_guard_refuses_overflowing_products():
     s = ResidueSet.of(5, [1, 4])
     big = 2 ** 62  # 5 * 2^62 >= 2^63
     with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
-        neg_q_image(5, big, s)
+        _times_mod(s.array, -big, 5)
     with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
         is_coset_closed(5, big, s)
-    with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
-        decompose(5, big, s)
-    assert neg_q_image(5, 2 ** 60, s).members == (1, 4)  # 5 * 2^60 < 2^63
+    # decompose multiplies by (-q)^-1 reduced mod n, so a huge q is fine
+    assert decompose(5, big, s).members == ref.decompose(5, big, [1, 4])
+    assert _times_mod(s.array, -2 ** 60, 5).tolist() == [4, 1]  # 5 * 2^60 < 2^63
 
 
 def test_residue_set_views_and_identity():
     a = ResidueSet.of(12, [11, 3, -1, 15])
-    assert a.members == (3, 11) and a.as_set == {3, 11}
+    assert a.members == (3, 11)
     assert a.array.tolist() == [3, 11] and a.array.dtype.name == "int64"
     assert len(a) == 2 and 15 in a and 4 not in a and list(a) == [3, 11]
     assert not a.mask.flags.writeable and not a.array.flags.writeable
