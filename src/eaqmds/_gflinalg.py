@@ -8,10 +8,10 @@ map x -> x b of one entry b is an e x e matrix over GF(p).
 
 Products run as float64 GEMM (``_gemm``): the right factor is expanded
 into the (inner*e x cols*e) matrix of its entries' multiplication maps,
-reduced mod p, and one BLAS call per column chunk multiplies the left
-factor's digits into it.  Every product and partial sum is an integer
-below inner*e*(p-1)^2, so the result is exact as long as that bound is
-below 2^53; ``_gemm`` raises ``ValueError`` when it is not.  It returns
+reduced mod p, and one BLAS call multiplies the left factor's digits
+into it.  Every product and partial sum is an integer below
+inner*e*(p-1)^2, so the result is exact as long as that bound is below
+2^53; ``_gemm`` raises ``ValueError`` when it is not.  It returns
 those sums unreduced: the Schur update of ``rank_digits`` reduces them
 once, together with the rows they are added to.  Polynomials are
 (length, e) digit arrays; ``polymul_digits`` multiplies two with e^2
@@ -51,7 +51,6 @@ from .fields import Field, _matrix_power, _power_table, _times_matrix, \
     find_primitive_element, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
-_CHUNK_FLOATS = 1 << 15     # float64 entries per chunk of a _gemm factor or product
 _EXACT = 1 << 53            # float64 holds every integer below this
 
 
@@ -124,27 +123,15 @@ def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
         raise ValueError(
             f"exact float64 product needs inner*e*(p-1)^2 < 2^53; got inner = "
             f"{inner}, e = {e}, p = {p}")
-    out = np.zeros((rows, cols, e), dtype=np.int64)
-    if not (rows and cols and inner):
-        return out
     left = np.ascontiguousarray(a, dtype=np.float64).reshape(rows, inner * e)
     tf = t.astype(np.float64)
-    # columns of b per chunk: its expansion fits the budget (a chunk's
-    # product is at most the output's size)
-    width = min(cols, max(1, _CHUNK_FLOATS // (inner * e * e)))
-    buf = np.empty(inner * e * width * e)
-    prod_buf = np.empty(rows * width * e)
-    for j0 in range(0, cols, width):
-        span = min(width, cols - j0)
-        chunk = buf[:inner * e * span * e].reshape(inner, e, span, e)
-        part = b[:, j0:j0 + span].astype(np.float64)
-        for u in range(e):                    # chunk[k, u, j] = digits of x^u b[k, j]
-            np.matmul(part, tf[u], out=chunk[:, u])
-        np.fmod(chunk, p, out=chunk)
-        prod = prod_buf[:rows * span * e].reshape(rows, span * e)
-        np.matmul(left, chunk.reshape(inner * e, span * e), out=prod)
-        out[:, j0:j0 + span] = prod.reshape(rows, span, e)
-    return out
+    right = np.empty((inner, e, cols, e))
+    bf = b.astype(np.float64)
+    for u in range(e):                    # right[k, u, j] = digits of x^u b[k, j]
+        np.matmul(bf, tf[u], out=right[:, u])
+    np.fmod(right, p, out=right)
+    prod = left @ right.reshape(inner * e, cols * e)
+    return prod.reshape(rows, cols, e).astype(np.int64)
 
 
 def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:

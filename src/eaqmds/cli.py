@@ -8,14 +8,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter
 error, 3 size-guard refusal.  Data output is byte-stable across runs;
-``--meta`` prepends tool provenance.
+``--meta`` adds tool provenance (see ``_write``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -30,76 +29,72 @@ from .verification import run_verification_sweep
 CSV_COLUMNS = ("case", "m", "q", "n", "alpha", "kq", "d", "c")
 
 
-def _meta_block(command: str, options: dict) -> dict:
-    return {
-        "tool": "eaqmds",
-        "version": __version__,
-        "command": command,
-        "options": {k: options[k] for k in sorted(options)},
-    }
-
-
-def _print_json(payload: dict, meta: dict | None):
-    if meta is not None:
-        payload = {**payload, "meta": meta}
-    print(json.dumps(payload, indent=2))
-
-
-def _print_csv(header, rows, meta: dict | None):
-    buf = io.StringIO()
-    if meta is not None:
-        for k, v in meta.items():
-            if k != "options":
-                buf.write(f"# {k}={v}\n")
+def _write(args, command: str, options: dict, payload: dict, header, rows):
+    """Write a subcommand's data stream to stdout: ``payload`` as JSON, or
+    ``header`` and ``rows`` as CSV.  With ``--meta`` the provenance (tool,
+    version, command and the sorted ``options``) is the JSON's last key,
+    or ``# k=v`` and ``# option.k=v`` comment lines before the CSV header.
+    """
+    meta = {"tool": "eaqmds", "version": __version__, "command": command,
+            "options": {k: options[k] for k in sorted(options)}}
+    if args.format == "json":
+        print(json.dumps({**payload, "meta": meta} if args.meta else payload,
+                         indent=2))
+        return
+    if args.meta:
+        for k in ("tool", "version", "command"):
+            print(f"# {k}={meta[k]}")
         for k, v in meta["options"].items():
-            buf.write(f"# option.{k}={v}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+            print(f"# option.{k}={v}")
+    csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
+
+
+def _spec(args) -> FamilySpec | None:
+    """The FamilySpec that --case/--m/--k/--alpha name, or None after
+    printing the spec's own ``ValueError``."""
+    try:
+        return FamilySpec(args.case, args.m, args.k, args.alpha)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_table(args) -> int:
-    case = args.case
-    published = PUBLISHED_ROWS[case]
-    rows_out = []
+    rows, csv_rows = [], []
     all_match = True
-    for m, q, n, alpha, kq, d, c in published:
-        spec = spec_from_q(case, m, q, alpha)
+    for m, q, n, alpha, kq, d, c in PUBLISHED_ROWS[args.case]:
+        spec = spec_from_q(args.case, m, q, alpha)
         ea = ea_params(spec)
         z1 = decompose(spec.n, spec.q, build_defining_set(spec))
-        computed = (m, q, spec.n, alpha, ea.kq, ea.d, ea.c)
-        verified = computed == (m, q, n, alpha, kq, d, c) and len(z1) == ea.c
+        verified = (spec.n, ea.kq, ea.d, ea.c) == (n, kq, d, c) and len(z1) == ea.c
         all_match &= verified
-        rows_out.append({
+        rows.append({
             "m": m, "q": q, "n": spec.n, "alpha": alpha,
             "ea": {"n": ea.n, "k": ea.kq, "d": ea.d, "c": ea.c},
             "label": ea.label(q),
             "verified": verified,
         })
-    meta = _meta_block("table", {"case": case, "format": args.format}) \
-        if args.meta else None
-    if args.format == "json":
-        _print_json({"case": case, "rows": rows_out, "all_match": all_match}, meta)
-    else:
-        _print_csv(CSV_COLUMNS,
-                   [(case, r["m"], r["q"], r["n"], r["alpha"],
-                     r["ea"]["k"], r["ea"]["d"], r["ea"]["c"]) for r in rows_out],
-                   meta)
+        csv_rows.append((args.case, m, q, spec.n, alpha, ea.kq, ea.d, ea.c))
+    _write(args, "table", {"case": args.case, "format": args.format},
+           {"case": args.case, "rows": rows, "all_match": all_match},
+           CSV_COLUMNS, csv_rows)
     return 0 if all_match else 1
 
 
-def _family_payload(spec: FamilySpec) -> tuple[dict, bool]:
+def _instance(spec: FamilySpec) -> dict:
+    return {"case": spec.case, "m": spec.m, "q": spec.q, "k": spec.k,
+            "n": spec.n, "alpha": spec.alpha}
+
+
+def _cmd_family(args) -> int:
+    spec = _spec(args)
+    if spec is None:
+        return 2
     cf = closed_form(spec)
     ea = ea_params(spec)
     report = verify_family(spec)
     payload = {
-        "case": spec.case,
-        "m": spec.m,
-        "q": spec.q,
-        "k": spec.k,
-        "n": spec.n,
-        "alpha": spec.alpha,
+        **_instance(spec),
         "classical": {"n": spec.n, "k": cf.classical_dim, "d": cf.d},
         "ea": {
             "n": ea.n, "k": ea.kq, "d": ea.d, "c": ea.c,
@@ -112,29 +107,11 @@ def _family_payload(spec: FamilySpec) -> tuple[dict, bool]:
             "z2_size": report.z2_size,
         },
     }
-    return payload, report.passed
-
-
-def _cmd_family(args) -> int:
-    try:
-        spec = FamilySpec(args.case, args.m, args.k, args.alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload, passed = _family_payload(spec)
-    meta = _meta_block("family", {
-        "case": args.case, "m": args.m, "k": args.k, "alpha": args.alpha,
-        "format": args.format,
-    }) if args.meta else None
-    if args.format == "json":
-        _print_json(payload, meta)
-    else:
-        ea = payload["ea"]
-        _print_csv(CSV_COLUMNS,
-                   [(spec.case, spec.m, spec.q, spec.n, spec.alpha,
-                     ea["k"], ea["d"], ea["c"])],
-                   meta)
-    return 0 if passed else 1
+    _write(args, "family", {"case": args.case, "m": args.m, "k": args.k,
+                            "alpha": args.alpha, "format": args.format},
+           payload, CSV_COLUMNS,
+           [(spec.case, spec.m, spec.q, spec.n, spec.alpha, ea.kq, ea.d, ea.c)])
+    return 0 if report.passed else 1
 
 
 def _cmd_verify(args) -> int:
@@ -147,65 +124,41 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     payload = summary.as_dict()
-    meta = _meta_block("verify", {
-        "m_max": args.m_max, "q_max": args.q_max,
-        "oracle_n_max": args.oracle_n_max, "fault_inject": args.fault_inject,
-    }) if args.meta else None
-    if args.format == "json":
-        _print_json(payload, meta)
-    else:
-        rows = [("spec_checks", name, counts["passed"], counts["failed"])
-                for name, counts in payload["checks"].items()]
-        rows.append(("coset_identity", "neg_q_coset_map",
-                     payload["coset_identity"]["passed"],
-                     payload["coset_identity"]["failed"]))
-        oracle = payload["oracle"]
-        if oracle["status"] == "skipped":
-            rows.append(("oracle", "rank_vs_z1", "skipped", "skipped"))
-        else:
-            rows.append(("oracle", "rank_vs_z1",
-                         oracle["passed"], oracle["failed"]))
-        _print_csv(("section", "check", "passed", "failed"), rows, meta)
+    identity, oracle = payload["coset_identity"], payload["oracle"]
+    rows = [("spec_checks", name, counts["passed"], counts["failed"])
+            for name, counts in payload["checks"].items()]
+    rows.append(("coset_identity", "neg_q_coset_map",
+                 identity["passed"], identity["failed"]))
+    rows.append(("oracle", "rank_vs_z1", oracle.get("passed", "skipped"),
+                 oracle.get("failed", "skipped")))
+    _write(args, "verify", {"m_max": args.m_max, "q_max": args.q_max,
+                            "oracle_n_max": args.oracle_n_max,
+                            "fault_inject": args.fault_inject},
+           payload, ("section", "check", "passed", "failed"), rows)
     return 0 if summary.ok else 1
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        spec = FamilySpec(args.case, args.m, args.k, args.alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    spec = _spec(args)
+    if spec is None:
         return 2
     try:
         report = entanglement_rank(spec, n_max=args.oracle_n_max)
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    payload = {
-        "case": spec.case,
-        "m": spec.m,
-        "q": spec.q,
-        "k": spec.k,
-        "n": spec.n,
-        "alpha": spec.alpha,
+    result = {
         "rank_hh_dagger": report.rank_hh_dagger,
         "z1_size": report.z1_size,
         "closed_form_c": report.closed_form_c,
         "match": report.match,
-        "matches_closed_form": report.matches_closed_form,
     }
-    meta = _meta_block("oracle", {
-        "case": args.case, "m": args.m, "k": args.k, "alpha": args.alpha,
-        "oracle_n_max": args.oracle_n_max,
-    }) if args.meta else None
-    if args.format == "json":
-        _print_json(payload, meta)
-    else:
-        _print_csv(("case", "m", "q", "n", "alpha",
-                    "rank_hh_dagger", "z1_size", "closed_form_c", "match"),
-                   [(spec.case, spec.m, spec.q, spec.n, spec.alpha,
-                     report.rank_hh_dagger, report.z1_size,
-                     report.closed_form_c, report.match)],
-                   meta)
+    _write(args, "oracle", {"case": args.case, "m": args.m, "k": args.k,
+                            "alpha": args.alpha, "oracle_n_max": args.oracle_n_max},
+           {**_instance(spec), **result,
+            "matches_closed_form": report.matches_closed_form},
+           ("case", "m", "q", "n", "alpha", *result),
+           [(spec.case, spec.m, spec.q, spec.n, spec.alpha, *result.values())])
     return 0 if report.match and report.matches_closed_form else 1
 
 
@@ -232,16 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--meta", action="store_true",
                        help="prepend tool provenance to the output")
 
+    def add_instance(p):
+        p.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
+        for flag in ("--m", "--k", "--alpha"):
+            p.add_argument(flag, type=int, required=True)
+
     p_table = sub.add_parser("table", help="reproduce one published table")
     p_table.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
     add_common(p_table)
     p_table.set_defaults(func=_cmd_table)
 
     p_family = sub.add_parser("family", help="inspect one family instance")
-    p_family.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
-    p_family.add_argument("--m", type=int, required=True)
-    p_family.add_argument("--k", type=int, required=True)
-    p_family.add_argument("--alpha", type=int, required=True)
+    add_instance(p_family)
     add_common(p_family)
     p_family.set_defaults(func=_cmd_family)
 
@@ -257,10 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="rank(H H†) versus |Z1|")
-    p_oracle.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
-    p_oracle.add_argument("--m", type=int, required=True)
-    p_oracle.add_argument("--k", type=int, required=True)
-    p_oracle.add_argument("--alpha", type=int, required=True)
+    add_instance(p_oracle)
     p_oracle.add_argument("--oracle-n-max", type=_non_negative_int,
                           default=DEFAULT_N_MAX)
     add_common(p_oracle)

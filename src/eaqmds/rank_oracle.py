@@ -65,11 +65,6 @@ def code_context(q: int, n: int) -> tuple[Field, Field, tuple[int, ...]]:
 class RankReport:
     """Outcome of the rank route versus the decomposition route."""
 
-    case: int
-    m: int
-    q: int
-    alpha: int
-    n: int
     rank_hh_dagger: int
     z1_size: int
     closed_form_c: int
@@ -121,13 +116,8 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     tower, lam, z = _code(spec)
     h = generator_digits(tower, lam, z.complement())
     rank = gfa.rank_digits(gram_digits(h, tower.base, q, n), tower.base)
-
-    return RankReport(
-        case=spec.case, m=spec.m, q=spec.q, alpha=spec.alpha, n=n,
-        rank_hh_dagger=rank,
-        z1_size=len(decompose(n, q, z)),
-        closed_form_c=closed_form(spec).c,
-    )
+    return RankReport(rank_hh_dagger=rank, z1_size=len(decompose(n, q, z)),
+                      closed_form_c=closed_form(spec).c)
 
 
 def generator_parity_orthogonal(spec: FamilySpec) -> bool:

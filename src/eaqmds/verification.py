@@ -58,51 +58,32 @@ class SweepSummary:
     oracle_n_max: int
     fault_injected: bool
     spec_count: int = 0
-    check_counts: dict[str, list[int]] = field(default_factory=dict)  # name -> [pass, fail]
+    check_counts: dict[str, list[int]] = field(  # name -> [pass, fail]
+        default_factory=lambda: {name: [0, 0] for name in CHECK_NAMES})
     identity_counts: list[int] = field(default_factory=lambda: [0, 0])
     oracle_counts: list[int] | None = None  # None: skipped
 
     @property
     def ok(self) -> bool:
-        if self.spec_count == 0:  # an empty sweep verifies nothing
-            return False
-        if any(f for _, f in self.check_counts.values()):
-            return False
-        if self.identity_counts[1]:
-            return False
-        if self.oracle_counts is not None and self.oracle_counts[1]:
-            return False
-        return True
+        """No check failed, and the sweep was not empty (which verifies nothing)."""
+        counts = [*self.check_counts.values(), self.identity_counts,
+                  self.oracle_counts or [0, 0]]
+        return self.spec_count > 0 and not any(f for _, f in counts)
 
     def as_dict(self) -> dict:
-        checks = {
-            name: {"passed": pf[0], "failed": pf[1]}
-            for name, pf in self.check_counts.items()
-        }
-        oracle: dict[str, object]
-        if self.oracle_counts is None:
-            oracle = {"status": "skipped"}
-        else:
-            oracle = {
-                "status": "ran",
-                "instances": sum(self.oracle_counts),
-                "passed": self.oracle_counts[0],
-                "failed": self.oracle_counts[1],
-            }
+        def counts(pf: list[int]) -> dict:
+            return {"passed": pf[0], "failed": pf[1]}
+
         return {
-            "bounds": {
-                "m_max": self.m_max,
-                "q_max": self.q_max,
-                "oracle_n_max": self.oracle_n_max,
-            },
+            "bounds": {"m_max": self.m_max, "q_max": self.q_max,
+                       "oracle_n_max": self.oracle_n_max},
             "fault_injected": self.fault_injected,
             "specs": self.spec_count,
-            "checks": checks,
-            "coset_identity": {
-                "passed": self.identity_counts[0],
-                "failed": self.identity_counts[1],
-            },
-            "oracle": oracle,
+            "checks": {name: counts(pf) for name, pf in self.check_counts.items()},
+            "coset_identity": counts(self.identity_counts),
+            "oracle": {"status": "skipped"} if self.oracle_counts is None else {
+                "status": "ran", "instances": sum(self.oracle_counts),
+                **counts(self.oracle_counts)},
             "ok": self.ok,
         }
 
@@ -119,7 +100,6 @@ def run_verification_sweep(m_max: int = 5, q_max: int = 250,
     summary = SweepSummary(m_max=m_max, q_max=q_max, oracle_n_max=oracle_n_max,
                            fault_injected=fault_inject,
                            oracle_counts=[0, 0] if oracle_n_max > 0 else None)
-    summary.check_counts = {name: [0, 0] for name in CHECK_NAMES}
 
     identity_seen: set[tuple[int, int]] = set()
     fault_pending = fault_inject

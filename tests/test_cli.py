@@ -182,6 +182,22 @@ def test_oracle_known_rows(capsys):
     assert json.loads(out)["rank_hh_dagger"] == 24
 
 
+@pytest.mark.parametrize("command, target", [
+    (["family", "--case", "1", "--m", "1", "--k", "3", "--alpha", "2"], "verify_family"),
+    (["oracle", "--case", "1", "--m", "1", "--k", "3", "--alpha", "1"],
+     "entanglement_rank"),
+])
+def test_only_spec_errors_are_usage_errors(command, target, monkeypatch):
+    # exit 2 is for an inadmissible FamilySpec; a ValueError raised past
+    # the spec is a fault of the program and must propagate
+    def fail(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(f"eaqmds.cli.{target}", fail)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(command)
+
+
 def test_oracle_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, "oracle", "--case", "1", "--m", "3",
                            "--k", "4", "--alpha", "1")  # n = 689

@@ -251,7 +251,7 @@ def test_rank_leaves_its_input_unchanged():
        st.integers(1, 16), st.integers(1, 300), seeds)
 @example(GF(239, 2), 2000, 16, 300, 1)
 def test_product_with_many_rows_and_small_inner(field, rows, inner, cols, seed):
-    # the Schur updates' shape: rows >> inner, so chunks are wide
+    # the Schur updates' shape: rows >> inner
     a = random_digits(field, (rows, inner), seed)
     b = random_digits(field, (inner, cols), seed + 1)
     assert np.array_equal(blas_product(a, b, field),

@@ -30,6 +30,15 @@ SNAPSHOTS = [
     ("verify_q60.json", ["verify", "--q-max", "60"], 0),
     ("verify_q120_fault.json",
      ["verify", "--q-max", "120", "--oracle-n-max", "0", "--fault-inject"], 1),
+    # --meta: the provenance block, last in JSON and as comment lines in CSV
+    ("table_case1_meta.csv", ["table", "--case", "1", "--format", "csv", "--meta"], 0),
+    ("family_case1_m1_k3_a2_meta.json",
+     ["family", "--case", "1", "--m", "1", "--k", "3", "--alpha", "2",
+      "--format", "json", "--meta"], 0),
+    ("oracle_case1_m1_k3_a1_meta.csv",
+     ["oracle", "--case", "1", "--m", "1", "--k", "3", "--alpha", "1",
+      "--format", "csv", "--meta"], 0),
+    ("verify_q60_meta.json", ["verify", "--q-max", "60", "--meta"], 0),
 ]
 
 
