@@ -6,8 +6,8 @@ defining sets, and Z1 = Z n (-qZ) of a defining set Z.
 A set of residues is a ``ResidueSet``: a read-only numpy bool mask over
 [0, n), True at each member.  Cosets are ResidueSets too.  Coset closure
 and Z1 are gathers, the mask read at the members times a unit mod n; no
-image set is built.  The sorted member tuple and the int64 member array
-are views derived on first use.
+image set is built.  The member tuple and int64 array are derived on first
+use, unless the set was built from its sorted members (``from_sorted``).
 
 The kernels multiply members (all below n) by -q, by (-q)^-1 mod n (q on
 the family lengths) or by a coset multiplier, so the products stay below
@@ -77,6 +77,19 @@ class ResidueSet:
     def from_mask(cls, n: int, mask) -> "ResidueSet":
         """Wrap a length-n bool mask; the array is frozen, not copied."""
         return cls(n, np.asarray(mask, dtype=np.bool_))
+
+    @classmethod
+    def from_sorted(cls, n: int, members) -> "ResidueSet":
+        """The set of sorted, distinct members in [0, n), kept as ``array``
+        (frozen, not copied) so that view is never derived from the mask."""
+        arr = np.asarray(members, dtype=np.int64)
+        mask = np.zeros(n, dtype=np.bool_)
+        run = arr.size and arr[-1] - arr[0] + 1 == arr.size
+        mask[slice(arr[0], arr[-1] + 1) if run else arr] = True  # a run: slice
+        out = cls(n, mask)
+        arr.setflags(write=False)
+        object.__setattr__(out, "array", arr)  # the cached_property's slot
+        return out
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -165,33 +178,34 @@ def run_defining_set(n: int, s: int, delta: int) -> ResidueSet:
     """
     if not 1 <= delta <= s:
         raise ValueError(f"run half-length {delta} outside [1, {s}]")
-    mask = np.zeros(n, dtype=np.bool_)
-    mask[s + 1 - delta:s + delta + 1] = True
-    return ResidueSet.from_mask(n, mask)
+    return ResidueSet.from_sorted(n, np.arange(s + 1 - delta, s + delta + 1))
 
 
 def is_coset_closed(n: int, multiplier: int, s: ResidueSet) -> bool:
-    """Whether x * multiplier mod n lies in S for every x in S."""
-    return bool(s.mask[_times_mod(s.array, multiplier, n)].all())
+    """Whether x * multiplier mod n lies in S for every x in S.
+
+    A multiplier = -1 mod n (q^2 here) needs no product: numpy reads index
+    -x as n - x and 0 as 0.  As in _times_mod, |multiplier| * n >= 2^63 raises.
+    """
+    minus_one = not (multiplier + 1) % n and abs(multiplier) * n < 2 ** 63
+    idx = -s.array if minus_one else _times_mod(s.array, multiplier, n)
+    return bool(np.count_nonzero(s.mask[idx]) == idx.size)
 
 
 def decompose(n: int, q: int, z: ResidueSet) -> ResidueSet:
-    """Z1 = Z n (-qZ) of a defining set Z, as a ResidueSet.
+    """Z1 = Z n (-qZ) of a defining set Z, built from its sorted members.
 
     x lies in -qZ exactly when (-q)^-1 x lies in Z; that factor is q when
     q^2 = -1 mod n, which is not assumed.  Rejects a q that is not a unit
-    mod n, and sets that are not unions of q^2-cyclotomic cosets, since
-    the entanglement count |Z1| is only meaningful for defining sets.
+    mod n, and Z not closed under q^2 (a -x read when q^2 = -1 mod n), as
+    |Z1| counts entanglement only for unions of q^2-cyclotomic cosets.
     """
     if z.n != n:
         raise ValueError(f"modulus mismatch: {z.n} vs {n}")
     if math.gcd(q, n) != 1:
         raise ValueError(f"q = {q} is not a unit mod n = {n}; "
                          "the -q map is not a permutation of the residues")
-    qsq = (q * q) % n
-    if not is_coset_closed(n, qsq, z):
+    if not is_coset_closed(n, q * q % n, z):
         raise ValueError("set is not closed under the q^2-cyclotomic action")
     hit = z.mask[_times_mod(z.array, pow(-q, -1, n), n)]
-    z1 = np.zeros(n, dtype=np.bool_)
-    z1[z.array[hit]] = True
-    return ResidueSet.from_mask(n, z1)
+    return ResidueSet.from_sorted(n, z.array[hit])

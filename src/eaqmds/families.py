@@ -227,18 +227,19 @@ def _mark(n: int, q: int, blocks, thresh: int | None = None) -> ResidueSet:
     Each block is a triple (lo, hi, umax): v runs over lo..hi, and u over
     0..umax while v <= thresh (every v when thresh is None) and over
     0..umax-1 beyond it.  All blocks of a union are marked in one pass:
-    their v ranges are concatenated, and each v carries its own u bound.
-    Only the length-(umax+1) table uq mod n and the concatenated v mod n
-    are reduced with ``%``; their sum lies in [0, 2n), so one conditional
-    subtract reduces the grid.  The mirror n - idx is the index -idx,
-    which sends 0 to 0.
+    their v ranges are one arange plus per-block offsets, and each v
+    carries its own u bound.  Only the length-(umax+1) table uq mod n and
+    v mod n are reduced with ``%``; their sum lies in [0, 2n), so one
+    conditional subtract reduces the grid.  The mirror n - idx is the
+    index -idx, which sends 0 to 0.
     """
-    v = np.concatenate([np.arange(lo, hi + 1) for lo, hi, _ in blocks])
-    v_umax = np.repeat([umax for _, _, umax in blocks],
-                       [max(hi - lo + 1, 0) for lo, hi, _ in blocks])
+    lo, hi, umax = np.array(blocks, dtype=np.int64).T
+    width = np.maximum(hi - lo + 1, 0)
+    v = np.arange(width.sum()) + np.repeat(lo + width - width.cumsum(), width)
+    v_umax = np.repeat(umax, width)
     if thresh is not None:
         v_umax -= v > thresh
-    u = np.arange(max(umax for _, _, umax in blocks) + 1)
+    u = np.arange(umax.max() + 1)
     idx = ((u * q) % n)[:, None] + v % n
     np.subtract(idx, n, out=idx, where=idx >= n)
     idx = idx[u[:, None] <= v_umax]
@@ -389,11 +390,11 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
         "defining_set_size": len(z) == 2 * cf.delta,
         "consecutive_run": z.is_consecutive_run(),
         "entanglement_closed_form": len(z1) == cf.c,
-        "t1_disjoint": not t1.mask[_times_mod(t1.array, -q, n)].any(),
+        "t1_disjoint": not np.count_nonzero(t1.mask[_times_mod(t1.array, -q, n)]),
         # -q is a unit mod n, so a finite set closed under it is its image
         "t1_prime_stable": is_coset_closed(n, -q, t1p),
         "t1_partition": np.array_equal(t1.mask | t1p.mask, z.mask)
-        and not (t1.mask & t1p.mask).any(),
+        and not np.count_nonzero(t1.mask & t1p.mask),
         "quantum_dim_formula": ea.kq == theorem_quantum_dim(spec)
         and ea.kq == cf.quantum_dim,
         "ea_singleton_equality": ea.ea_singleton_equality,

@@ -9,6 +9,7 @@ import residue_reference as ref
 from eaqmds import families
 from eaqmds.cosets import ResidueSet, decompose
 from eaqmds.families import (
+    CHECK_NAMES,
     FamilySpec,
     assemble_ea_params,
     build_T1,
@@ -167,6 +168,38 @@ def test_T1_and_T1_prime_masks_are_pinned_on_the_default_sweep():
     assert digest.hexdigest() == T1_MASKS_SHA256
 
 
+# SHA-256 over every verify_family report of the default sweep, in sweep
+# order: each spec clean, then with fault_delta=1 wherever delta + 1 <= s.
+# A report is hashed as its checks' pass bits in CHECK_NAMES order, then
+# z1_size and z2_size.  Computed before the -1 closure shortcut and the
+# kept member arrays, so it pins every check against rewrites of the
+# kernels beneath them.
+REPORTS_SHA256 = "8613a5ed3ad603bece4ea1b77735e9b87f3a9b00351fef3912e92952699ac7ba"
+
+
+def test_verify_family_reports_are_pinned_on_the_default_sweep():
+    digest = hashlib.sha256()
+    clean = faulty = 0
+    for spec in sweep_specs(5, 250):
+        deltas = (0, 1) if closed_form(spec).delta + 1 <= spec.s else (0,)
+        for fault_delta in deltas:
+            report = verify_family(spec, fault_delta=fault_delta)
+            assert tuple(report.checks) == CHECK_NAMES
+            bits = "".join("1" if report.checks[name] else "0"
+                           for name in CHECK_NAMES)
+            digest.update(f"{bits} {report.z1_size} {report.z2_size}\n".encode())
+            clean += not fault_delta
+            faulty += fault_delta
+    assert (clean, faulty) == (3438, 3286)
+    assert digest.hexdigest() == REPORTS_SHA256
+
+
+def _assert_builtin_bools(report):
+    # the checks are written as JSON, which takes bool but not numpy.bool_
+    assert all(type(ok) is bool for ok in report.checks.values()), \
+        {name: type(ok) for name, ok in report.checks.items()}
+
+
 def test_ea_params_anchors():
     assert ea_params(FamilySpec(1, 3, 4, 2)).label(83) == "[[689,161,357;184]]_83"
     assert ea_params(FamilySpec(2, 5, 4, 3)).label(239) == "[[2197,105,1719;1344]]_239"
@@ -231,10 +264,11 @@ def test_entanglement_count_strictly_increases_with_alpha():
 
 def test_verify_family_passes_on_table_rows():
     for case, rows in PUBLISHED_ROWS.items():
-        m, q, n, alpha, *_ = rows[0]
-        report = verify_family(spec_from_q(case, m, q, alpha))
-        assert report.passed, report.failed_checks()
-        assert report.z1_size == closed_form(report.spec).c
+        for m, q, n, alpha, *_ in rows:
+            report = verify_family(spec_from_q(case, m, q, alpha))
+            assert report.passed, report.failed_checks()
+            assert report.z1_size == closed_form(report.spec).c
+            _assert_builtin_bools(report)
 
 
 def test_verify_family_fault_injection():
@@ -247,6 +281,7 @@ def test_verify_family_fault_injection():
     assert not report.checks["t1_partition"]
     assert not report.checks["quantum_dim_formula"]
     assert not report.passed
+    _assert_builtin_bools(report)
 
 
 def test_fault_t1_prime_missing_a_coset_is_not_stable(monkeypatch):

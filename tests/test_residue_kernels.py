@@ -1,5 +1,6 @@
 """Mask kernels against the set-and-loop references, on both sides of
-``_times_mod``'s int32 bound, and the int64 guard."""
+``_times_mod``'s int32 bound, the -1 closure read, the member arrays kept
+by ``ResidueSet.from_sorted``, and the int64 guard."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import residue_reference as ref
 from eaqmds.cosets import (ResidueSet, _times_mod, all_cosets, decompose,
-                           is_coset_closed)
+                           is_coset_closed, run_defining_set)
 from eaqmds.families import _mark
 from eaqmds.verification import coset_identity_holds
 
@@ -82,6 +83,71 @@ def test_closure_and_image_match_reference_on_any_set(n, factor, data):
     assert set(_times_mod(s.array, -factor, n).tolist()) == set(image)
     assert np.flatnonzero(ref.image_mask(n, -factor, s.array)).tolist() == \
         sorted(set(image))
+
+
+def test_minus_one_closure_matches_reference_exhaustively_small():
+    # every subset of [0, n) for n <= 8, n = 1 and n = 2 among them (where
+    # -1 = 0 and -1 = 1), so sets holding 0 and sets of one element are in
+    for n in range(1, 9):
+        for bits in range(2 ** n):
+            members = [x for x in range(n) if bits >> x & 1]
+            s = ResidueSet.of(n, members)
+            for mult in (n - 1, -1, 2 * n - 1):
+                assert is_coset_closed(n, mult, s) == \
+                    ref.is_coset_closed(n, mult, members), (n, mult, members)
+
+
+@given(st.integers(1, 3000), st.data())
+def test_minus_one_closure_matches_reference(n, data):
+    # x -> -x closed unions of {i, n - i}, some with one member toggled,
+    # and arbitrary sets
+    reps = data.draw(st.sets(st.integers(0, n // 2)))
+    closed = {x for i in reps for x in (i, (n - i) % n)}
+    members = data.draw(st.one_of(
+        st.just(closed),
+        st.integers(0, n - 1).map(lambda x: closed ^ {x}),
+        st.sets(st.integers(0, n - 1))))
+    s = ResidueSet.of(n, members)
+    for mult in (n - 1, -1, 2 * n - 1):
+        assert is_coset_closed(n, mult, s) == \
+            ref.is_coset_closed(n, mult, members), mult
+
+
+@st.composite
+def sorted_members(draw):
+    """(n, sorted distinct members in [0, n)): runs, the whole range, or any."""
+    n = draw(st.integers(1, 400))
+    lo = draw(st.integers(0, n - 1))
+    run = list(range(lo, draw(st.integers(lo, n))))
+    return n, draw(st.one_of(st.just(run), st.just(list(range(n))),
+                             st.sets(st.integers(0, n - 1)).map(sorted)))
+
+
+def _assert_members_kept(z: ResidueSet):
+    assert z.array.dtype == np.int64 and not z.array.flags.writeable
+    assert np.array_equal(z.array, np.flatnonzero(z.mask))
+    same = ResidueSet.of(z.n, z.array.tolist())
+    assert z == same and hash(z) == hash(same)
+
+
+@given(sorted_members())
+def test_from_sorted_keeps_its_members_as_the_array(case):
+    n, members = case
+    z = ResidueSet.from_sorted(n, np.array(members, dtype=np.int64))
+    _assert_members_kept(z)
+    assert z.members == tuple(members)
+    assert ResidueSet.from_sorted(n, members) == z  # a list works too
+
+
+@given(closed_union(), st.data())
+def test_run_defining_set_and_decompose_keep_their_members(case, data):
+    q, n, members = case
+    _assert_members_kept(decompose(n, q, ResidueSet.of(n, members)))
+    s = (n - 1) // 2
+    if n % 2 and s:  # the run is a union of cosets {i, n - i} for odd n
+        z = run_defining_set(n, s, data.draw(st.integers(1, s)))
+        _assert_members_kept(z)
+        _assert_members_kept(decompose(n, q, z))
 
 
 @settings(max_examples=60)
@@ -192,6 +258,8 @@ def test_int64_guard_refuses_overflowing_products():
     big = 2 ** 62  # 5 * 2^62 >= 2^63
     with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
         _times_mod(s.array, -big, 5)
+    # 2^62 = -1 mod 5: the guard also covers is_coset_closed's -1 shortcut,
+    # which forms no product but still refuses what _times_mod refuses
     with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
         is_coset_closed(5, big, s)
     # decompose multiplies by (-q)^-1 reduced mod n, so a huge q is fine
