@@ -20,8 +20,8 @@ import sys
 
 from . import __version__
 from .cosets import decompose
-from .families import FamilySpec, build_defining_set, closed_form, ea_params, \
-    spec_from_q, verify_family
+from .families import CASES, DEFAULT_M_MAX, DEFAULT_Q_MAX, FamilySpec, \
+    build_defining_set, closed_form, ea_params, spec_from_q, verify_family
 from .published_params import PUBLISHED_ROWS
 from .rank_oracle import DEFAULT_N_MAX, OracleSizeError, entanglement_rank
 from .verification import run_verification_sweep
@@ -92,7 +92,12 @@ def _cmd_family(args) -> int:
         return 2
     cf = closed_form(spec)
     ea = ea_params(spec)
-    report = verify_family(spec)
+    try:
+        report = verify_family(spec)
+    except (OverflowError, MemoryError) as exc:  # n too large for the masks
+        print(f"error: n = {spec.n} is too large to verify: {exc}",
+              file=sys.stderr)
+        return 3
     payload = {
         **_instance(spec),
         "classical": {"n": spec.n, "k": cf.classical_dim, "d": cf.d},
@@ -186,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prepend tool provenance to the output")
 
     def add_instance(p):
-        p.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
+        p.add_argument("--case", type=int, choices=CASES, required=True)
         for flag in ("--m", "--k", "--alpha"):
             p.add_argument(flag, type=int, required=True)
 
     p_table = sub.add_parser("table", help="reproduce one published table")
-    p_table.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
+    p_table.add_argument("--case", type=int, choices=CASES, required=True)
     add_common(p_table)
     p_table.set_defaults(func=_cmd_table)
 
@@ -201,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.set_defaults(func=_cmd_family)
 
     p_verify = sub.add_parser("verify", help="run the property sweep")
-    p_verify.add_argument("--m-max", type=int, default=5)
-    p_verify.add_argument("--q-max", type=int, default=250)
+    p_verify.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
+    p_verify.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
     p_verify.add_argument("--oracle-n-max", type=_non_negative_int,
                           default=DEFAULT_N_MAX,
                           help="rank-oracle size guard; 0 skips the oracle")

@@ -6,8 +6,8 @@ defining sets, and Z1 = Z n (-qZ) of a defining set Z.
 A set of residues is a ``ResidueSet``: a read-only numpy bool mask over
 [0, n), True at each member.  Cosets are ResidueSets too.  Coset closure
 and Z1 are gathers, the mask read at the members times a unit mod n; no
-image set is built.  The member tuple and int64 array are derived on first
-use, unless the set was built from its sorted members (``from_sorted``).
+image set is built.  Each set also holds its sorted members as a read-only
+int64 array, set by its constructor.
 
 The kernels multiply members (all below n) by -q, by (-q)^-1 mod n (q on
 the family lengths) or by a coset multiplier, so the products stay below
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,58 +52,51 @@ def _times_mod(arr: np.ndarray, factor: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ResidueSet:
-    """A set of residues mod n, stored as a read-only bool mask of length n."""
+    """A set of residues mod n: a read-only bool mask of length n and the
+    members as a sorted, read-only int64 array."""
 
     n: int
     mask: np.ndarray
+    array: np.ndarray
 
     def __post_init__(self):
-        mask = self.mask
+        mask, arr = self.mask, self.array
         if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_
-                and mask.shape == (self.n,)):
-            raise ValueError(f"a ResidueSet mod {self.n} needs a bool mask "
-                             f"of shape ({self.n},)")
+                and mask.shape == (self.n,) and isinstance(arr, np.ndarray)
+                and arr.dtype == np.int64 and arr.ndim == 1):
+            raise ValueError(f"a ResidueSet mod {self.n} needs a bool mask of "
+                             f"shape ({self.n},) and a 1-D int64 member array")
         mask.setflags(write=False)
+        arr.setflags(write=False)
 
     @classmethod
     def of(cls, n: int, values) -> "ResidueSet":
         """The set {v mod n | v in values}; duplicates collapse."""
-        mask = np.zeros(n, dtype=np.bool_)
-        mask[[v % n for v in values]] = True
-        return cls.from_mask(n, mask)
+        return cls.from_sorted(n, sorted({v % n for v in values}))
 
     @classmethod
     def from_mask(cls, n: int, mask) -> "ResidueSet":
-        """Wrap a length-n bool mask; the array is frozen, not copied."""
-        return cls(n, np.asarray(mask, dtype=np.bool_))
+        """Wrap a length-n bool mask (frozen, not copied) with its members."""
+        mask = np.asarray(mask, dtype=np.bool_)
+        return cls(n, mask, np.flatnonzero(mask).astype(np.int64, copy=False))
 
     @classmethod
     def from_sorted(cls, n: int, members) -> "ResidueSet":
         """The set of sorted, distinct members in [0, n), kept as ``array``
-        (frozen, not copied) so that view is never derived from the mask."""
+        (frozen, not copied)."""
         arr = np.asarray(members, dtype=np.int64)
         mask = np.zeros(n, dtype=np.bool_)
         run = arr.size and arr[-1] - arr[0] + 1 == arr.size
         mask[slice(arr[0], arr[-1] + 1) if run else arr] = True  # a run: slice
-        out = cls(n, mask)
-        arr.setflags(write=False)
-        object.__setattr__(out, "array", arr)  # the cached_property's slot
-        return out
+        return cls(n, mask, arr)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The members as a sorted, read-only int64 array."""
-        arr = np.flatnonzero(self.mask).astype(np.int64, copy=False)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
+    @property
     def members(self) -> tuple[int, ...]:
         """The members as a sorted tuple of ints."""
         return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return self.array.size
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask[x % self.n])

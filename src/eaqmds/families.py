@@ -8,12 +8,17 @@ the quantum dimension, the explicit T1 / T1' coset unions whose
 disjointness properties drive those closed forms, and a per-instance
 verification report.
 
-Family shapes (a = m^2 + 1, m odd):
+Family shapes (a = m^2 + 1, m odd): each case fixes (b, delta0), and
+q = 2ak + b, delta = alpha*q + bk + delta0 and
+c = 4*alpha*(a*alpha + b) + 2*delta0.
 
-  case 1:  q = 2ak + m          delta = alpha*q + mk
-  case 2:  q = 2ak + a + m      delta = alpha*q + (a+m)k + (a+2m)/2
-  case 3:  q = 2ak + a - m      delta = alpha*q + (a-m)k + (a-2m)/2
-  case 4:  q = 2ak + 2a - m     delta = alpha*q + (2a-m)k + 2(a-m)
+  case 1:  b = m          delta0 = 0
+  case 2:  b = a + m      delta0 = a/2 + m
+  case 3:  b = a - m      delta0 = a/2 - m
+  case 4:  b = 2a - m     delta0 = 2(a - m)
+
+The printed k_q and the T1 thresholds keep their own per-case forms, so
+the checks against them stay independent of this table.
 """
 
 from __future__ import annotations
@@ -27,24 +32,30 @@ from .cosets import (ResidueSet, _times_mod, decompose, is_coset_closed,
                      run_defining_set)
 
 CASES = (1, 2, 3, 4)
+DEFAULT_M_MAX, DEFAULT_Q_MAX = 5, 250  # the default sweep's bounds
 
 
 def is_odd_prime_power(q: int) -> bool:
     return q % 2 == 1 and prime_power_base(q) is not None
 
 
-def q_for(case: int, m: int, k: int) -> int:
-    """The family's prescribed field size for parameters (m, k)."""
+def _shape(case: int, m: int) -> tuple[int, int]:
+    """(b, delta0) of a case: q = 2ak + b, delta = alpha*q + bk + delta0."""
     a = m * m + 1
     if case == 1:
-        return 2 * a * k + m
+        return m, 0
     if case == 2:
-        return 2 * a * k + a + m
+        return a + m, a // 2 + m
     if case == 3:
-        return 2 * a * k + a - m
+        return a - m, a // 2 - m
     if case == 4:
-        return 2 * a * k + 2 * a - m
+        return 2 * a - m, 2 * (a - m)
     raise ValueError(f"unknown case {case}; expected 1..4")
+
+
+def q_for(case: int, m: int, k: int) -> int:
+    """The family's prescribed field size for parameters (m, k)."""
+    return 2 * (m * m + 1) * k + _shape(case, m)[0]
 
 
 @dataclass(frozen=True)
@@ -55,10 +66,9 @@ class FamilySpec:
     m: int
     k: int
     alpha: int
+    q: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case}; expected 1..4")
+    def __post_init__(self):  # an unknown case is refused by q_for
         if self.m < 1 or self.m % 2 == 0:
             raise ValueError(f"m must be odd and >= 1, got {self.m}")
         if self.k < 1:
@@ -73,19 +83,15 @@ class FamilySpec:
                 "is not an odd prime power")
         if (q * q + 1) % self.a:
             raise AssertionError("a does not divide q^2 + 1")  # cannot happen
+        object.__setattr__(self, "q", q)
 
     @property
     def a(self) -> int:
         return self.m * self.m + 1
 
     @property
-    def q(self) -> int:
-        return q_for(self.case, self.m, self.k)
-
-    @property
     def n(self) -> int:
-        q = self.q
-        return (q * q + 1) // self.a
+        return (self.q * self.q + 1) // self.a
 
     @property
     def s(self) -> int:
@@ -95,7 +101,7 @@ class FamilySpec:
 def spec_from_q(case: int, m: int, q: int, alpha: int) -> FamilySpec:
     """Build a spec from an explicit q, inverting the case's linear form."""
     a = m * m + 1
-    offset = q_for(case, m, 0)
+    offset = _shape(case, m)[0]
     num = q - offset
     if num <= 0 or num % (2 * a):
         raise ValueError(
@@ -140,21 +146,11 @@ class ClosedForm:
 
 
 def closed_form(spec: FamilySpec) -> ClosedForm:
-    case, m, k, alpha = spec.case, spec.m, spec.k, spec.alpha
-    a, q, n = spec.a, spec.q, spec.n
-    if case == 1:
-        delta = alpha * q + m * k
-        c = 4 * alpha * (a * alpha + m)
-    elif case == 2:
-        delta = alpha * q + (a + m) * k + (a + 2 * m) // 2
-        c = 4 * alpha * (a * alpha + a + m) + a + 2 * m
-    elif case == 3:
-        delta = alpha * q + (a - m) * k + (a - 2 * m) // 2
-        c = 4 * alpha * (a * alpha + a - m) + a - 2 * m
-    else:
-        delta = alpha * q + (2 * a - m) * k + 2 * (a - m)
-        c = 4 * alpha * (a * alpha + 2 * a - m) + 4 * (a - m)
+    alpha, a, q, n = spec.alpha, spec.a, spec.q, spec.n
+    b, delta0 = _shape(spec.case, spec.m)
+    delta = alpha * q + b * spec.k + delta0
     dim = n - 2 * delta
+    c = 4 * alpha * (a * alpha + b) + 2 * delta0
     return ClosedForm(delta=delta, c=c, classical_dim=dim,
                       quantum_dim=2 * dim - n + c, d=2 * delta + 1)
 
@@ -372,10 +368,11 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
 
     ``fault_delta`` perturbs the run half-length; it exists so the test
     harness can prove the checks actually bite.  Failures are report
-    entries, never exceptions.
+    entries; only q*n >= 2^63 raises (``_times_mod``'s ``OverflowError``).
     """
     cf = closed_form(spec)
     n, q, s = spec.n, spec.q, spec.s
+    _times_mod(np.zeros(0, np.int64), -q, n)  # refuses q*n >= 2^63 up front
     delta = cf.delta + fault_delta
     z = run_defining_set(n, s, delta)
     z1 = decompose(n, q, z)
@@ -403,7 +400,7 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
                               z1_size=len(z1), z2_size=len(z) - len(z1))
 
 
-def sweep_specs(m_max: int = 5, q_max: int = 250):
+def sweep_specs(m_max: int = DEFAULT_M_MAX, q_max: int = DEFAULT_Q_MAX):
     """All admissible specs over the four cases, odd m <= m_max, q <= q_max."""
     for case in CASES:
         for m in range(1, m_max + 1, 2):

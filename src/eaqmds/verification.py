@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import CHECK_NAMES, closed_form, sweep_specs, verify_family
-from .rank_oracle import entanglement_rank, generator_parity_orthogonal
+from .families import (CHECK_NAMES, DEFAULT_M_MAX, DEFAULT_Q_MAX, closed_form,
+                       sweep_specs, verify_family)
+from .rank_oracle import (DEFAULT_N_MAX, entanglement_rank,
+                          generator_parity_orthogonal)
 
 
 def coset_identity_holds(q: int, n: int) -> bool:
@@ -88,8 +90,9 @@ class SweepSummary:
         }
 
 
-def run_verification_sweep(m_max: int = 5, q_max: int = 250,
-                           oracle_n_max: int = 300,
+def run_verification_sweep(m_max: int = DEFAULT_M_MAX,
+                           q_max: int = DEFAULT_Q_MAX,
+                           oracle_n_max: int = DEFAULT_N_MAX,
                            fault_inject: bool = False) -> SweepSummary:
     """Run the full property sweep and aggregate per-check counts.
 

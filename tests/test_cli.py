@@ -198,6 +198,27 @@ def test_only_spec_errors_are_usage_errors(command, target, monkeypatch):
         main(command)
 
 
+def test_family_past_the_kernel_limit_exits_3(capsys):
+    # q = 4 000 037, n = 8 000 148 000 685: q*n is past 2^63, so the
+    # instance is refused before any length-n mask is allocated
+    code, out, err = run_cli(capsys, "family", "--case", "1", "--m", "1",
+                             "--k", "1000009", "--alpha", "1")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: n = 8000148000685")
+    assert "2^63" in err
+
+
+def test_family_out_of_memory_exits_3(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate the mask")
+
+    monkeypatch.setattr("eaqmds.cli.verify_family", fail)
+    code, out, err = run_cli(capsys, "family", "--case", "1", "--m", "1",
+                             "--k", "3", "--alpha", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: n = 85 is too large to verify: Unable to allocate the mask\n"
+
+
 def test_oracle_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, "oracle", "--case", "1", "--m", "3",
                            "--k", "4", "--alpha", "1")  # n = 689

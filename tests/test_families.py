@@ -35,6 +35,67 @@ def test_q_forms():
     assert q_for(4, 3, 4) == 97
 
 
+# The per-case forms of q, delta and c, written out one case at a time: the
+# reference that families._shape's (b, delta0) table is checked against.
+def _reference_q(case, m, k):
+    a = m * m + 1
+    return {1: 2 * a * k + m, 2: 2 * a * k + a + m,
+            3: 2 * a * k + a - m, 4: 2 * a * k + 2 * a - m}[case]
+
+
+def _reference_delta_c(spec):
+    case, m, k, alpha, q = spec.case, spec.m, spec.k, spec.alpha, spec.q
+    a = m * m + 1
+    if case == 1:
+        return alpha * q + m * k, 4 * alpha * (a * alpha + m)
+    if case == 2:
+        return (alpha * q + (a + m) * k + (a + 2 * m) // 2,
+                4 * alpha * (a * alpha + a + m) + a + 2 * m)
+    if case == 3:
+        return (alpha * q + (a - m) * k + (a - 2 * m) // 2,
+                4 * alpha * (a * alpha + a - m) + a - 2 * m)
+    return (alpha * q + (2 * a - m) * k + 2 * (a - m),
+            4 * alpha * (a * alpha + 2 * a - m) + 4 * (a - m))
+
+
+def test_shape_reproduces_the_per_case_forms_to_q500():
+    count = 0
+    for spec in sweep_specs(5, 500):
+        assert spec.q == _reference_q(spec.case, spec.m, spec.k), spec
+        cf = closed_form(spec)
+        assert (cf.delta, cf.c) == _reference_delta_c(spec), spec
+        count += 1
+    assert count == 12182
+    # q_for on every k, prime power or not
+    for case in families.CASES:
+        for m in (1, 3, 5):
+            for k in range(0, 40):
+                assert q_for(case, m, k) == _reference_q(case, m, k)
+
+
+def test_shape_fault_flips_the_checks_it_feeds(monkeypatch):
+    # delta0 + 1 shifts the closed form's delta by 1 and c by 2; the printed
+    # k_q and the T1 thresholds do not read _shape, so the checks against
+    # them fail, as does |Z1| against the shifted c
+    specs = [spec for spec in sweep_specs()
+             if closed_form(spec).delta + 1 <= spec.s]
+    assert len(specs) == 3286
+    shape = families._shape
+
+    def shifted(case, m):
+        b, delta0 = shape(case, m)
+        return b, delta0 + 1
+
+    monkeypatch.setattr(families, "_shape", shifted)
+    flipped = dict.fromkeys(
+        ("quantum_dim_formula", "entanglement_closed_form", "t1_partition"), 0)
+    for spec in specs:
+        report = verify_family(spec)
+        for name in flipped:
+            flipped[name] += not report.checks[name]
+    assert flipped == dict.fromkeys(flipped, 3286)
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError, match="odd"):
         FamilySpec(1, 2, 3, 1)

@@ -274,9 +274,19 @@ def test_residue_set_views_and_identity():
     assert len(a) == 2 and 15 in a and 4 not in a and list(a) == [3, 11]
     assert not a.mask.flags.writeable and not a.array.flags.writeable
     b = ResidueSet.from_mask(12, a.mask.copy())
+    assert b.array.tolist() == [3, 11] and not b.array.flags.writeable
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != ResidueSet.of(13, [3, 11])
-    with pytest.raises(ValueError):
-        ResidueSet(12, (3, 11))  # storage is a mask, not a member tuple
+    # the constructor takes the mask and the member array, and checks their
+    # dtype and shape (ndim for the array), not that they agree
+    assert ResidueSet(12, a.mask, a.array) == a
+    for mask, array in [((3, 11), a.array),  # a member tuple is not a mask
+                        (a.mask.astype(np.int8), a.array),
+                        (a.mask[:11], a.array),
+                        (a.mask, [3, 11]),
+                        (a.mask, a.array.astype(np.int32)),
+                        (a.mask, a.array[None, :])]:
+        with pytest.raises(ValueError):
+            ResidueSet(12, mask, array)
     with pytest.raises(ValueError):
         ResidueSet.from_mask(12, [True] * 11)
