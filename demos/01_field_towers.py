@@ -17,7 +17,7 @@ from eaqmds import (
     nth_root_of_unity,
     quadratic_extension,
 )
-from eaqmds.fields import _matrix_power, _times_matrix, prime_factors
+from eaqmds.fields import _powers, _times_matrix, prime_factors
 
 
 def mul(a, b, field):
@@ -25,7 +25,7 @@ def mul(a, b, field):
 
 
 def power(a, k, field):
-    return tuple(_matrix_power(_times_matrix(a, field), k, field.p)[0].tolist())
+    return tuple(_powers(_times_matrix(a, field), [k], field.p)[0].tolist())
 
 
 def order(a, field):

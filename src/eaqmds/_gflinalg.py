@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, _matrix_power, _power_table, _times_matrix, \
+from .fields import Field, _power_table, _powers, _times_matrix, \
     find_primitive_element, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
@@ -70,11 +70,11 @@ def frobenius_matrix(field: Field, q: int) -> np.ndarray:
     """Matrix of x -> x^q on the digit representation (a GF(p)-linear map).
 
     Column i holds the digits of b_i^q, b_i = x^i the i-th basis element:
-    row 0 (the digits of 1) of the q-th power of b_i's multiplication map.
+    row 0 of the q-th power of b_i's multiplication map (``fields._powers``).
     So conj(a) = a @ M.T on a digit array a.  Cached and read-only.
     """
     _require_flat(field)
-    frob = _matrix_power(mul_tensor(field), q, field.p)[:, 0].T
+    frob = _powers(mul_tensor(field), [q], field.p)[0].T
     frob.flags.writeable = False
     return frob
 

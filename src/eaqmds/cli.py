@@ -152,6 +152,10 @@ def _cmd_oracle(args) -> int:
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (OverflowError, MemoryError) as exc:  # n too large for the masks
+        print(f"error: n = {spec.n} is too large for the rank oracle: {exc}",
+              file=sys.stderr)
+        return 3
     result = {
         "rank_hh_dagger": report.rank_hh_dagger,
         "z1_size": report.z1_size,

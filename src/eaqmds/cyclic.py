@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, _matrix_power, _power_table, _times_matrix
+from .fields import Field, _power_table, _powers, _times_matrix
 from .cosets import ResidueSet, is_coset_closed
 
 
@@ -51,8 +51,8 @@ def generator_digits(tower: Field, lam: tuple[int, ...], z: ResidueSet) -> np.nd
     if (qsq + 1) % n:
         raise ValueError(f"q^2 is not -1 mod {n}; the cosets are not {{i, n - i}}")
     p, e = subfield.p, subfield.degree
-    step = _times_matrix(lam, tower)
-    if not np.array_equal(_matrix_power(step, n, p), np.eye(2 * e, dtype=np.int64)):
+    lam_n = _powers(_times_matrix(lam, tower), [n], p)[0]
+    if not np.array_equal(lam_n, np.eye(2 * e, dtype=np.int64)[0]):
         raise ValueError(f"element is not an n-th root of unity for n = {n}")
     powers = _power_table(lam, tower, n)
     reps = z.array[2 * z.array <= n]

@@ -109,21 +109,13 @@ def spec_from_q(case: int, m: int, q: int, alpha: int) -> FamilySpec:
     return FamilySpec(case, m, num // (2 * a), alpha)
 
 
-def enumerate_admissible(case: int, m: int, k_max: int | None = None,
-                         q_max: int | None = None) -> list[FamilySpec]:
-    """All admissible specs with k <= k_max, q <= q_max, alpha in [1, k]."""
+def enumerate_admissible(case: int, m: int, *, q_max: int) -> list[FamilySpec]:
+    """All admissible specs with q <= q_max and alpha in [1, k]."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be odd and >= 1, got {m}")
-    if k_max is None and q_max is None:
-        raise ValueError("at least one of k_max, q_max is required")
     out = []
     k = 1
-    while True:
-        if k_max is not None and k > k_max:
-            break
-        q = q_for(case, m, k)
-        if q_max is not None and q > q_max:
-            break
+    while (q := q_for(case, m, k)) <= q_max:
         if is_odd_prime_power(q):
             out.extend(FamilySpec(case, m, k, alpha) for alpha in range(1, k + 1))
         k += 1

@@ -12,8 +12,11 @@ membership is a zero-top-half test and projection is exact.
 On digit row vectors the map x -> x a is a GF(p)-linear matrix
 (``_times_matrix``, read off the multiplication tensor ``mul_tensor``),
 so a product is a vector-matrix product and a^k is row 0 of that matrix
-to the k-th power; a run of powers a^0 ... a^(count-1) is one table built
-by doubling (``_power_table``).  Every search here runs on such maps.
+to the k-th power.  ``_powers`` is the one power routine: it raises any
+stack of maps (field elements, companion matrices, the basis maps behind
+the Frobenius) to a list of exponents by square-and-multiply on row 0.
+A run of consecutive powers a^0 ... a^(count-1) is instead one table
+built by doubling (``_power_table``).  Every search here runs on such maps.
 
 Moduli and primitive elements are chosen canonically (smallest candidate
 in the counting order where the constant coefficient is the least
@@ -85,11 +88,6 @@ class Field:
 
 # ---------------------------------------------------------------------------
 # digits and multiplication maps
-#
-# The digits of an element are its GF(p) coefficients, low first through
-# every tower level: exactly the base-p digits of its index.  On digit row
-# vectors the map x -> x a is a dim x dim matrix over GF(p), so a^k is the
-# first row of that matrix to the k-th power.
 
 
 def _index_digits(indices, p: int, dim: int) -> np.ndarray:
@@ -148,18 +146,6 @@ def _times_matrix(a, field: Field) -> np.ndarray:
     return (a @ t.reshape(len(t), -1) % field.p).reshape(a.shape + (len(t),))
 
 
-def _matrix_power(m: np.ndarray, k: int, p: int) -> np.ndarray:
-    """m^k mod p by repeated squaring, for k >= 0, on a stack (..., d, d)."""
-    out = np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), m.shape).copy()
-    while k:
-        if k & 1:
-            out = out @ m % p
-        k >>= 1
-        if k:
-            m = m @ m % p
-    return out
-
-
 def _power_table(a, field: Field, count: int) -> np.ndarray:
     """(count, dim) digits of a^0 ... a^(count-1), count >= 1, by doubling
     on a's map M: the block a^[m, 2m) is the block a^[0, m) times M^m."""
@@ -175,21 +161,22 @@ def _power_table(a, field: Field, count: int) -> np.ndarray:
     return out
 
 
-def _powers(digits: np.ndarray, field: Field, exps) -> np.ndarray:
-    """Digits of a^E for every row a of ``digits`` and every E in ``exps``.
+def _powers(maps: np.ndarray, exps, p: int) -> np.ndarray:
+    """Row 0 of M^E for every map M of a (..., d, d) stack and every E >= 0
+    in ``exps``: the digits of a^E when M is the map of a.
 
-    Each a's map M is built once and squared once per bit of max(exps);
-    every exponent reads its power off the same squares.  The result has
-    shape (len(exps), len(digits), dim).
+    Starts from the unit row e_0 and squares the maps once per bit of
+    max(exps); every exponent reads its power off the same squares.  The
+    result has shape (len(exps), ..., d) and the dtype of ``maps``.
     """
-    p, squares = field.p, _times_matrix(digits, field)
-    out = np.tile(mul_tensor(field)[0, 0], (len(exps), len(digits), 1))
+    out = np.zeros((len(exps),) + maps.shape[:-1], dtype=maps.dtype)
+    out[..., 0] = 1
     for j in range(max(exps).bit_length()):
         if j:
-            squares = squares @ squares % p
+            maps = maps @ maps % p
         for i, e in enumerate(exps):
             if e >> j & 1:
-                out[i] = (out[i][:, None, :] @ squares)[:, 0] % p
+                out[i] = (out[i][..., None, :] @ maps)[..., 0, :] % p
     return out
 
 
@@ -219,10 +206,11 @@ def _irreducible(low: np.ndarray, p: int) -> np.ndarray:
 
     Rabin's test (SIAM J. Comput. 9, 1980) on the companion matrix C of
     each f, the map x -> x X of GF(p)[X]/(f), whose powers C^k have the
-    digits of X^k in row 0.  f is irreducible iff X^(p^e) = X and, for
-    each prime r | e, the element a = X^(p^(e/r)) - X is a unit.  Once the
-    first holds, GF(p)[X]/(f) is a product of fields GF(p^d) with d | e,
-    so a is a unit iff a^(p^e - 1) = 1, decided on a's map sum_k a_k C^k.
+    digits of X^k in row 0; one ``_powers`` call reads every X^(p^j).
+    f is irreducible iff X^(p^e) = X and, for each prime r | e, the
+    element a = X^(p^(e/r)) - X is a unit.  Once the first holds,
+    GF(p)[X]/(f) is a product of fields GF(p^d) with d | e, so a is a
+    unit iff a^(p^e - 1) = 1, decided on a's map sum_k a_k C^k.
     """
     k, e = low.shape
     dtype = np.int64 if e * (p - 1) ** 2 < 2**63 else object
@@ -230,18 +218,16 @@ def _irreducible(low: np.ndarray, p: int) -> np.ndarray:
     comp[:, :-1, 1:] = np.eye(e - 1, dtype=dtype)
     comp[:, -1] = -low % p
     x = comp[0, 0]                                  # the digits of X
-    frobenius = [comp]                              # the maps of X^(p^j)
-    for _ in range(e):
-        frobenius.append(_matrix_power(frobenius[-1], p, p))
-    ok = (frobenius[e][:, 0] == x).all(1)
+    frobenius = _powers(comp, [p**j for j in range(e + 1)], p)  # X^(p^j)
+    ok = (frobenius[e] == x).all(1)
     basis = [np.broadcast_to(np.eye(e, dtype=dtype), comp.shape)]
     for _ in range(e - 1):                          # the maps of X^j, j < e
         basis.append(basis[-1] @ comp % p)
     basis, one = np.stack(basis, axis=1), basis[0][0, 0]
     for r in prime_factors(e):
-        a = (frobenius[e // r][ok, 0] - x) % p
+        a = (frobenius[e // r][ok] - x) % p
         a_map = (a[:, :, None, None] * basis[ok]).sum(1) % p
-        ok[ok] = (_matrix_power(a_map, p**e - 1, p)[:, 0] == one).all(1)
+        ok[ok] = (_powers(a_map, [p**e - 1], p)[0] == one).all(1)
     return ok
 
 
@@ -284,7 +270,8 @@ def quadratic_extension(base: Field) -> Field:
         c, b = digits[:, :dim], digits[:, dim:]
         b_sq = (b[:, None, :] @ _times_matrix(b, base))[:, 0]
         disc = (b_sq - 4 * c) % p
-        return disc.any(1) & (_powers(disc, base, [exp])[0] != one).any(1)
+        euler = _powers(_times_matrix(disc, base), [exp], p)[0]
+        return disc.any(1) & (euler != one).any(1)
 
     v = _first_index(0, base.order ** 2, p, 2 * dim, irreducible)
     return Field(base.p, 2, base, (v % base.order, v // base.order, 1))
@@ -312,9 +299,12 @@ def find_primitive_element(field: Field) -> tuple[int, ...]:
     checks = [(n // r) for r in prime_factors(n)]
     one = mul_tensor(field)[0, 0]
     start = 2 if field.base is None else field.base.order
-    i = _first_index(
-        start, field.order, field.p, len(one),
-        lambda digits: (_powers(digits, field, checks) != one).any(2).all(0))
+
+    def primitive(digits):
+        powers = _powers(_times_matrix(digits, field), checks, field.p)
+        return (powers != one).any(2).all(0)
+
+    i = _first_index(start, field.order, field.p, len(one), primitive)
     return tuple(_index_digits([i], field.p, len(one))[0].tolist())
 
 
@@ -328,5 +318,5 @@ def nth_root_of_unity(field: Field, n: int) -> tuple[int, ...]:
     group = field.order - 1
     if group % n:
         raise ValueError(f"{n} does not divide the group order {group}")
-    g = _times_matrix(find_primitive_element(field), field)
-    return tuple(_matrix_power(g, group // n, field.p)[0].tolist())
+    g_map = _times_matrix(find_primitive_element(field), field)
+    return tuple(_powers(g_map, [group // n], field.p)[0].tolist())

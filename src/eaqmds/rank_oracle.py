@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _gflinalg as gfa
-from .cosets import ResidueSet, decompose
+from .cosets import ResidueSet, _times_mod, decompose
 from .cyclic import generator_digits
 from .families import FamilySpec, build_defining_set, closed_form
 from .fields import GF, Field, nth_root_of_unity, prime_power_base, quadratic_extension
@@ -107,12 +107,14 @@ def gram_digits(h: np.ndarray, field: Field, q: int, n: int) -> np.ndarray:
 def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankReport:
     """Compute rank(H H†) for the instance's code and compare with |Z1|.
 
-    Raises OracleSizeError when n exceeds ``n_max``.
+    Raises OracleSizeError when n exceeds ``n_max``, and, before any field
+    is built, ``_times_mod``'s OverflowError when q*n >= 2^63.
     """
     n, q = spec.n, spec.q
     if n > n_max:
         raise OracleSizeError(
             f"n = {n} exceeds the rank oracle guard n_max = {n_max}")
+    _times_mod(np.zeros(0, np.int64), -q, n)  # refuses q*n >= 2^63 up front
     tower, lam, z = _code(spec)
     h = generator_digits(tower, lam, z.complement())
     rank = gfa.rank_digits(gram_digits(h, tower.base, q, n), tower.base)

@@ -1,6 +1,7 @@
 """CLI surface: output schemas, golden-table reproduction, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -217,6 +218,31 @@ def test_family_out_of_memory_exits_3(capsys, monkeypatch):
                              "--k", "3", "--alpha", "2")
     assert (code, out) == (3, "")
     assert err == "error: n = 85 is too large to verify: Unable to allocate the mask\n"
+
+
+def test_oracle_past_the_kernel_limit_exits_3(capsys):
+    # with the n guard lifted, the same instance is refused before any
+    # field context is built, not after a tower-modulus scan over GF(q)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--case", "1", "--m", "1",
+                             "--k", "1000009", "--alpha", "1",
+                             "--oracle-n-max", "100000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: n = 8000148000685")
+    assert "2^63" in err
+
+
+def test_oracle_out_of_memory_exits_3(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate the mask")
+
+    monkeypatch.setattr("eaqmds.cli.entanglement_rank", fail)
+    code, out, err = run_cli(capsys, "oracle", "--case", "1", "--m", "1",
+                             "--k", "3", "--alpha", "1")
+    assert (code, out) == (3, "")
+    assert err == ("error: n = 85 is too large for the rank oracle: "
+                   "Unable to allocate the mask\n")
 
 
 def test_oracle_guard_exit_code(capsys):

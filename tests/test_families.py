@@ -130,7 +130,7 @@ def test_spec_from_q_rejects_unknown_case(case):
 
 
 def test_enumerate_admissible_case1():
-    specs = enumerate_admissible(1, 1, k_max=4, q_max=20)
+    specs = enumerate_admissible(1, 1, q_max=20)
     qs = sorted({s.q for s in specs})
     assert qs == [5, 9, 13, 17]  # 5 and 9 = 3^2 pass the prime-power test
     assert len(specs) == 1 + 2 + 3 + 4
@@ -147,7 +147,7 @@ def test_enumerate_admissible_case2_and_case4():
 
 
 def test_enumerate_requires_a_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         enumerate_admissible(1, 1)
 
 

@@ -4,8 +4,13 @@
 unity with GF(p)-linear maps on digits.  These tests pin every choice the
 default sweep makes to the object-level searches in ``field_reference``,
 check the canonical GF(p, 2j) moduli with sympy's irreducibility test,
-and check the field axioms of the tower GF(q^4) with Hypothesis.
+and check the field axioms of the tower GF(q^4) with Hypothesis.  The
+two power routines, ``_powers`` and ``_power_table``, are checked
+against repeated multiplication, and one SHA-256 pins every canonical
+choice of the oracle up to n = 1000.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,10 +18,13 @@ from hypothesis import given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from eaqmds.families import sweep_specs
-from eaqmds.fields import GF, _matrix_power, _power_table, _times_matrix, \
+from eaqmds import _gflinalg as gfa
+from eaqmds.cyclic import generator_digits
+from eaqmds.families import build_defining_set, sweep_specs
+from eaqmds.fields import GF, _index_digits, _power_table, _powers, _times_matrix, \
     find_primitive_element, mul_tensor, nth_root_of_unity, prime_power_base, \
     quadratic_extension
+from eaqmds.rank_oracle import code_context
 
 from field_reference import embed, full_scan_primitive, object_field, \
     quadratic_modulus_reference
@@ -58,6 +66,30 @@ def test_root_of_unity_matches_object_power(q, n):
     assert lam ** n == tower.one
 
 
+# Every canonical choice the oracle makes up to n = 1000: both moduli,
+# both primitive elements, lam, the Frobenius and the inverse table of
+# each (q, n) pair, then g and h of every spec with n <= 150.
+CANONICAL_SHA256 = "cd5e61fb77b88a78eb1cfb8321a49e786b8a74b154fc00a5d063e768edf1a1ee"
+
+
+def test_canonical_choices_digest():
+    digest = hashlib.sha256()
+    for q, n in SWEEP_PAIRS:
+        sub, tower, lam = code_context(q, n)
+        digest.update(repr((q, n, sub.modulus, tower.modulus, find_primitive_element(sub),
+                            find_primitive_element(tower), lam)).encode())
+        for table in (gfa.frobenius_matrix(sub, q), gfa.inverse_table(sub)):
+            digest.update(table.tobytes())
+    small = [s for s in SWEEP if s.n <= 150]
+    assert len(small) == 29
+    for spec in small:
+        _, tower, lam = code_context(spec.q, spec.n)
+        z = build_defining_set(spec)
+        for part in (z, z.complement()):
+            digest.update(generator_digits(tower, lam, part).tobytes())
+    assert digest.hexdigest() == CANONICAL_SHA256
+
+
 @pytest.mark.parametrize("p", [5, 13, 4294967311])
 def test_prime_field_scan_matches_object_scan(p):
     # p = 4294967311 > 2^32: products of two digits overflow int64, so the
@@ -76,17 +108,67 @@ POWER_BASES = {           # the primitive elements, and lam of the [[85, ...]]_1
 }
 
 
+def repeated_products(maps, exp, p):
+    """Row 0 of maps^exp by exp steps of row <- row M, from the unit row."""
+    row = np.zeros(maps.shape[:-1], dtype=maps.dtype)
+    row[..., 0] = 1
+    for _ in range(exp):
+        row = (row[..., None, :] @ maps)[..., 0, :] % p
+    return row
+
+
 @pytest.mark.parametrize("count", [1, 2, 7, 85])
 @pytest.mark.parametrize("name", POWER_BASES)
 def test_power_table_matches_matrix_powers(name, count):
     # the doubling table behind inverse_table and generator_digits: row k
-    # against row 0 of the k-th power of a's map, block boundaries included
+    # against k steps of row <- row M on a's map M, block boundaries included
     f, a = POWER_BASES[name]
     table = _power_table(a, f, count)
     assert table.shape == (count, len(mul_tensor(f))) and table.dtype == np.int64
-    step = _times_matrix(a, f)
+    step, row = _times_matrix(a, f), np.eye(len(table[0]), dtype=np.int64)[0]
     for k in range(count):
-        assert np.array_equal(table[k], _matrix_power(step, k, f.p)[0]), k
+        assert np.array_equal(table[k], row), k
+        row = row @ step % f.p
+
+
+def companion_stack(p, e, count):
+    """Companion matrices of the first ``count`` monic degree-e f, as
+    ``fields._irreducible`` builds them: row 0 of C^k holds X^k mod f."""
+    low = _index_digits(range(count), p, e)
+    comp = np.zeros((count, e, e), dtype=np.int64)
+    comp[:, :-1, 1:] = np.eye(e - 1, dtype=np.int64)
+    comp[:, -1] = -low % p
+    return comp
+
+
+def element_maps(field, shape):
+    """A ``shape`` stack of the maps of the elements of index 0, 37, 74, ..."""
+    count = int(np.prod(shape))
+    digits = _index_digits(range(0, count * 37, 37), field.p, len(mul_tensor(field)))
+    return _times_matrix(digits.reshape(shape + (-1,)), field)
+
+
+POWER_STACKS = {          # (p, a stack of maps)
+    "GF(13^2)": (13, element_maps(GF(13, 2), (5,))),
+    "GF(3^6)": (3, element_maps(GF(3, 6), (2, 3))),
+    "GF(13^4)": (13, element_maps(TOWER_13, (4,))),
+    "companion-3^6": (3, companion_stack(3, 6, 6)),
+    "GF(4294967311)": (4294967311, element_maps(GF(4294967311), (4,))),
+}
+
+
+@pytest.mark.parametrize("exps", [[0], [1], [2], [5, 0, 13, 5, 1, 130, 64]],
+                         ids=str)
+@pytest.mark.parametrize("name", POWER_STACKS)
+def test_powers_match_repeated_multiplication(name, exps):
+    # every exponent against its own chain of products; 130 and 64 need
+    # every bit of max(exps), and the odd ones the unsquared maps
+    p, maps = POWER_STACKS[name]
+    got = _powers(maps, exps, p)
+    assert got.shape == (len(exps),) + maps.shape[:-1]
+    assert got.dtype == maps.dtype == (object if p > 2**32 else np.int64)
+    for power, e in zip(got, exps):
+        assert np.array_equal(power, repeated_products(maps, e, p)), e
 
 
 # (p, e) the sweep never builds: one prime r | e (e = 3, 5, where the
