@@ -39,7 +39,8 @@ def generator_digits(tower: Field, lam: tuple[int, ...], z: ResidueSet) -> np.nd
     n - i), read off lam's power table; each coefficient is checked to lie
     in GF(q^2) before projection, so a set that is not coset-closed for
     this root fails loudly.  Requires q^2 = -1 mod n and lam^n = 1.
-    Memoized on (tower, lam, Z): the rank and G H^T checks build h once.
+    Memoized on (tower, lam, Z): the rank and G H^T checks build g and h
+    once each.
     """
     if tower.base is None:
         raise ValueError("root of unity must live in a tower extension")

@@ -11,9 +11,17 @@ The oracle runs on digit arrays and never forms H.  x^n - 1 is the
 product of one minimal polynomial per cyclotomic coset, so the check
 polynomial h = (x^n - 1) / g is the product of those of the cosets
 outside Z, built by ``cyclic.generator_digits`` exactly as g is from Z.
-The rank route builds only h.  H's rows are shifts of the reversed h, so
-H H† is the Hermitian Toeplitz band of h's autocorrelation
-(``gram_digits``).  G H^T = 0 says that g h has no terms of degrees
+H's rows are shifts of the reversed h, so H H† is the Hermitian Toeplitz
+band of h's autocorrelation (``gram_digits``), and G G† is the same band
+of g's.  C and its Euclidean dual have Hermitian hulls of one dimension
+(conjugation maps one hull onto the other), so
+
+    rank(H H†) = rank(G G†) + 2 deg g - n
+
+(Guenda, Jitman and Gulliver, Des. Codes Cryptogr. 86, 2018).  A
+polynomial of degree d gives a Gram matrix of n - d rows, so the rank
+route builds only the longer of g and h (h on a tie) and ranks the
+smaller matrix.  G H^T = 0 says that g h has no terms of degrees
 1 .. n - 1; since g and h are two separately built products, and not a
 quotient and its divisor, that check can fail.
 
@@ -87,13 +95,16 @@ def _code(spec: FamilySpec) -> tuple[Field, tuple[int, ...], ResidueSet]:
 
 
 def gram_digits(h: np.ndarray, field: Field, q: int, n: int) -> np.ndarray:
-    """H H† from the check polynomial h, as a read-only (n - k, n - k, e) view.
+    """The Gram matrix of the n - k shifts of the reversed h, as a read-only
+    (n - k, n - k, e) view.
 
-    Row i of H is h~ = h_k, ..., h_0 shifted i places, so (H H†)_ij =
-    r_(i-j) with r_d = sum_t h~_t conj(h~_(t+d)), zero for |d| > k = deg h.
-    r is one product, h~ times the reversed conjugate of h~ (that is, the
-    conjugate of h), with r_d at index k - d; the matrix is a strided view
-    of its band.
+    Any polynomial h of degree k < n serves: the check polynomial gives
+    H H†, and the generator polynomial g gives (G G†)^T, whose rank is
+    rank(G G†).  Row i is h~ = h_k, ..., h_0 shifted i places, so entry
+    (i, j) is r_(i-j) with r_d = sum_t h~_t conj(h~_(t+d)), zero for
+    |d| > k.  r is one product, h~ times the reversed conjugate of h~
+    (that is, the conjugate of h), with r_d at index k - d; the matrix is
+    a strided view of its band.
     """
     k = len(h) - 1
     rows, band = n - k, min(k, n - k - 1)
@@ -107,8 +118,10 @@ def gram_digits(h: np.ndarray, field: Field, q: int, n: int) -> np.ndarray:
 def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankReport:
     """Compute rank(H H†) for the instance's code and compare with |Z1|.
 
-    Raises OracleSizeError when n exceeds ``n_max``, and, before any field
-    is built, ``_times_mod``'s OverflowError when q*n >= 2^63.
+    Ranks the smaller of H H† and G G†: when deg g = |Z| > n/2 it builds
+    g only and adds 2 deg g - n, the degree read off the polynomial it
+    ranked.  Raises OracleSizeError when n exceeds ``n_max``, and, before
+    any field is built, ``_times_mod``'s OverflowError when q*n >= 2^63.
     """
     n, q = spec.n, spec.q
     if n > n_max:
@@ -116,8 +129,11 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
             f"n = {n} exceeds the rank oracle guard n_max = {n_max}")
     _times_mod(np.zeros(0, np.int64), -q, n)  # refuses q*n >= 2^63 up front
     tower, lam, z = _code(spec)
-    h = generator_digits(tower, lam, z.complement())
-    rank = gfa.rank_digits(gram_digits(h, tower.base, q, n), tower.base)
+    g_side = 2 * len(z) > n
+    poly = generator_digits(tower, lam, z if g_side else z.complement())
+    rank = gfa.rank_digits(gram_digits(poly, tower.base, q, n), tower.base)
+    if g_side:
+        rank += 2 * (len(poly) - 1) - n
     return RankReport(rank_hh_dagger=rank, z1_size=len(decompose(n, q, z)),
                       closed_form_c=closed_form(spec).c)
 
@@ -127,8 +143,8 @@ def generator_parity_orthogonal(spec: FamilySpec) -> bool:
 
     (G H^T)_ij = (g h)_(k + j - i) for i < k = deg h and j < n - k, so the
     check is that g h has no terms of degrees 1 .. n - 1.  g is built from
-    Z and h from its complement (the h the rank route built), so a wrong
-    factor on either side shows.
+    Z and h from its complement (the rank route built the longer one), so
+    a wrong factor on either side shows.
     """
     tower, lam, z = _code(spec)
     g = generator_digits(tower, lam, z)

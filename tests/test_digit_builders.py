@@ -5,7 +5,9 @@ of coset quadratics on digit arrays, and finds its root of unity with a
 primitive-element scan that skips the subfield.  These tests pin both to
 ``cyclic_reference`` (the tower-root product and long division on
 ``field_reference.FieldElement`` lists) and to a full scan, byte for
-byte, and show that faults on the digit path flip or stop the oracle.
+byte, and show that faults on the digit path flip or stop the oracle,
+on the specs where it ranks H H† (h the longer polynomial) and on those
+where it ranks G G† (g the longer one).
 """
 
 import numpy as np
@@ -116,6 +118,23 @@ def test_code_digits_built_once_per_spec_and_read_only():
     assert not g.flags.writeable and not h.flags.writeable
 
 
+def test_g_side_builds_only_g_once_per_spec():
+    spec = FamilySpec(2, 1, 2, 2)   # [[61,1,61;60]]_11: deg g = 60 > n/2
+    _, tower, lam = code_context(spec.q, spec.n)
+    z = build_defining_set(spec)
+    generator_digits.cache_clear()
+    assert entanglement_rank(spec).match
+    info = generator_digits.cache_info()
+    assert (info.misses, info.hits) == (1, 0)           # one polynomial built ...
+    g = generator_digits(tower, lam, z)
+    info = generator_digits.cache_info()
+    assert (info.misses, info.hits) == (1, 1)           # ... and it is g, not h
+    assert rank_oracle.generator_parity_orthogonal(spec)
+    info = generator_digits.cache_info()
+    assert (info.misses, info.hits) == (2, 2)           # G H^T builds h, reuses g
+    assert len(g) - 1 == len(z) == 60
+
+
 def test_singleton_coset_gives_linear_factor():
     # 0 is its own coset {0}; its minimal polynomial is x - 1
     _, tower, lam = code_context(13, 85)
@@ -153,17 +172,66 @@ def test_fault_conjugate_with_exponent_one_flips_match(monkeypatch):
     assert report.rank_hh_dagger == 32
 
 
-def test_fault_dropped_row_of_h_flips_match(monkeypatch):
-    spec = FamilySpec(2, 1, 2, 2)   # [[61,1,61;60]]_11: H H† has full rank
-    assert entanglement_rank(spec).match
+# The n <= 300 sweep specs split by the polynomial the oracle ranks:
+# G G† when g is the longer of g and h (2|Z| > n), H H† otherwise.
+SPECS_300 = [s for s in sweep_specs(5, 250) if s.n <= 300]
+G_SIDE = [s for s in SPECS_300 if 2 * len(build_defining_set(s)) > s.n]
+H_SIDE = [s for s in SPECS_300 if 2 * len(build_defining_set(s)) <= s.n]
+
+
+def flips(specs):
+    return sum(not entanglement_rank(spec).match for spec in specs)
+
+
+def test_fault_conjugate_with_exponent_one_flips_both_sides(monkeypatch):
+    assert (len(G_SIDE), len(H_SIDE)) == (45, 10)
+    assert flips(G_SIDE + H_SIDE) == 0
+    plain = gfa.frobenius_matrix
+    monkeypatch.setattr(gfa, "frobenius_matrix", lambda field, q: plain(field, 1))
+    assert (flips(G_SIDE), flips(H_SIDE)) == (21, 10)
+
+
+def test_fault_end_coset_left_out_of_g_flips_match(monkeypatch):
+    # g without the coset {s + 1 - delta, s + delta}, the two ends of the
+    # run Z: the oracle ranks the Gram matrix of a code with two more
+    # dimensions, and its correction reads deg g from that g
+    assert flips(G_SIDE) == 0
+    build = rank_oracle.generator_digits
+
+    def without_ends(tower, lam, z):
+        if 0 in z:                   # h: the complement of Z holds 0
+            return build(tower, lam, z)
+        ends = {int(z.array[0]), int(z.array[-1])}
+        return build(tower, lam, ResidueSet.of(z.n, set(z) - ends))
+
+    monkeypatch.setattr(rank_oracle, "generator_digits", without_ends)
+    assert flips(G_SIDE) == 24
+
+
+def drop_first_row(monkeypatch):
+    """A Gram matrix without its first row and column: H[1:] H[1:]† on
+    the H side, and the same for the ranked shifts of g on the G side."""
     build = rank_oracle.gram_digits
-    # H without its first row gives H[1:] H[1:]†: the Gram matrix without
-    # its first row and column
-    monkeypatch.setattr(rank_oracle, "gram_digits",
-                        lambda *args: build(*args)[1:, 1:])
+    monkeypatch.setattr(rank_oracle, "gram_digits", lambda *args: build(*args)[1:, 1:])
+
+
+def test_fault_dropped_row_of_g_flips_match(monkeypatch):
+    spec = FamilySpec(2, 1, 2, 2)   # [[61,1,61;60]]_11: G G† is 1 x 1
+    assert entanglement_rank(spec).match
+    drop_first_row(monkeypatch)
     report = entanglement_rank(spec)
     assert not report.match
-    assert report.rank_hh_dagger == 59
+    assert report.rank_hh_dagger == 59                 # 0 + 2 * 60 - 61
+
+
+def test_fault_dropped_row_of_h_leaves_every_h_side_rank(monkeypatch):
+    # H H† is rank-deficient on every H-side spec (c < |Z|, its row
+    # count), and a dropped row of H changes none of their ranks: this
+    # fault reaches only a full-rank Gram matrix, on the G side above
+    ranks = [entanglement_rank(spec).rank_hh_dagger for spec in H_SIDE]
+    assert all(c < len(build_defining_set(spec)) for c, spec in zip(ranks, H_SIDE))
+    drop_first_row(monkeypatch)
+    assert [entanglement_rank(spec).rank_hh_dagger for spec in H_SIDE] == ranks
 
 
 def fault_in_h(monkeypatch, fault):

@@ -99,12 +99,20 @@ def test_prime_field_scan_matches_object_scan(p):
     assert find_primitive_element(f) == full_scan_primitive(f).digits
 
 
-TOWER_13 = quadratic_extension(GF(13, 2))
+# The power tables below are built inside the tests, not at import: the
+# fields' moduli and elements come from ``_powers`` itself, so a fault in
+# it must fail these tests, not the collection of the module.
+
+
+def tower_13():
+    return quadratic_extension(GF(13, 2))
+
+
 POWER_BASES = {           # the primitive elements, and lam of the [[85, ...]]_13 codes
-    "GF(13^2)": (GF(13, 2), find_primitive_element(GF(13, 2))),
-    "GF(3^6)": (GF(3, 6), find_primitive_element(GF(3, 6))),
-    "GF(13^4)": (TOWER_13, find_primitive_element(TOWER_13)),
-    "GF(13^4)-lam85": (TOWER_13, nth_root_of_unity(TOWER_13, 85)),
+    "GF(13^2)": lambda: (GF(13, 2), find_primitive_element(GF(13, 2))),
+    "GF(3^6)": lambda: (GF(3, 6), find_primitive_element(GF(3, 6))),
+    "GF(13^4)": lambda: (tower_13(), find_primitive_element(tower_13())),
+    "GF(13^4)-lam85": lambda: (tower_13(), nth_root_of_unity(tower_13(), 85)),
 }
 
 
@@ -122,7 +130,7 @@ def repeated_products(maps, exp, p):
 def test_power_table_matches_matrix_powers(name, count):
     # the doubling table behind inverse_table and generator_digits: row k
     # against k steps of row <- row M on a's map M, block boundaries included
-    f, a = POWER_BASES[name]
+    f, a = POWER_BASES[name]()
     table = _power_table(a, f, count)
     assert table.shape == (count, len(mul_tensor(f))) and table.dtype == np.int64
     step, row = _times_matrix(a, f), np.eye(len(table[0]), dtype=np.int64)[0]
@@ -149,11 +157,11 @@ def element_maps(field, shape):
 
 
 POWER_STACKS = {          # (p, a stack of maps)
-    "GF(13^2)": (13, element_maps(GF(13, 2), (5,))),
-    "GF(3^6)": (3, element_maps(GF(3, 6), (2, 3))),
-    "GF(13^4)": (13, element_maps(TOWER_13, (4,))),
-    "companion-3^6": (3, companion_stack(3, 6, 6)),
-    "GF(4294967311)": (4294967311, element_maps(GF(4294967311), (4,))),
+    "GF(13^2)": lambda: (13, element_maps(GF(13, 2), (5,))),
+    "GF(3^6)": lambda: (3, element_maps(GF(3, 6), (2, 3))),
+    "GF(13^4)": lambda: (13, element_maps(tower_13(), (4,))),
+    "companion-3^6": lambda: (3, companion_stack(3, 6, 6)),
+    "GF(4294967311)": lambda: (4294967311, element_maps(GF(4294967311), (4,))),
 }
 
 
@@ -163,7 +171,7 @@ POWER_STACKS = {          # (p, a stack of maps)
 def test_powers_match_repeated_multiplication(name, exps):
     # every exponent against its own chain of products; 130 and 64 need
     # every bit of max(exps), and the odd ones the unsquared maps
-    p, maps = POWER_STACKS[name]
+    p, maps = POWER_STACKS[name]()
     got = _powers(maps, exps, p)
     assert got.shape == (len(exps),) + maps.shape[:-1]
     assert got.dtype == maps.dtype == (object if p > 2**32 else np.int64)

@@ -1,12 +1,14 @@
 """The rank oracle's polynomial kernels against the explicit matrices.
 
-The oracle never forms H, H† or G: it builds H H† from the
-autocorrelation r of the reversed check polynomial (``gram_digits``) and
-checks G H^T = 0 as the vanishing of the terms of g h of degrees
-1 .. n - 1.  These tests pin both to the explicit products of the
-Toeplitz matrices in ``linalg_reference``, on random polynomials and on
-the codes of the sweep and of the published rows, and pin the polynomial
-product itself to the schoolbook product in ``cyclic_reference``.
+The oracle never forms H, H† or G: it builds H H†, or G G† when g is
+the longer polynomial, from the autocorrelation r of the reversed
+polynomial (``gram_digits``), and checks G H^T = 0 as the vanishing of
+the terms of g h of degrees 1 .. n - 1.  These tests pin both to the
+explicit products of the Toeplitz matrices in ``linalg_reference``, on
+random polynomials and on the codes of the sweep and of the published
+rows, check the hull identity rank(H H†) = rank(G G†) + 2 deg g - n by
+ranking both, and pin the polynomial product itself to the schoolbook
+product in ``cyclic_reference``.
 """
 
 import numpy as np
@@ -147,6 +149,41 @@ def test_gram_matches_product_on_sweep_and_published_codes():
         hdag = ref.conjugate_transpose_digits(hd, field, spec.q)
         expected = gfa._gemm(hd, hdag, field) % field.p
         assert gram_digits(h, field, spec.q, spec.n).tobytes() == expected.tobytes(), spec
+
+
+# ---------------------------------------------------------------------------
+# G G† from g, and the hull identity rank(H H†) = rank(G G†) + 2 deg g - n
+
+
+def test_gram_of_g_is_transposed_g_g_dagger_on_sweep_codes():
+    # the shifts of the reversed g are G's rows and columns both reversed
+    for spec in SWEEP_300:
+        tower, lam, z = rank_oracle._code(spec)
+        field = tower.base
+        g = generator_digits(tower, lam, z)
+        gd = ref.generator_matrix_digits(g, spec.n)
+        gdag = ref.conjugate_transpose_digits(gd, field, spec.q)
+        expected = (gfa._gemm(gd, gdag, field) % field.p).transpose(1, 0, 2)
+        assert gram_digits(g, field, spec.q, spec.n).tobytes() == expected.tobytes(), spec
+
+
+PUBLISHED_1000 = [spec_from_q(case, m, q, alpha)
+                  for case, rows in PUBLISHED_ROWS.items()
+                  for m, q, n, alpha, _, _, _ in rows if n <= 1000]
+
+
+def test_hull_identity_on_sweep_and_published_codes():
+    # C and its Euclidean dual have Hermitian hulls of one dimension; the
+    # oracle ranks whichever Gram matrix is smaller on the strength of it
+    assert len(PUBLISHED_1000) == 49
+    for spec in SWEEP_300 + PUBLISHED_1000:
+        tower, lam, z = rank_oracle._code(spec)
+        field = tower.base
+        g = generator_digits(tower, lam, z)
+        h = generator_digits(tower, lam, z.complement())
+        rank_g, rank_h = (gfa.rank_digits(gram_digits(poly, field, spec.q, spec.n), field)
+                          for poly in (g, h))
+        assert rank_h == rank_g + 2 * (len(g) - 1) - spec.n, spec
 
 
 # ---------------------------------------------------------------------------
