@@ -138,12 +138,12 @@ def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     """Exact product of polynomials held as (length, e) digit arrays, low first.
 
     Each pair (u, v) of digit planes is one int64 convolution, reduced mod
-    p; the e^2 convolutions are then contracted with the reduction tensor,
-    since x^u x^v has the digits T[u, v].  Raises ``ValueError`` unless
+    p, then contracted with ``mul_tensor`` (b_u b_v has the digits T[u, v]),
+    so a tower level serves too.  Raises ``ValueError`` unless
     min(len a, len b)*e^2*(p-1)^2 < 2^63, which keeps every sum exact.
     """
-    t = reduction_tensor(field)
-    p, e = field.p, field.degree
+    t = mul_tensor(field)
+    p, e = field.p, len(t)
     if min(len(a), len(b)) * e * e * (p - 1) ** 2 >= 1 << 63:
         raise ValueError(
             f"exact int64 polynomial product needs min(len)*e^2*(p-1)^2 < 2^63; "

@@ -8,9 +8,9 @@ code path, so their agreement checks the decomposition lemma against the
 matrix-rank characterization.
 
 The oracle runs on digit arrays and never forms H.  x^n - 1 is the
-product of one minimal polynomial per cyclotomic coset, so the check
-polynomial h = (x^n - 1) / g is the product of those of the cosets
-outside Z, built by ``cyclic.generator_digits`` exactly as g is from Z.
+product of the x - lam^j over all j mod n, so h = (x^n - 1) / g is the
+product over the complement of Z, one cyclic run like Z, built in closed
+form by ``cyclic.generator_digits`` (q-binomial theorem) as g is from Z.
 H's rows are shifts of the reversed h, so H H† is the Hermitian Toeplitz
 band of h's autocorrelation (``gram_digits``), and G G† is the same band
 of g's.  C and its Euclidean dual have Hermitian hulls of one dimension

@@ -5,13 +5,17 @@ plain product of the linear factors x - lam^j, j in Z, in the tower
 GF(q^4), projected to GF(q^2) after a subfield check on every
 coefficient (the tower products are memoized per lam and extended from
 the largest built subset of Z); h = (x^n - 1) / g comes by schoolbook
-long division; and the minimum distance of a toy code is a numpy brute
-force over all codewords m(x) g(x).  Polynomials are lists of
-``field_reference.FieldElement``, low degree first.
+long division; ``coset_product_digits`` multiplies one coset quadratic
+at a time on digit arrays; and the minimum distance of a toy code is a
+numpy brute force over all codewords m(x) g(x).  Polynomials are lists
+of ``field_reference.FieldElement``, low degree first, except in
+``coset_product_digits``.
 """
 
 import numpy as np
 
+from eaqmds import fields
+from eaqmds.cosets import is_coset_closed
 from field_reference import in_subfield, object_field, project
 
 
@@ -127,3 +131,49 @@ def min_distance(g, n, guard=10**5):
         shifted[:, i:i + len(g)] = multiples
         words = ((words[:, None] + shifted[None]) % p).reshape(-1, n, e)
     return int(words[1:].any(axis=2).sum(axis=1).min())
+
+
+def coset_product_digits(tower, lam, z):
+    """g over GF(q^2) as (|Z| + 1, e) digits: one coset quadratic at a time.
+
+    The digit-level reference for ``cyclic.generator_digits``.  Each coset
+    {i, n - i} of Z contributes x^2 - Tr_i x + 1, Tr_i = lam^i + lam^-i, the
+    trace of lam^i down to GF(q^2) (x - lam^i when i = n - i), read off
+    one table of lam^0 ... lam^(n-1); every trace is checked to lie in
+    GF(q^2) before projection.  Requires q^2 = -1 mod n and lam^n = 1.
+    """
+    subfield = tower.base
+    n = z.n
+    qsq = subfield.order % n
+    if not is_coset_closed(n, qsq, z):
+        raise ValueError("defining set is not a union of cyclotomic cosets")
+    if (qsq + 1) % n:
+        raise ValueError(f"q^2 is not -1 mod {n}; the cosets are not {{i, n - i}}")
+    p, e = subfield.p, subfield.degree
+    lam_n = fields._powers(fields._times_matrix(lam, tower), [n], p)[0]
+    if not np.array_equal(lam_n, np.eye(2 * e, dtype=np.int64)[0]):
+        raise ValueError(f"element is not an n-th root of unity for n = {n}")
+    powers = fields._power_table(lam, tower, n)
+    reps = z.array[2 * z.array <= n]
+    single = reps == -reps % n
+    coeff = (powers[reps] + ~single[:, None] * powers[-reps % n]) % p
+    escaped = reps[coeff[:, e:].any(axis=1)]
+    if escaped.size:
+        i = int(escaped[0])
+        raise ValueError(
+            f"coefficient of coset {sorted({i, -i % n})} escapes the subfield; "
+            "the coset is not closed for this root")
+    g = np.zeros((1, e), dtype=np.int64)
+    g[0, 0] = 1
+    for lone, coeff_map in zip(single, fields._times_matrix(coeff[:, :e], subfield)):
+        scaled = g @ coeff_map
+        out = np.zeros((len(g) + (1 if lone else 2), e), dtype=np.int64)
+        if lone:                         # x - lam^i
+            out[1:] += g
+            out[:-1] -= scaled
+        else:                            # x^2 - Tr_i x + 1
+            out[:-2] += g
+            out[1:-1] -= scaled
+            out[2:] += g
+        g = out % p
+    return g

@@ -1,7 +1,7 @@
 """Digit builders of the rank oracle against the object-level reference.
 
-The oracle builds g from Z and h from Z's complement, both as products
-of coset quadratics on digit arrays, and finds its root of unity with a
+The oracle builds g from Z and h from Z's complement, both on digit
+arrays in closed form over each cyclic run, and finds its root of unity with a
 primitive-element scan that skips the subfield.  These tests pin both to
 ``cyclic_reference`` (the tower-root product and long division on
 ``field_reference.FieldElement`` lists) and to a full scan, byte for
@@ -269,16 +269,18 @@ def test_fault_coset_left_out_of_h_breaks_orthogonality(monkeypatch, rep):
 
 
 def test_fault_corrupted_trace_escapes_subfield(monkeypatch):
-    # a power table with row i mirrored to row min(i, n - i) reads lam^-i
-    # as lam^i, so Tr_i becomes 2 lam^i, which lies outside GF(q^2)
+    # a table of lam^0 ... lam^n with row i mirrored to row min(i, n - i)
+    # reads lam^-i as lam^i, so the factors 1 - lam^i and the conjugate of
+    # S_1 are wrong, and h's coefficients leave GF(q^2)
     spec = FamilySpec(1, 1, 3, 1)
     table = cyclic._power_table
 
     def mirrored(a, field, count):
         i = np.arange(count)
-        return table(a, field, count)[np.minimum(i, -i % count)]
+        return table(a, field, count)[np.minimum(i, -i % (count - 1))]
 
-    cyclic.generator_digits.cache_clear()    # h is memoized; rebuild it under the fault
+    cyclic.generator_digits.cache_clear()    # h and lam's powers are memoized;
+    cyclic._root_powers.cache_clear()        # rebuild both under the fault
     monkeypatch.setattr(cyclic, "_power_table", mirrored)
     with pytest.raises(ValueError, match="escapes the subfield"):
         entanglement_rank(spec)

@@ -25,10 +25,12 @@ from eaqmds.fields import GF
 from eaqmds.published_params import PUBLISHED_ROWS
 from eaqmds.rank_oracle import gram_digits
 
-# (field, q) with field = GF(q^2); GF(3^6) is GF(27^2)
-HERMITIAN = [(GF(3, 2), 3), (GF(13, 2), 13), (GF(29, 2), 29), (GF(83, 2), 83),
-             (GF(239, 2), 239), (GF(3, 6), 27)]
-FIELDS = [GF(2), GF(13), GF(3, 2), GF(29, 2), GF(3, 6)]
+# fields as (p, e), built when a test draws them, so that a fault in the
+# field constructors fails tests instead of this module's collection;
+# HERMITIAN holds (p, e, q) with GF(p^e) = GF(q^2), and GF(3^6) is GF(27^2)
+HERMITIAN = [(3, 2, 3), (13, 2, 13), (29, 2, 29), (83, 2, 83), (239, 2, 239), (3, 6, 27)]
+FIELDS = [(2, 1), (13, 1), (3, 2), (29, 2), (3, 6)]
+fields = st.sampled_from(FIELDS).map(lambda pe: GF(*pe))
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -53,7 +55,7 @@ def explicit_gram(h, field, q, n):
 
 
 @settings(deadline=None)
-@given(st.sampled_from(FIELDS), st.integers(1, 30), st.integers(1, 30), seeds)
+@given(fields, st.integers(1, 30), st.integers(1, 30), seeds)
 def test_polymul_matches_polynomial_multiply(field, la, lb, seed):
     a = random_digits(field, (la,), seed)
     b = random_digits(field, (lb,), seed + 1)
@@ -63,7 +65,7 @@ def test_polymul_matches_polynomial_multiply(field, la, lb, seed):
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.sampled_from(FIELDS), st.integers(1, 30), st.integers(1, 30))
+@given(fields, st.integers(1, 30), st.integers(1, 30))
 def test_polymul_of_all_max_digits(field, la, lb):
     a = np.full((la, field.degree), field.p - 1, dtype=np.int64)
     b = np.full((lb, field.degree), field.p - 1, dtype=np.int64)
@@ -106,8 +108,9 @@ lengths_and_degrees = st.integers(1, 40).flatmap(
 @example(HERMITIAN[1], (12, 0), 7)      # deg h = 0: a diagonal matrix
 @example(HERMITIAN[1], (12, 1), 7)      # deg h = 1: tridiagonal
 @example(HERMITIAN[5], (9, 8), 7)       # one row: H H† is 1 x 1
-def test_gram_matches_explicit_product(fq, nk, seed):
-    field, q = fq
+def test_gram_matches_explicit_product(peq, nk, seed):
+    p, e, q = peq
+    field = GF(p, e)
     n, k = nk
     h = random_digits(field, (k + 1,), seed)
     gram = gram_digits(h, field, q, n)
@@ -205,7 +208,7 @@ def g_ht_from_product(g, h, field, n):
 
 
 @settings(deadline=None)
-@given(st.sampled_from(FIELDS), st.integers(2, 30).flatmap(
+@given(fields, st.integers(2, 30).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(1, n - 1))), seeds)
 def test_g_ht_entries_are_terms_of_g_h(field, nk, seed):
     n, k = nk
