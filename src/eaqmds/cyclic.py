@@ -1,22 +1,21 @@
 """The generator and check polynomials of the family codes over GF(q^2).
 
-Polynomials are (degree + 1, e) int64 arrays of GF(q^2) digits, low
-degree first, as in ``_gflinalg``.  The primitive n-th root of unity lam
-lives in the quadratic tower GF(q^4).  A family defining set Z is one
-cyclic run of exponents, and so is its complement.  Over a run L ...
-L + m - 1, m < n, the q-binomial theorem (Andrews, The Theory of
-Partitions, Thm 3.3) gives, with S_t = prod_{i=t..m} (1 - lam^i),
+Polynomials are (degree + 1, e) int64 arrays of GF(q^2) digits, low first,
+as in ``_gflinalg``; the primitive n-th root of unity lam lies in GF(q^4).
+A family defining set Z is one cyclic run of exponents, and so is its
+complement.  Over a run L ... L + m - 1, m < n, the q-binomial theorem
+(Andrews, The Theory of Partitions, Thm 3.3) gives, with the lam-factorials
+P_j = prod_{i=1..j} (1 - lam^i),
 
     prod_j (x - lam^j) = sum_k (-1)^k lam^(Lk + k(k-1)/2) [m k] x^(m-k),
-    [m k] = S_(k+1) S_(m-k+1) / S_1.
+    [m k] = P_m / (P_k P_(m-k)).
 
-Since q^2 = -1 mod n, conj(S_1) = S_1^(q^2) = (-1)^m lam^(-m(m+1)/2) S_1,
-so S_1^-1 = conj(S_1) / N with the norm N = S_1 conj(S_1) in GF(q^2),
-whose inverse map is tabled (``_gflinalg.inverse_table``).  Every S_t
-comes from one suffix-product scan over one table of lam^0 ... lam^n.
-Other coset-closed sets are split into maximal cyclic runs, multiplied in
-the tower (``_gflinalg.polymul_digits``).  g is the product over Z and
-h = (x^n - 1) / g the product over Z's complement; no division is needed.
+P_(n-1) = n for a primitive lam, so P_j^-1 = (-1)^(n-1-j) lam^(-(n-1-j)(n-j)/2)
+P_(n-1-j) / n: nothing is inverted and each run comes out monic.  One cached
+table per (tower, lam, n) holds lam^0 ... lam^n and P_0 ... P_(n-1), from one
+prefix scan, for every run of g (over Z) and h (over Z's complement); each
+run must vanish at lam^L.  Other coset-closed sets are split into maximal
+cyclic runs, multiplied in the tower (``_gflinalg.polymul_digits``).
 """
 
 from __future__ import annotations
@@ -25,52 +24,64 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from ._gflinalg import inverse_table, polymul_digits
+from ._gflinalg import polymul_digits
 from .fields import Field, _power_table, _times_matrix, mul_tensor
 from .cosets import ResidueSet, is_coset_closed
 
 
 @lru_cache(maxsize=2)
-def _root_powers(tower: Field, lam: tuple[int, ...], n: int) -> np.ndarray:
-    """Read-only digits of lam^0 ... lam^n, once lam^n = 1 is checked."""
-    powers = _power_table(lam, tower, n + 1)
+def _root_table(tower: Field, lam: tuple[int, ...], n: int):
+    """Read-only digits of lam^0 ... lam^n and P_0 ... P_(n-1) of a primitive lam."""
+    p, powers = tower.p, _power_table(lam, tower, n + 1)
     if not np.array_equal(powers[n], powers[0]):
         raise ValueError(f"element is not an n-th root of unity for n = {n}")
+    fact = np.vstack([powers[:1], (powers[0] - powers[1:n]) % p])  # row i: 1 - lam^i
+    _scan(fact, tower)
+    if not np.array_equal(fact[n - 1], n * powers[0] % p):
+        raise ValueError(f"element is not a primitive n-th root of unity for n = {n}")
     powers.setflags(write=False)
-    return powers
+    fact.setflags(write=False)
+    return powers, fact
 
 
 def _times(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
-    """The products a_i b_i of two (k, dim) digit stacks, by ``mul_tensor``."""
-    outer = (a[:, :, None] * b[:, None]).reshape(len(a), -1)
-    return outer @ mul_tensor(field).reshape(-1, a.shape[1]) % field.p
+    """The products a_i b_i of two (k, dim) digit stacks, by ``mul_tensor``,
+    in row blocks whose outer products hold at most 2^20 digits each."""
+    dim, out, rows = a.shape[1], np.empty_like(a), 2**20 // a.shape[1] ** 2
+    for i in range(0, len(a), rows):
+        outer = (a[i:i + rows, :, None] * b[i:i + rows, None]).reshape(-1, dim * dim)
+        out[i:i + rows] = outer @ mul_tensor(field).reshape(-1, dim) % field.p
+    return out
 
 
-def _run_product(powers: np.ndarray, start: int, m: int, tower: Field) -> np.ndarray:
-    """N prod_{j<m} (x - lam^(start+j)), m < n, low first, in the tower;
-    conj(S_1) is folded into the power of lam and the sign."""
-    p, n = tower.p, len(powers) - 1
-    s = np.vstack([(powers[0] - powers[1:m + 1]) % p, powers[:1]])  # row i: S_(i+1)
-    shift = 1
-    while shift < m:
-        s[:-shift] = _times(s[:-shift], s[shift:], tower)
-        shift *= 2
+def _scan(x: np.ndarray, field: Field) -> None:
+    """Prefix products of a (k, dim) digit stack, in place, by pairs (Blelloch)."""
+    if len(x) > 1:
+        odd = x[1::2]                            # odd[i] = x_(2i) x_(2i+1), then
+        odd[:] = _times(x[:-1:2], odd, field)    # x_0 ... x_(2i+1) by recursion
+        _scan(odd, field)
+        x[2::2] = _times(x[2::2], odd[:(len(x) - 1) // 2], field)
+
+
+def _run_product(table: tuple, start: int, m: int, tower: Field) -> np.ndarray:
+    """prod_{j<m} (x - lam^(start+j)), m < n, low first, in the tower."""
+    (powers, fact), p, n = table, tower.p, len(table[1])
     k = np.arange(m + 1)
-    c = powers[(start * k + (k * (k - 1) - m * (m + 1)) // 2) % n]
+    c = powers[(start * k + (k * (k - 1) - (n - 1 - k) * (n - k)
+                             - (n - 1 - m + k) * (n - m + k)) // 2) % n]
     c[(m + 1) % 2::2] *= -1                      # the sign (-1)^(k + m)
-    c = _times(_times(c, s, tower), s[::-1], tower)
-    return (c @ _times_matrix(s[0], tower) % p)[::-1]
+    c = _times(_times(c, fact[n - 1 - k], tower), fact[n - 1 - m + k], tower)
+    return (c @ _times_matrix(fact[m] * pow(n, -2, p) % p, tower) % p)[::-1]
 
 
 @lru_cache(maxsize=16)
 def generator_digits(tower: Field, lam: tuple[int, ...], z: ResidueSet) -> np.ndarray:
     """The product of the x - lam^j over the members j of Z, low first.
 
-    A read-only (|Z| + 1, e) digit array over GF(q^2) = ``tower.base``:
-    g(x) for Z, h(x) for its complement; ``lam`` is a primitive n-th root
-    of unity in the tower.  Every coefficient must lie in GF(q^2), so a
-    set not coset-closed for this root fails loudly.  Requires q^2 = -1
-    mod n, lam^n = 1 and no lam^j = 1 in a run.  Memoized on (tower, lam, Z).
+    A read-only (|Z| + 1, e) digit array over GF(q^2) = ``tower.base``: g(x)
+    for Z, h(x) for its complement.  A coefficient outside GF(q^2) (a set not
+    coset-closed for this root) or a run whose product does not vanish at its
+    first root fails loudly.  Requires q^2 = -1 mod n; memoized on (tower, lam, Z).
     """
     if tower.base is None:
         raise ValueError("root of unity must live in a tower extension")
@@ -81,7 +92,7 @@ def generator_digits(tower: Field, lam: tuple[int, ...], z: ResidueSet) -> np.nd
     if (qsq + 1) % n:
         raise ValueError(f"q^2 is not -1 mod {n}; the cosets are not {{i, n - i}}")
     p, e = subfield.p, subfield.degree
-    powers = _root_powers(tower, lam, n)
+    powers, fact = _root_table(tower, lam, n)
     a = z.array                  # maximal cyclic runs; a negative index wraps
     heads, ends = a[~z.mask[a - 1]], a[~z.mask[a + 1 - n]]
     if ends.size and ends[0] < heads[0]:         # the last run wraps into the first
@@ -89,14 +100,18 @@ def generator_digits(tower: Field, lam: tuple[int, ...], z: ResidueSet) -> np.nd
     runs = zip(heads.tolist(), ((ends - heads) % n + 1).tolist())
     if len(z) == n:                              # 1 - lam^n = 0: split the full run
         runs = [(1, n - 1), (0, 1)]
-    u = reduce(partial(polymul_digits, field=tower),
-               [_run_product(powers, s, m, tower) for s, m in runs] or [powers[:1]])
-    if not u[-1].any():
-        raise ValueError(f"element is not a primitive n-th root of unity for n = {n}")
+    parts = []
+    for s, m in runs:            # u(lam^s) = 0, from the (dim, dim) digit sums of u^T
+        parts.append(_run_product((powers, fact), s, m, tower))
+        sums = parts[-1].T @ powers[s * np.arange(m + 1) % n] % p
+        if (sums.reshape(-1) @ mul_tensor(tower).reshape(sums.size, -1) % p).any():
+            raise ValueError(f"the product over the run {s} ... {s + m - 1} mod {n} "
+                             f"does not vanish at lam^{s}")
+    u = reduce(partial(polymul_digits, field=tower), parts or [powers[:1]])
     escaped = np.flatnonzero(u[:, e:].any(axis=1))
     if escaped.size:
         raise ValueError(f"coefficient of x^{int(escaped[0])} escapes the subfield; "
                          "the set is not coset-closed for this root")
-    g = u[:, :e] @ inverse_table(subfield)[u[-1, :e] @ p ** np.arange(e)] % p  # u / N
+    g = np.ascontiguousarray(u[:, :e])
     g.setflags(write=False)
     return g

@@ -1,6 +1,6 @@
 """Reference cyclic-code polynomials on lists of field elements, for tests only.
 
-Independent of the trace-quadratic construction in ``cyclic``: g is the
+Independent of the closed-form construction in ``cyclic``: g is the
 plain product of the linear factors x - lam^j, j in Z, in the tower
 GF(q^4), projected to GF(q^2) after a subfield check on every
 coefficient (the tower products are memoized per lam and extended from

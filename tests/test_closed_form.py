@@ -1,17 +1,19 @@
 """The closed-form run products of ``cyclic`` against the coset product.
 
 ``generator_digits`` builds each maximal cyclic run of a defining set by
-the q-binomial theorem; ``cyclic_reference.coset_product_digits``
-multiplies one coset quadratic at a time.  The two must agree digit for
-digit on g and h of the sweep specs, on random runs and on random unions
-of cosets, over GF(q^2) with e = 2, 4 and 6.  Mutants of the formula must
-be caught: by the subfield check, by G H^T = 0 or rank(H H†), or, for a
+the q-binomial theorem from one cached table of lam-factorials per
+(tower, lam, n); ``cyclic_reference.coset_product_digits`` multiplies one
+coset quadratic at a time.  The two must agree digit for digit on g and h
+of the sweep specs, on random runs and on random unions of cosets, over
+GF(q^2) with e = 2, 4 and 6.  Mutants of the formula must be caught: by
+the subfield check, the root check, G H^T = 0 or rank(H H†), or, for a
 mutant those cannot see, by the reference.  A root of unity that is not
-primitive must be refused.
+primitive must be refused, and one table must serve a whole (q, n) pair.
 """
 
 import inspect
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -78,7 +80,8 @@ def test_closed_form_matches_coset_product(case):
 
 
 def test_non_primitive_root_is_refused():
-    # lam^5 has order 17: it passes lam^85 = 1, but 1 - lam^(5j) = 0 at j = 17
+    # lam^5 has order 17: it passes lam^85 = 1, but 1 - lam^(5j) = 0 at j = 17,
+    # so the lam-factorial P_84 is 0, not 85
     _, tower, lam = code_context(13, 85)
     lam5 = tuple(_powers(_times_matrix(lam, tower), [5], tower.p)[0].tolist())
     z = run_defining_set(85, 42, 16)
@@ -87,18 +90,50 @@ def test_non_primitive_root_is_refused():
             generator_digits(tower, lam5, s)
 
 
+def test_non_primitive_root_is_refused_on_a_run_without_a_zero_factor():
+    # on the run 38 ... 47 no 5j is a multiple of 85, so no factor 1 - lam^(5j)
+    # of its own q-binomial is zero; P_84 of the (q, n) pair's table still is
+    _, tower, lam = code_context(13, 85)
+    lam5 = tuple(_powers(_times_matrix(lam, tower), [5], tower.p)[0].tolist())
+    z = run_defining_set(85, 42, 5)
+    assert list(z) == list(range(38, 48))
+    with pytest.raises(ValueError, match="not a primitive"):
+        generator_digits(tower, lam5, z)
+
+
+def test_batched_products_span_row_blocks():
+    # the tower over GF(13^2) has dim 4, so a block holds 2^20 // 16 = 65 536 rows
+    _, tower, _ = code_context(13, 85)
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, 13, size=(2, 65_536 + 3, 4))
+    by_map = (a[:, None, :] @ _times_matrix(b, tower))[:, 0] % 13
+    assert np.array_equal(cyclic._times(a, b, tower), by_map)
+
+
+def test_one_table_serves_every_alpha_and_both_polynomials():
+    specs = [s for s in sweep_specs(5, 250) if (s.q, s.n) == (17, 145)]
+    assert len(specs) == 8
+    generator_digits.cache_clear()
+    cyclic._root_table.cache_clear()
+    for spec in specs:
+        _, tower, lam = code_context(spec.q, spec.n)
+        z = build_defining_set(spec)
+        assert matches_reference(tower, lam, z), spec
+        assert matches_reference(tower, lam, z.complement()), spec
+    assert cyclic._root_table.cache_info().misses == 1
+
+
 # ---------------------------------------------------------------------------
 # mutants of the formula, each a source edit of cyclic._run_product
 
 
 MUTANTS = {
     "start_off_by_one": [("start * k", "(start + 1) * k")],
-    "k_k_plus_1": [("k * (k - 1) - m", "k * (k + 1) - m")],
+    "k_k_plus_1": [("k * (k - 1) -", "k * (k + 1) -")],
+    "reflection_shifted": [("(n - 1 - k) * (n - k)", "(n - k) * (n + 1 - k)")],
+    "n_inverse_once": [("pow(n, -2, p)", "pow(n, -1, p)")],
+    "p_m_left_out": [("fact[m] * pow(n, -2, p) % p", "fact[0] * pow(n, -2, p) % p")],
     "sign_dropped": [("c[(m + 1) % 2::2] *= -1", "c *= (-1) ** m")],
-    "s1_inverse_left_out": [("(k * (k - 1) - m * (m + 1)) // 2", "k * (k - 1) // 2"),
-                            ("c[(m + 1) % 2::2] *= -1", "c[1::2] *= -1"),
-                            ("return (c @ _times_matrix(s[0], tower) % p)[::-1]",
-                             "return c[::-1]")],
 }
 
 
@@ -120,12 +155,13 @@ def mutate(monkeypatch):
     generator_digits.cache_clear()
 
 
-def oracle_catches(spec):
-    """Whether the subfield check, rank(H H†) or G H^T = 0 sees the fault."""
+def oracle_catches(spec, check="does not vanish"):
+    """Whether rank(H H†), G H^T = 0 or the given check of ``generator_digits``
+    (the root check by default) sees the fault."""
     try:
         return not (entanglement_rank(spec).match and generator_parity_orthogonal(spec))
     except ValueError as err:
-        assert "escapes the subfield" in str(err)
+        assert check in str(err)
         return True
 
 
@@ -140,15 +176,27 @@ def reference_catches(spec):
         return True
 
 
-@pytest.mark.parametrize("name, caught_by_oracle", [
-    ("start_off_by_one", 29), ("k_k_plus_1", 29), ("s1_inverse_left_out", 29),
-    # with (-1)^k dropped the run product is prod (x + lam^j): the code of the
-    # roots -lam^j, the image of C under c_i -> (-1)^i c_i, which keeps
-    # G H^T = 0 and rank(H H†).  So only the reference sees it.
-    ("sign_dropped", 0)])
-def test_formula_mutant_is_caught(mutate, name, caught_by_oracle):
+def caught(name, by_oracle, check="does not vanish", by_reference=29):
+    return pytest.param(name, by_oracle, check, by_reference, id=f"{name}-{by_oracle}")
+
+
+@pytest.mark.parametrize("name, caught_by_oracle, check, caught_by_reference", [
+    caught("start_off_by_one", 29), caught("k_k_plus_1", 29),
+    caught("reflection_shifted", 29),
+    # without P_m every run product is scaled by P_m^-1, which keeps its roots
+    # but leaves GF(q^2)
+    caught("p_m_left_out", 29, check="escapes the subfield"),
+    # n^-1 for n^-2 scales every run product by n, a unit of GF(p): the same
+    # code, with the same roots, G H^T = 0 and rank(H H†), so the oracle
+    # cannot see it.  At (q, n) = (27, 73), n = 1 mod 3 and the edit is exact.
+    caught("n_inverse_once", 0, by_reference=28),
+    # with (-1)^k dropped the run product is prod (x + lam^j); n is odd, so
+    # -lam^L is not a root of x^n - 1 and the root check refuses it
+    caught("sign_dropped", 29)])
+def test_formula_mutant_is_caught(mutate, name, caught_by_oracle, check,
+                                  caught_by_reference):
     assert len(ORACLE_SPECS) == 29
     assert not any(oracle_catches(spec) for spec in ORACLE_SPECS)
     mutate(MUTANTS[name])
-    assert sum(oracle_catches(spec) for spec in ORACLE_SPECS) == caught_by_oracle
-    assert all(reference_catches(spec) for spec in ORACLE_SPECS)
+    assert sum(oracle_catches(spec, check) for spec in ORACLE_SPECS) == caught_by_oracle
+    assert sum(reference_catches(spec) for spec in ORACLE_SPECS) == caught_by_reference

@@ -268,10 +268,11 @@ def test_fault_coset_left_out_of_h_breaks_orthogonality(monkeypatch, rep):
     assert not rank_oracle.generator_parity_orthogonal(spec)
 
 
-def test_fault_corrupted_trace_escapes_subfield(monkeypatch):
+def test_fault_mirrored_power_table_is_refused(monkeypatch):
     # a table of lam^0 ... lam^n with row i mirrored to row min(i, n - i)
-    # reads lam^-i as lam^i, so the factors 1 - lam^i and the conjugate of
-    # S_1 are wrong, and h's coefficients leave GF(q^2)
+    # reads lam^-i as lam^i, so the lam-factorial P_84 of (13, 85) becomes
+    # prod_(i <= 42) (1 - lam^i)^2 = lam^903 P_84 with 903 = 53 mod 85, not
+    # 85; the table's primitivity check refuses it before any g or h is built
     spec = FamilySpec(1, 1, 3, 1)
     table = cyclic._power_table
 
@@ -279,8 +280,14 @@ def test_fault_corrupted_trace_escapes_subfield(monkeypatch):
         i = np.arange(count)
         return table(a, field, count)[np.minimum(i, -i % (count - 1))]
 
-    cyclic.generator_digits.cache_clear()    # h and lam's powers are memoized;
-    cyclic._root_powers.cache_clear()        # rebuild both under the fault
+    def clear():                             # h and lam's table are memoized:
+        cyclic.generator_digits.cache_clear()  # build both under the fault, and
+        cyclic._root_table.cache_clear()       # keep nothing built under it
+
+    clear()
     monkeypatch.setattr(cyclic, "_power_table", mirrored)
-    with pytest.raises(ValueError, match="escapes the subfield"):
-        entanglement_rank(spec)
+    try:
+        with pytest.raises(ValueError, match="not a primitive n-th root of unity"):
+            entanglement_rank(spec)
+    finally:
+        clear()
