@@ -12,10 +12,10 @@ reduced mod p, and one BLAS call multiplies the left factor's digits
 into it.  Every product and partial sum is an integer below
 inner*e*(p-1)^2, so the result is exact as long as that bound is below
 2^53; ``_gemm`` raises ``ValueError`` when it is not.  It returns
-those sums unreduced: the Schur update of ``rank_digits`` reduces them
-once, together with the rows they are added to.  Polynomials are
-(length, e) digit arrays; ``polymul_digits`` multiplies two with e^2
-int64 convolutions of digit planes.
+those sums unreduced, as float64: the Schur update of ``rank_digits``
+adds them to the rows they update and reduces the total once.
+Polynomials are (length, e) digit arrays; ``polymul_digits`` multiplies
+two with e^2 int64 convolutions of digit planes.
 
 Rank is blocked Gaussian elimination (the FFLAS/FFPACK design of Dumas,
 Giorgi and Pernet, ACM TOMS 35(3), 2008).  Each panel of ``_PANEL``
@@ -25,20 +25,33 @@ the panel also records each remaining row's coefficients C = -rest_J S_J^-1
 over the pivot rows S.  The remaining rows are then replaced by the Schur
 complement rest_T + C S_T, one ``_gemm``; that is exactly the state the
 column-by-column loop would leave, so the pivot sequence is unchanged.
-Panels and updates stop at the last nonzero row and column, so a banded
-matrix costs only its band.  A pivot's normalization is one lookup in a
-per-field table of the maps x -> x c^-1 (``inverse_table``), and pivot
-k's row operations stop at its last live coefficient column, w + k.
+The candidate row is tested first: the digit index of its reduced entry
+is both the zero test and the index into ``inverse_table``, the
+per-field table of the maps x -> x c^-1 that normalizes a pivot, and
+only a zero candidate makes the column be searched and a row swapped up.
+Pivot k's row operations stop at its last live coefficient column,
+w + k.  Panels and updates stop at the last nonzero row and column, so a
+banded matrix costs only its band, and the elimination stops at the
+first panel without a live row once the rows left are all zero: past
+the last pivot there is nothing to find.
 
-Reduction mod p is delayed, as in FFLAS/FFPACK: inside a panel the rows
+Reduction mod p is delayed, as in FFLAS/FFPACK.  Inside a panel the rows
 below the pivots take their updates unreduced, and digits are reduced
 only where a value must be exact: the column scanned for the next pivot
-(the zero test), the pivot row before it is normalized, and the
-coefficient record once per panel before ``_gemm`` reads it.  Each
-update subtracts a product of reduced digits, at most e(p-1)^2, and a
-panel has at most ``_PANEL`` pivots, so every digit stays in
-(-_PANEL*e*(p-1)^2, p); ``rank_digits`` raises ``ValueError`` unless
-_PANEL*e*(p-1)^2 < 2^63.
+(the zero test and the table index), the pivot row before it is
+normalized, and the coefficient record once per panel before ``_gemm``
+reads it.  Each update subtracts a product of reduced digits, at most
+e(p-1)^2, and a panel has at most ``_PANEL`` pivots, so every digit stays
+in (-_PANEL*e*(p-1)^2, p); ``rank_digits`` raises ``ValueError`` unless
+_PANEL*e*(p-1)^2 < 2^63.  The rows outside the panels stay in [0, p):
+the Schur update adds them to ``_gemm``'s sums in float64 and reduces
+the total as it is written back (``_mod``), as ``_gemm`` reduces its
+expanded right factor.  That total is at most k*e*(p-1)^2 + p - 1 for
+k pivots, below 2^53 whenever ``_gemm``'s guard k*e*(p-1)^2 < 2^53
+holds (checked over every prime p: the only exceptions need
+k*e > 6*10^10).  Below 2^53 a correctly rounded x/p is off by less than
+1/p, the least distance from x/p to the next integer, so its floor is
+exact, and x - p*floor(x/p) is x mod p with no correction step.
 """
 
 from __future__ import annotations
@@ -107,11 +120,20 @@ def _reduced(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+def _mod(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """x mod p, exactly, for float64 integers 0 <= x < 2^53 (see the module
+    notes), written to ``out``: float64, possibly ``x`` itself, or int64."""
+    quot = x / p
+    np.floor(quot, out=quot)
+    quot *= p
+    return np.subtract(x, quot, out=out, casting="unsafe")
+
+
 def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     """Exact product of digit matrices with digits in [0, p), via float64 BLAS.
 
-    The result is left unreduced: each digit is the exact integer sum, in
-    [0, inner*e*(p-1)^2], of products of reduced digits.
+    The result is float64 and left unreduced: each digit is the exact
+    integer sum, in [0, inner*e*(p-1)^2], of products of reduced digits.
     """
     t = reduction_tensor(field)
     p, e = field.p, field.degree
@@ -129,9 +151,9 @@ def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     bf = b.astype(np.float64)
     for u in range(e):                    # right[k, u, j] = digits of x^u b[k, j]
         np.matmul(bf, tf[u], out=right[:, u])
-    np.fmod(right, p, out=right)
+    _mod(right, p, right)
     prod = left @ right.reshape(inner * e, cols * e)
-    return prod.reshape(rows, cols, e).astype(np.int64)
+    return prod.reshape(rows, cols, e)
 
 
 def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
@@ -165,7 +187,9 @@ def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
     S are the original pivot rows in pivot order: pivot i gets C[i, i] = 1
     when it is chosen, and every row operation then updates C with the row.
     Pivot k's record is zero past column w + k, so its normalization and
-    the update of the rows below stop there.
+    the update of the rows below stop there.  The candidate row is tested
+    first (see the module notes), and every row below a pivot takes the
+    update, a zero one where the row is zero in the column.
 
     The rows below the pivots are left unreduced (see the module notes):
     only the scanned column and the pivot row are reduced mod p, and the
@@ -183,20 +207,23 @@ def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
             break
         scan = panel[k:, col]
         scan %= p
-        nz = k + scan.any(axis=1).nonzero()[0]
-        if nz.size == 0:
-            continue
-        if nz[0] != k:
-            panel[[k, nz[0]]] = panel[[nz[0], k]]
-            order[[k, nz[0]]] = order[[nz[0], k]]
+        i = int(scan[0] @ index)
+        if not i:
+            nz = scan.any(axis=1).nonzero()[0]
+            if nz.size == 0:
+                continue
+            j = k + nz[0]
+            panel[[k, j]] = panel[[j, k]]
+            order[[k, j]] = order[[j, k]]
+            i = int(panel[k, col] @ index)
         end = w + k + 1
         panel[k, end - 1, 0] = 1
-        prow = panel[k, col:end] % p @ maps[int(panel[k, col] @ index)] % p
+        prow = panel[k, col:end] % p @ maps[i] % p
         panel[k, col:end] = prow
-        if nz.size > 1:     # rows k+1 .. nz[-1]; those zero in col take a zero update
+        if k + 1 < rows:
             pt = (prow @ t).reshape(e, -1) % p                  # x -> x prow
-            below = panel[k + 1:nz[-1] + 1]
-            below[:, col:end] -= (below[:, col] @ pt).reshape(len(below), -1, e)
+            below = panel[k + 1:]
+            below[:, col:end] -= (below[:, col] @ pt).reshape(rows - k - 1, -1, e)
         k += 1
     return k
 
@@ -212,8 +239,10 @@ def _panels(a: np.ndarray, field: Field):
     reordered in place, and the rows below the pivots take the Schur
     complement rest_T + C S_T, C = -rest_J S_J^-1 from the panel (reduced
     here, once), on the columns up to the last one nonzero in the pivot
-    rows S.  Elimination goes on in a view of the remaining rows, whose
-    digits stay in [0, p).
+    rows S; the sum is formed in float64 and reduced once, into the rows.
+    Elimination goes on in a view of the remaining rows, whose digits stay
+    in [0, p), and stops after a panel with no live row when the rows
+    left are all zero.
     """
     p, e = field.p, field.degree
     if _PANEL * e * (p - 1) ** 2 >= 1 << 63:
@@ -235,10 +264,13 @@ def _panels(a: np.ndarray, field: Field):
         cols = int(live[-1]) + 1 if live.size else 0
         if k < last and cols:
             rest = a[k:last, w:w + cols]
-            rest += _gemm(panel[k:, w:w + k] % p, a[:k, w:w + cols], field)
-            rest %= p
+            update = _gemm(panel[k:, w:w + k] % p, a[:k, w:w + cols], field)
+            update += rest
+            _mod(update, p, rest)
         a = a[k:, w:]
         yield k, a
+        if not k and not a.any():
+            return
 
 
 def rank_digits(a: np.ndarray, field: Field) -> int:

@@ -25,6 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_int64_products(factor: int, n: int) -> None:
+    """Refuse a factor whose products with residues mod n can reach 2^63:
+    ``OverflowError`` unless |factor| * n < 2^63."""
+    if abs(factor) * n >= 2 ** 63:
+        raise OverflowError(
+            f"residue products reach {abs(factor)} * {n} >= 2^63; "
+            "the int64 mask kernels require q*n < 2^63")
+
+
 def _times_mod(arr: np.ndarray, factor: int, n: int) -> np.ndarray:
     """(arr * factor) mod n in [0, n), exactly, for members 0 <= x < n.
 
@@ -37,11 +46,8 @@ def _times_mod(arr: np.ndarray, factor: int, n: int) -> np.ndarray:
     is returned as intp, since every caller indexes a mask with it and
     numpy would otherwise convert an int32 index array on each use.
     """
+    _check_int64_products(factor, n)
     bound = abs(factor) * n
-    if bound >= 2 ** 63:
-        raise OverflowError(
-            f"residue products reach {abs(factor)} * {n} >= 2^63; "
-            "the int64 mask kernels require q*n < 2^63")
     x = arr.astype(np.int32 if bound < 2 ** 31 else np.int64)
     x *= factor
     t = x // n
@@ -179,7 +185,8 @@ def is_coset_closed(n: int, multiplier: int, s: ResidueSet) -> bool:
     A multiplier = -1 mod n (q^2 here) needs no product: numpy reads index
     -x as n - x and 0 as 0.  As in _times_mod, |multiplier| * n >= 2^63 raises.
     """
-    minus_one = not (multiplier + 1) % n and abs(multiplier) * n < 2 ** 63
+    _check_int64_products(multiplier, n)
+    minus_one = not (multiplier + 1) % n
     idx = -s.array if minus_one else _times_mod(s.array, multiplier, n)
     return bool(np.count_nonzero(s.mask[idx]) == idx.size)
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import prime_power_base
-from .cosets import (ResidueSet, _times_mod, decompose, is_coset_closed,
-                     run_defining_set)
+from .cosets import (ResidueSet, _check_int64_products, _times_mod, decompose,
+                     is_coset_closed, run_defining_set)
 
 CASES = (1, 2, 3, 4)
 DEFAULT_M_MAX, DEFAULT_Q_MAX = 5, 250  # the default sweep's bounds
@@ -360,11 +360,12 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
 
     ``fault_delta`` perturbs the run half-length; it exists so the test
     harness can prove the checks actually bite.  Failures are report
-    entries; only q*n >= 2^63 raises (``_times_mod``'s ``OverflowError``).
+    entries; only q*n >= 2^63 raises (``cosets._check_int64_products``'s
+    ``OverflowError``).
     """
     cf = closed_form(spec)
     n, q, s = spec.n, spec.q, spec.s
-    _times_mod(np.zeros(0, np.int64), -q, n)  # refuses q*n >= 2^63 up front
+    _check_int64_products(q, n)  # refuses q*n >= 2^63 up front
     delta = cf.delta + fault_delta
     z = run_defining_set(n, s, delta)
     z1 = decompose(n, q, z)

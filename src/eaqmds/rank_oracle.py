@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _gflinalg as gfa
-from .cosets import ResidueSet, _times_mod, decompose
+from .cosets import ResidueSet, _check_int64_products, decompose
 from .cyclic import generator_digits
 from .families import FamilySpec, build_defining_set, closed_form
 from .fields import GF, Field, nth_root_of_unity, prime_power_base, quadratic_extension
@@ -121,13 +121,14 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     Ranks the smaller of H H† and G G†: when deg g = |Z| > n/2 it builds
     g only and adds 2 deg g - n, the degree read off the polynomial it
     ranked.  Raises OracleSizeError when n exceeds ``n_max``, and, before
-    any field is built, ``_times_mod``'s OverflowError when q*n >= 2^63.
+    any field is built, ``cosets._check_int64_products``'s OverflowError
+    when q*n >= 2^63.
     """
     n, q = spec.n, spec.q
     if n > n_max:
         raise OracleSizeError(
             f"n = {n} exceeds the rank oracle guard n_max = {n_max}")
-    _times_mod(np.zeros(0, np.int64), -q, n)  # refuses q*n >= 2^63 up front
+    _check_int64_products(q, n)  # refuses q*n >= 2^63 up front
     tower, lam, z = _code(spec)
     g_side = 2 * len(z) > n
     poly = generator_digits(tower, lam, z if g_side else z.complement())

@@ -10,10 +10,15 @@ sparse-banded and zero-suffix matrices, and the oracle's Gram matrices,
 check that trimming each panel to its nonzero rows and columns changes
 nothing; GF(239^2) and GF(251), the largest p of the sweep, carry the
 largest unreduced digits inside a panel, and the elimination is exact at
-the largest p its int64 guard admits.  The table of pivot inverse maps
-must agree with the reference ``FieldElement.inverse`` on every unit,
-and one wrong entry in it must break the panel states and flip the
-oracle.  The product under test is ``_gemm`` reduced mod p.
+the largest p its int64 guard admits.  A zero candidate row with a
+nonzero row below it, after zero columns, exercises the swap, and the
+elimination of a published n = 421 Gram matrix stops one panel after its
+last pivot.  The float64 reduction ``_mod`` must agree with Python's %
+up to the largest sum a Schur update can form.  The table of pivot
+inverse maps must agree with the reference ``FieldElement.inverse`` on
+every unit, and one wrong entry in it must break the panel states and
+flip the oracle.  The product under test is ``_gemm``'s float64 sums
+reduced mod p.
 """
 
 import numpy as np
@@ -52,8 +57,9 @@ def low_rank(field, rows, cols, t, seed):
 
 
 def blas_product(a, b, field):
-    """The float64 BLAS product of reduced digit matrices, reduced mod p."""
-    return gfa._gemm(a, b, field) % field.p
+    """The float64 BLAS product of reduced digit matrices, reduced mod p,
+    as int64 digits."""
+    return gfa._gemm(a, b, field).astype(np.int64) % field.p
 
 
 def is_prime(n):
@@ -69,9 +75,12 @@ def is_prime(n):
 def test_product_matches_reference(field, rows, inner, cols, seed):
     a = random_digits(field, (rows, inner), seed)
     b = random_digits(field, (inner, cols), seed + 1)
-    out = blas_product(a, b, field)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, ref.matmul_digits(a, b, field))
+    sums = gfa._gemm(a, b, field)
+    # the unreduced sums: float64 integers in [0, inner*e*(p-1)^2]
+    assert sums.dtype == np.float64 and (sums == np.floor(sums)).all()
+    assert sums.min(initial=0) >= 0
+    assert sums.max(initial=0) <= inner * field.degree * (field.p - 1) ** 2
+    assert np.array_equal(blas_product(a, b, field), ref.matmul_digits(a, b, field))
 
 
 @settings(deadline=None)
@@ -108,6 +117,30 @@ def test_exactness_guard_names_the_float64_bound():
     one = np.ones((1, 1, 1), dtype=np.int64)
     with pytest.raises(ValueError, match=r"float64.*2\^53"):
         blas_product(one, one, field)
+
+
+# 23726561 is the largest prime p with PANEL*(p - 1)^2 < 2^53, the p of
+# test_panels_exact_at_the_largest_p_the_schur_gemm_admits
+@pytest.mark.parametrize("p", [2, 3, 29, 239, 23726561])
+def test_float_reduction_matches_python_mod(p):
+    # the largest sum a Schur update forms under _gemm's guard: m*(p-1)^2
+    # from the GEMM, m = k*e for k <= PANEL pivots and a degree e below
+    # 2^20 (past any field whose tables fit in memory), plus a row digit
+    # p - 1; and the top of _mod's range, 2^53 - 1
+    assert is_prime(p)
+    m = min((2**53 - 1) // (p - 1) ** 2, PANEL << 20)
+    schur = m * (p - 1) ** 2 + p - 1
+    assert schur < 2**53
+    values = {0, schur, 2**53 - 1}
+    for k in (1, 2, 3, schur // p, (2**53 - 1) // p):
+        values |= {k * p - 1, k * p, k * p + 1}
+    values = sorted(v for v in values if 0 <= v < 2**53)
+    x = np.array(values, dtype=np.float64)
+    assert x.astype(np.int64).tolist() == values
+    expected = [v % p for v in values]
+    digits = np.empty(len(x), dtype=np.int64)
+    assert gfa._mod(x, p, digits) is digits and digits.tolist() == expected
+    assert gfa._mod(x, p, x) is x and x.tolist() == expected
 
 
 def test_product_reduces_digits_outside_the_range():
@@ -196,6 +229,28 @@ def test_panels_leave_the_column_loop_state(field, rows, cols, t, seed, data):
     zero = data.draw(st.lists(st.integers(0, cols - 1), max_size=4))
     a[:, zero] = 0
     assert_panel_states_match(a, field)
+
+
+@settings(deadline=None)
+@given(fields, st.integers(2, 40), st.integers(2, 50), st.integers(0, 40), seeds,
+       st.data())
+def test_panels_swap_a_zero_candidate_after_zero_columns(field, rows, cols, t, seed,
+                                                          data):
+    # the first columns are zero, so the scan passes them with no pivot;
+    # in the next column the candidate row 0 (and the rows down to ``lead``)
+    # is zero and a later row is not, so that row is swapped up, and the
+    # pivot's inverse is read from the swapped row
+    a = low_rank(field, rows, cols, t, seed)
+    skip = data.draw(st.integers(0, cols - 1))
+    lead = data.draw(st.integers(1, rows - 1))
+    below = data.draw(st.integers(lead, rows - 1))
+    a[:, :skip] = 0
+    a[:lead, skip] = 0
+    a[below, skip, 0] = data.draw(st.integers(1, field.p - 1))
+    zero = data.draw(st.lists(st.integers(skip + 1, cols), max_size=4))
+    a[:, [c for c in zero if c < cols]] = 0
+    assert_panel_states_match(a, field)
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
 
 
 def banded(field, rows, cols, lower, upper, density, seed):
@@ -414,6 +469,20 @@ def test_oracle_panels_leave_the_column_loop_state():
     spec = ORACLE_SPECS[0]
     hd, hdag, f = hh_dagger(spec)
     assert_panel_states_match(blas_product(hd, hdag, f), f)
+
+
+def test_elimination_stops_after_the_last_pivot():
+    # H H-dagger of [[421,129,189;84]]_29 has 188 rows and rank 84: the
+    # pivots fill six panels, and the seventh, with no live row, ends the
+    # elimination; the five panels of columns past it are never formed
+    subfield, tower, lam = code_context(PUBLISHED_421.q, PUBLISHED_421.n)
+    h = generator_digits(tower, lam, build_defining_set(PUBLISHED_421).complement())
+    a = gram_digits(h, subfield, PUBLISHED_421.q, PUBLISHED_421.n)
+    assert a.shape[:2] == (188, 188)
+    assert_panel_states_match(a, subfield)
+    ranks = [k for k, _ in gfa._panels(a, subfield)]
+    assert sum(ranks) == gfa.rank_digits(a, subfield) == 84
+    assert len(ranks) <= 7 and ranks[-1] == 0
 
 
 def test_oracle_gram_panels_leave_the_column_loop_state():

@@ -150,7 +150,7 @@ def test_gram_matches_product_on_sweep_and_published_codes():
         h = generator_digits(tower, lam, z.complement())
         hd = ref.parity_check_digits(h, spec.n)
         hdag = ref.conjugate_transpose_digits(hd, field, spec.q)
-        expected = gfa._gemm(hd, hdag, field) % field.p
+        expected = gfa._gemm(hd, hdag, field).astype(np.int64) % field.p
         assert gram_digits(h, field, spec.q, spec.n).tobytes() == expected.tobytes(), spec
 
 
@@ -166,7 +166,8 @@ def test_gram_of_g_is_transposed_g_g_dagger_on_sweep_codes():
         g = generator_digits(tower, lam, z)
         gd = ref.generator_matrix_digits(g, spec.n)
         gdag = ref.conjugate_transpose_digits(gd, field, spec.q)
-        expected = (gfa._gemm(gd, gdag, field) % field.p).transpose(1, 0, 2)
+        expected = gfa._gemm(gd, gdag, field).astype(np.int64) % field.p
+        expected = expected.transpose(1, 0, 2)
         assert gram_digits(g, field, spec.q, spec.n).tobytes() == expected.tobytes(), spec
 
 

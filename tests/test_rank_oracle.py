@@ -21,8 +21,9 @@ def random_matrix(field, rows, cols, rng):
 
 
 def blas_product(a, b, field):
-    """The float64 BLAS product of reduced digit matrices, reduced mod p."""
-    return gfa._gemm(a, b, field) % field.p
+    """The float64 BLAS product of reduced digit matrices, reduced mod p,
+    as int64 digits."""
+    return gfa._gemm(a, b, field).astype(np.int64) % field.p
 
 
 def identity_matrix(field, r):
