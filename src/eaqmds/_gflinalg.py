@@ -1,57 +1,54 @@
 """Exact linear algebra over GF(p^e) on float64 BLAS, internal.
 
-Matrices over a single-level extension field are flattened to int64
-arrays of shape (rows, cols, e) holding the polynomial-basis digits mod
-p, in [0, p).  Field multiplication is contraction against a fixed
-reduction tensor T with T[u, v] = digits(x^(u+v) mod modulus), so the
-map x -> x b of one entry b is an e x e matrix over GF(p).
+Matrices over a single-level extension field are flattened to arrays of
+shape (rows, cols, e) holding the polynomial-basis digits mod p, in
+[0, p).  Field multiplication is contraction against the tensor T of
+``fields.mul_tensor``, T[u, v] = digits(x^(u+v) mod modulus), so the map
+x -> x b of one entry b is an e x e matrix over GF(p).
 
-Products run as float64 GEMM (``_gemm``): the right factor is expanded
-into the (inner*e x cols*e) matrix of its entries' multiplication maps,
-reduced mod p, and one BLAS call multiplies the left factor's digits
-into it.  Every product and partial sum is an integer below
-inner*e*(p-1)^2, so the result is exact as long as that bound is below
-2^53; ``_gemm`` raises ``ValueError`` when it is not.  It returns
-those sums unreduced, as float64: the Schur update of ``rank_digits``
-adds them to the rows they update and reduces the total once.
-Polynomials are (length, e) digit arrays; ``polymul_digits`` multiplies
-two with e^2 int64 convolutions of digit planes.
+One rule, after FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+2008), holds for every hot product sum here and in ``cyclic._times`` but
+the pivot loop: products of digits in [0, p) are summed in float64,
+exact in any order while the bound on the sum is below 2^53 (``_exact``
+refuses the product otherwise), and each sum is reduced once (``_mod``).
+Below 2^53 a correctly rounded x/p is off by less than 1/p, the least
+distance from x/p to the next integer, so its floor is exact, and
+x - p*floor(x/p) is x mod p with no correction step.  ``_gemm`` expands
+the right factor into the (inner*e x cols*e) matrix of its entries'
+multiplication maps, reduced, and multiplies the left factor's digits
+into it in one BLAS call, returning the sums (at most inner*e*(p-1)^2)
+unreduced; ``polymul_digits`` contracts e^2 convolutions of digit planes
+(BLAS dot products, at most min(length)*(p-1)^2), reduced, with T.
 
-Rank is blocked Gaussian elimination (the FFLAS/FFPACK design of Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008).  Each panel of ``_PANEL``
-columns is eliminated on int64 digits with the deterministic rule (the
-pivot is the first nonzero row of the column, swapped into place), while
-the panel also records each remaining row's coefficients C = -rest_J S_J^-1
-over the pivot rows S.  The remaining rows are then replaced by the Schur
-complement rest_T + C S_T, one ``_gemm``; that is exactly the state the
-column-by-column loop would leave, so the pivot sequence is unchanged.
-The candidate row is tested first: the digit index of its reduced entry
-is both the zero test and the index into ``inverse_table``, the
-per-field table of the maps x -> x c^-1 that normalizes a pivot, and
-only a zero candidate makes the column be searched and a row swapped up.
-Pivot k's row operations stop at its last live coefficient column,
-w + k.  Panels and updates stop at the last nonzero row and column, so a
-banded matrix costs only its band, and the elimination stops at the
-first panel without a live row once the rows left are all zero: past
-the last pivot there is nothing to find.
+Rank is blocked Gaussian elimination.  Each panel of ``_PANEL`` columns
+is eliminated in an int64 buffer, the rule's one exception: numpy's
+float64 ``%`` costs 3-4x its int64 ``%`` on the per-pivot reductions (a
+float64 panel measured 14 % slower on the seven n = 421 Gram ranks).
+The pivot is the first nonzero row of the column, swapped into place,
+and the panel records each remaining row's coefficients
+C = -rest_J S_J^-1 over the pivot rows S.  The remaining rows, float64
+digits in [0, p), then take the Schur complement rest_T + C S_T:
+``_gemm``'s sums plus the rows, reduced once as they are written back,
+at most k*e*(p-1)^2 + p - 1 for k pivots and so below 2^53 under
+``_gemm``'s guard k*e*(p-1)^2 < 2^53 (checked over every prime p: the
+only exceptions need k*e > 6*10^10).  That is the state the
+column-by-column loop would leave, with the same pivots.  The candidate
+row is tested first: the digit index of its reduced entry is both the
+zero test and the index into ``inverse_table``, the per-field table of
+the maps x -> x c^-1 that normalizes a pivot, and only a zero candidate
+makes the column be searched and a row swapped up.  Pivot k's row
+operations stop at its last live coefficient column, w + k.  Panels and
+updates stop at the last nonzero row and column, so a banded matrix
+costs only its band, and the elimination stops at the first panel
+without a live row once the rows left are all zero.
 
-Reduction mod p is delayed, as in FFLAS/FFPACK.  Inside a panel the rows
-below the pivots take their updates unreduced, and digits are reduced
-only where a value must be exact: the column scanned for the next pivot
-(the zero test and the table index), the pivot row before it is
-normalized, and the coefficient record once per panel before ``_gemm``
-reads it.  Each update subtracts a product of reduced digits, at most
-e(p-1)^2, and a panel has at most ``_PANEL`` pivots, so every digit stays
-in (-_PANEL*e*(p-1)^2, p); ``rank_digits`` raises ``ValueError`` unless
-_PANEL*e*(p-1)^2 < 2^63.  The rows outside the panels stay in [0, p):
-the Schur update adds them to ``_gemm``'s sums in float64 and reduces
-the total as it is written back (``_mod``), as ``_gemm`` reduces its
-expanded right factor.  That total is at most k*e*(p-1)^2 + p - 1 for
-k pivots, below 2^53 whenever ``_gemm``'s guard k*e*(p-1)^2 < 2^53
-holds (checked over every prime p: the only exceptions need
-k*e > 6*10^10).  Below 2^53 a correctly rounded x/p is off by less than
-1/p, the least distance from x/p to the next integer, so its floor is
-exact, and x - p*floor(x/p) is x mod p with no correction step.
+Inside a panel reduction is delayed: the rows below the pivots take
+their updates unreduced, and only the column scanned for the next pivot,
+the pivot row before it is normalized, and the coefficient record (once
+per panel, before ``_gemm`` reads it) are reduced.  Each update
+subtracts at most e(p-1)^2 and a panel has at most ``_PANEL`` pivots, so
+every digit stays in (-_PANEL*e*(p-1)^2, p); ``rank_digits`` raises
+``ValueError`` unless _PANEL*e*(p-1)^2 < 2^63, which keeps p below 2^53.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ from .fields import Field, _power_table, _powers, _times_matrix, \
     find_primitive_element, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
-_EXACT = 1 << 53            # float64 holds every integer below this
 
 
 def _require_flat(field: Field):
@@ -72,10 +68,10 @@ def _require_flat(field: Field):
         raise ValueError("digit representation needs a single-level field")
 
 
-def reduction_tensor(field: Field) -> np.ndarray:
-    """T[u, v, :] = digits of x^(u+v) reduced by the field modulus."""
-    _require_flat(field)
-    return mul_tensor(field)
+def _exact(bound: int, what: str) -> None:
+    """Refuse a float64 product whose sums can reach ``bound`` >= 2^53 (``what``)."""
+    if bound >= 1 << 53:
+        raise ValueError(f"exact float64 sums need {what} < 2^53; got {bound}")
 
 
 @lru_cache(maxsize=None)
@@ -135,22 +131,19 @@ def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     The result is float64 and left unreduced: each digit is the exact
     integer sum, in [0, inner*e*(p-1)^2], of products of reduced digits.
     """
-    t = reduction_tensor(field)
+    t = mul_tensor(field).astype(np.float64)
     p, e = field.p, field.degree
     rows, inner = a.shape[0], a.shape[1]
     cols = b.shape[1]
     if b.shape[0] != inner:
         raise ValueError("incompatible shapes")
-    if inner * e * (p - 1) ** 2 >= _EXACT:
-        raise ValueError(
-            f"exact float64 product needs inner*e*(p-1)^2 < 2^53; got inner = "
-            f"{inner}, e = {e}, p = {p}")
+    _exact(inner * e * (p - 1) ** 2,
+           f"inner*e*(p-1)^2 (inner = {inner}, e = {e}, p = {p})")
     left = np.ascontiguousarray(a, dtype=np.float64).reshape(rows, inner * e)
-    tf = t.astype(np.float64)
     right = np.empty((inner, e, cols, e))
-    bf = b.astype(np.float64)
+    bf = np.asarray(b, dtype=np.float64)
     for u in range(e):                    # right[k, u, j] = digits of x^u b[k, j]
-        np.matmul(bf, tf[u], out=right[:, u])
+        np.matmul(bf, t[u], out=right[:, u])
     _mod(right, p, right)
     prod = left @ right.reshape(inner * e, cols * e)
     return prod.reshape(rows, cols, e)
@@ -159,26 +152,26 @@ def _gemm(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
 def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     """Exact product of polynomials held as (length, e) digit arrays, low first.
 
-    Each pair (u, v) of digit planes is one int64 convolution, reduced mod
-    p, then contracted with ``mul_tensor`` (b_u b_v has the digits T[u, v]),
-    so a tower level serves too.  Raises ``ValueError`` unless
-    min(len a, len b)*e^2*(p-1)^2 < 2^63, which keeps every sum exact.
+    Each pair (u, v) of digit planes is one float64 convolution, reduced
+    mod p, then contracted with ``mul_tensor`` (b_u b_v has the digits
+    T[u, v]), so a tower level serves too.  Returns int64 digits.  Raises
+    ``ValueError`` unless min(len a, len b)*e^2*(p-1)^2 < 2^53, a bound on
+    the sums of both steps.
     """
     t = mul_tensor(field)
     p, e = field.p, len(t)
-    if min(len(a), len(b)) * e * e * (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(
-            f"exact int64 polynomial product needs min(len)*e^2*(p-1)^2 < 2^63; "
-            f"got lengths {len(a)} and {len(b)}, e = {e}, p = {p}")
-    a, b = _reduced(a, p), _reduced(b, p)
-    conv = np.stack([np.stack([np.convolve(a[:, u], b[:, v]) for v in range(e)])
-                     for u in range(e)]) % p              # (e, e, len a + len b - 1)
-    return np.tensordot(conv, t, axes=([0, 1], [0, 1])) % p
+    _exact(min(len(a), len(b)) * e * e * (p - 1) ** 2,
+           f"min(len)*e^2*(p-1)^2 (lengths {len(a)} and {len(b)}, e = {e}, p = {p})")
+    a, b = (np.ascontiguousarray(_reduced(x, p).T, dtype=np.float64) for x in (a, b))
+    conv = np.stack([np.stack([np.convolve(u, v) for v in b]) for u in a])
+    _mod(conv, p, conv)                                  # (e, e, len a + len b - 1)
+    prod = np.tensordot(conv, t.astype(np.float64), axes=([0, 1], [0, 1]))
+    return _mod(prod, p, np.empty(prod.shape, dtype=np.int64))
 
 
 def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
                      order: np.ndarray) -> int:
-    """Eliminate the first ``w`` columns of ``panel`` in place; return the rank.
+    """Eliminate the first ``w`` columns of int64 ``panel`` in place; return its rank.
 
     Column by column, the pivot is the first nonzero row at or below the
     current rank; it is swapped into place (the swap is mirrored in
@@ -196,7 +189,7 @@ def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
     pivot rows come out reduced.  Digits of the other rows are correct
     mod p but may be negative.
     """
-    t = reduction_tensor(field)
+    t = mul_tensor(field)
     maps = inverse_table(field)
     p, e = field.p, field.degree
     index = p ** np.arange(e)
@@ -239,17 +232,16 @@ def _panels(a: np.ndarray, field: Field):
     reordered in place, and the rows below the pivots take the Schur
     complement rest_T + C S_T, C = -rest_J S_J^-1 from the panel (reduced
     here, once), on the columns up to the last one nonzero in the pivot
-    rows S; the sum is formed in float64 and reduced once, into the rows.
-    Elimination goes on in a view of the remaining rows, whose digits stay
-    in [0, p), and stops after a panel with no live row when the rows
-    left are all zero.
+    rows S; the sum is reduced once, into the rows.  Elimination goes on
+    in a view of the remaining rows, float64 digits in [0, p), and stops
+    after a panel with no live row when the rows left are all zero.
     """
     p, e = field.p, field.degree
     if _PANEL * e * (p - 1) ** 2 >= 1 << 63:
         raise ValueError(
             f"exact int64 elimination needs {_PANEL}*e*(p-1)^2 < 2^63; "
             f"got e = {e}, p = {p}")
-    a = _reduced(np.array(a, dtype=np.int64, order="C"), p)
+    a = np.array(_reduced(np.asarray(a), p), dtype=np.float64, order="C")
     while a.shape[0] and a.shape[1]:
         w = min(_PANEL, a.shape[1])
         live = np.flatnonzero(a[:, :w].any(axis=(1, 2)))
@@ -278,5 +270,7 @@ def rank_digits(a: np.ndarray, field: Field) -> int:
 
     Deterministic: the pivot is always the first nonzero row in the
     current column, as in the column-by-column loop; see ``_panels``.
+    The field must be single-level: a tower's digits are not its degree.
     """
+    _require_flat(field)
     return sum(k for k, _ in _panels(a, field))

@@ -24,7 +24,7 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from ._gflinalg import polymul_digits
+from ._gflinalg import _exact, _mod, polymul_digits
 from .fields import Field, _power_table, _times_matrix, mul_tensor
 from .cosets import ResidueSet, is_coset_closed
 
@@ -45,12 +45,15 @@ def _root_table(tower: Field, lam: tuple[int, ...], n: int):
 
 
 def _times(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
-    """The products a_i b_i of two (k, dim) digit stacks, by ``mul_tensor``,
-    in row blocks whose outer products hold at most 2^20 digits each."""
-    dim, out, rows = a.shape[1], np.empty_like(a), 2**20 // a.shape[1] ** 2
+    """a_i b_i for (k, dim) stacks of digits in [0, p): float64 outer products
+    by ``mul_tensor``, reduced by ``_mod``, in blocks of at most 2^20 digits."""
+    p, dim, out = field.p, a.shape[1], np.empty_like(a)
+    _exact(dim * dim * (p - 1) ** 3, f"dim^2*(p-1)^3 (dim = {dim}, p = {p})")
+    t, rows = mul_tensor(field).reshape(-1, dim).astype(np.float64), 2**20 // dim**2
     for i in range(0, len(a), rows):
-        outer = (a[i:i + rows, :, None] * b[i:i + rows, None]).reshape(-1, dim * dim)
-        out[i:i + rows] = outer @ mul_tensor(field).reshape(-1, dim) % field.p
+        block = slice(i, i + rows)
+        outer = np.multiply(a[block, :, None], b[block, None], dtype=np.float64)
+        _mod(outer.reshape(-1, dim * dim) @ t, p, out[block])
     return out
 
 
@@ -69,8 +72,8 @@ def _run_product(table: tuple, start: int, m: int, tower: Field) -> np.ndarray:
     k = np.arange(m + 1)
     c = powers[(start * k + (k * (k - 1) - (n - 1 - k) * (n - k)
                              - (n - 1 - m + k) * (n - m + k)) // 2) % n]
-    c[(m + 1) % 2::2] *= -1                      # the sign (-1)^(k + m)
     c = _times(_times(c, fact[n - 1 - k], tower), fact[n - 1 - m + k], tower)
+    c[(m + 1) % 2::2] *= -1                      # the sign (-1)^(k + m)
     return (c @ _times_matrix(fact[m] * pow(n, -2, p) % p, tower) % p)[::-1]
 
 

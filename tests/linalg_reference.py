@@ -1,7 +1,7 @@
 """Reference digit-array linear algebra over GF(p^e), for tests only.
 
 These are the int64 kernels the package used before its float64 BLAS
-path: the product is one ``tensordot`` per digit against the reduction
+path: the product is one ``tensordot`` per digit against the multiplication
 tensor, and rank is column-by-column Gaussian elimination with field
 inverses taken on ``field_reference.FieldElement`` objects.  The BLAS
 product of ``_gflinalg`` (``_gemm`` reduced mod p) and its rank must
@@ -13,13 +13,14 @@ digit arrays, and entry by entry on ``FieldElement`` objects.
 
 import numpy as np
 
-from eaqmds._gflinalg import frobenius_matrix, reduction_tensor
+from eaqmds._gflinalg import frobenius_matrix
+from eaqmds.fields import mul_tensor
 from field_reference import object_field
 
 
 def matmul_digits(a, b, field):
     """Exact product of digit matrices over the field, reduced mod p."""
-    t = reduction_tensor(field)
+    t = mul_tensor(field)
     e = field.degree
     rows, inner = a.shape[0], a.shape[1]
     cols = b.shape[1]
@@ -39,7 +40,7 @@ def _columns(a, field):
     swapped into place; pivot rows are normalized with exact field
     inverses and cleared from every row below.
     """
-    t = reduction_tensor(field)
+    t = mul_tensor(field)
     p = field.p
     a = a.copy() % p
     rows, cols = a.shape[0], a.shape[1]

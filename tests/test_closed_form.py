@@ -9,6 +9,8 @@ GF(q^2) with e = 2, 4 and 6.  Mutants of the formula must be caught: by
 the subfield check, the root check, G H^T = 0 or rank(H H†), or, for a
 mutant those cannot see, by the reference.  A root of unity that is not
 primitive must be refused, and one table must serve a whole (q, n) pair.
+The batched tower products are exact on all-(p - 1) digits, and refused
+past their float64 bound.
 """
 
 import inspect
@@ -22,7 +24,8 @@ from eaqmds import cyclic
 from eaqmds.cosets import ResidueSet, is_coset_closed, run_defining_set
 from eaqmds.cyclic import generator_digits
 from eaqmds.families import build_defining_set, sweep_specs
-from eaqmds.fields import _powers, _times_matrix
+from eaqmds.fields import GF, _powers, _times_matrix, is_prime, mul_tensor, \
+    quadratic_extension
 from eaqmds.rank_oracle import code_context, entanglement_rank, \
     generator_parity_orthogonal
 
@@ -108,6 +111,45 @@ def test_batched_products_span_row_blocks():
     a, b = rng.integers(0, 13, size=(2, 65_536 + 3, 4))
     by_map = (a[:, None, :] @ _times_matrix(b, tower))[:, 0] % 13
     assert np.array_equal(cyclic._times(a, b, tower), by_map)
+
+
+def python_int_times(a, b, field):
+    """a_i b_i by ``mul_tensor`` on Python ints, reduced once."""
+    t = mul_tensor(field).astype(object)
+    outer = a.astype(object)[:, :, None, None] * b.astype(object)[:, None, :, None]
+    return ((outer * t).sum(axis=(1, 2)) % field.p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p, e", [(239, 2), (3, 6)])
+def test_batched_products_exact_on_all_max_digits(p, e):
+    # the towers over GF(239^2) and GF(3^6): dim 4 and 12, so the float64
+    # sums reach 16*238^3 and 144*2^3; random rows ride along
+    tower = quadratic_extension(GF(p, e))
+    dim = len(mul_tensor(tower))
+    top = np.full((3, dim), p - 1)
+    rng = np.random.default_rng(p)
+    a, b = np.vstack([top, rng.integers(0, p, (5, dim))]), \
+        np.vstack([top, rng.integers(0, p, (5, dim))])
+    out = cyclic._times(a, b, tower)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, python_int_times(a, b, tower))
+
+
+def test_batched_products_guard_names_the_float64_bound():
+    # the largest prime p with dim^2*(p - 1)^3 < 2^53 over the tower of
+    # GF(p) (dim 2) is exact on all-(p - 1) digits; the next prime is refused
+    p = int((2**53 / 4) ** (1 / 3)) + 2
+    while 4 * (p - 1) ** 3 >= 2**53 or not is_prime(p):
+        p -= 1
+    tower = quadratic_extension(GF(p))
+    a = np.full((3, 2), p - 1)
+    assert np.array_equal(cyclic._times(a, a, tower), python_int_times(a, a, tower))
+    refused = p + 1
+    while not is_prime(refused):
+        refused += 1
+    assert 4 * (refused - 1) ** 3 >= 2**53
+    with pytest.raises(ValueError, match=r"float64.*2\^53"):
+        cyclic._times(a, a, quadratic_extension(GF(refused)))
 
 
 def test_one_table_serves_every_alpha_and_both_polynomials():

@@ -17,8 +17,8 @@ last pivot.  The float64 reduction ``_mod`` must agree with Python's %
 up to the largest sum a Schur update can form.  The table of pivot
 inverse maps must agree with the reference ``FieldElement.inverse`` on
 every unit, and one wrong entry in it must break the panel states and
-flip the oracle.  The product under test is ``_gemm``'s float64 sums
-reduced mod p.
+flip the oracle.  A tower field is refused at entry.  The product under
+test is ``_gemm``'s float64 sums reduced mod p.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ import linalg_reference as ref
 from linalg_reference import parity_check_digits
 from eaqmds import _gflinalg as gfa
 from eaqmds.families import FamilySpec, build_defining_set, spec_from_q, sweep_specs
-from eaqmds.fields import GF, mul_tensor
+from eaqmds.fields import GF, mul_tensor, quadratic_extension
 from eaqmds.rank_oracle import code_context, entanglement_rank, gram_digits
 from eaqmds.cyclic import generator_digits
 from field_reference import object_field
@@ -157,6 +157,15 @@ def test_product_rejects_incompatible_shapes():
     with pytest.raises(ValueError, match="incompatible"):
         blas_product(random_digits(field, (2, 3), 0),
                           random_digits(field, (4, 2), 0), field)
+
+
+def test_rank_refuses_a_tower_field():
+    # a tower level over GF(13^2) has 4 digits an element but degree 2: the
+    # rank must refuse it at entry, not size its panel from the degree
+    tower = quadratic_extension(GF(13, 2))
+    a = random_digits(GF(13, 4), (5, 5), 0)
+    with pytest.raises(ValueError, match="single-level"):
+        gfa.rank_digits(a, tower)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ explicit products of the Toeplitz matrices in ``linalg_reference``, on
 random polynomials and on the codes of the sweep and of the published
 rows, check the hull identity rank(H H†) = rank(G G†) + 2 deg g - n by
 ranking both, and pin the polynomial product itself to the schoolbook
-product in ``cyclic_reference``.
+product in ``cyclic_reference``, up to the longest factors its float64
+bound admits.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from eaqmds import _gflinalg as gfa
 from eaqmds import rank_oracle
 from eaqmds.cyclic import generator_digits
 from eaqmds.families import spec_from_q, sweep_specs
-from eaqmds.fields import GF
+from eaqmds.fields import GF, is_prime
 from eaqmds.published_params import PUBLISHED_ROWS
 from eaqmds.rank_oracle import gram_digits
 
@@ -81,17 +82,39 @@ def test_polymul_reduces_digits_outside_the_range():
                           gfa.polymul_digits(a, b, field))
 
 
-def test_polymul_guard_names_the_int64_bound():
-    # the largest prime p with (p - 1)^2 < 2^63: one coefficient each is
-    # exact, a second one would overflow a partial sum
-    p = int(2**31.5) + 1
-    while (p - 1) ** 2 >= 2**63 or any(p % d == 0 for d in range(2, 60000)):
+def test_polymul_guard_names_the_float64_bound():
+    # the largest prime p with (p - 1)^2 < 2^53: one coefficient each is
+    # exact, a second one could take a float64 sum past 2^53
+    p = int(2**26.5) + 1
+    while (p - 1) ** 2 >= 2**53 or not is_prime(p):
         p -= 1
+    assert 2 * (p - 1) ** 2 >= 2**53
     field = GF(p)
     one = np.full((1, 1), p - 1, dtype=np.int64)
     assert gfa.polymul_digits(one, one, field).tolist() == [[1]]
-    with pytest.raises(ValueError, match=r"int64.*2\^63"):
+    with pytest.raises(ValueError, match=r"float64.*2\^53"):
         gfa.polymul_digits(np.concatenate([one, one]), np.concatenate([one, one]),
+                           field)
+
+
+@pytest.mark.parametrize("length", [3, 40])
+def test_polymul_exact_at_the_longest_length_its_bound_admits(length):
+    # the largest prime p with length*(p - 1)^2 < 2^53: the middle
+    # coefficient of the all-(p - 1) square sums ``length`` products of
+    # (p - 1)^2, the largest sum the bound admits; one more coefficient on
+    # each side is refused
+    p = int((2**53 / length) ** 0.5) + 2
+    while length * (p - 1) ** 2 >= 2**53 or not is_prime(p):
+        p -= 1
+    field = GF(p)
+    a = np.full((length, 1), p - 1, dtype=np.int64)
+    counts = [min(k + 1, length, 2 * length - 1 - k) for k in range(2 * length - 1)]
+    out = gfa.polymul_digits(a, a, field)
+    assert out.dtype == np.int64
+    assert out[:, 0].tolist() == [c * (p - 1) ** 2 % p for c in counts]
+    assert np.array_equal(out, reference_product(a, a, field))
+    with pytest.raises(ValueError, match=r"float64.*2\^53"):
+        gfa.polymul_digits(np.concatenate([a, a[:1]]), np.concatenate([a, a[:1]]),
                            field)
 
 
