@@ -48,7 +48,7 @@ the pivot row before it is normalized, and the coefficient record (once
 per panel, before ``_gemm`` reads it) are reduced.  Each update
 subtracts at most e(p-1)^2 and a panel has at most ``_PANEL`` pivots, so
 every digit stays in (-_PANEL*e*(p-1)^2, p); ``rank_digits`` raises
-``ValueError`` unless _PANEL*e*(p-1)^2 < 2^63, which keeps p below 2^53.
+``ExactnessError`` unless _PANEL*e*(p-1)^2 < 2^63, which keeps p below 2^53.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, _power_table, _powers, _times_matrix, \
+from .fields import Field, _exact, _power_table, _powers, _times_matrix, \
     find_primitive_element, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
@@ -66,12 +66,6 @@ _PANEL = 16                 # columns eliminated per panel of rank_digits
 def _require_flat(field: Field):
     if field.base is not None or field.degree < 1:
         raise ValueError("digit representation needs a single-level field")
-
-
-def _exact(bound: int, what: str) -> None:
-    """Refuse a float64 product whose sums can reach ``bound`` >= 2^53 (``what``)."""
-    if bound >= 1 << 53:
-        raise ValueError(f"exact float64 sums need {what} < 2^53; got {bound}")
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +149,7 @@ def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     Each pair (u, v) of digit planes is one float64 convolution, reduced
     mod p, then contracted with ``mul_tensor`` (b_u b_v has the digits
     T[u, v]), so a tower level serves too.  Returns int64 digits.  Raises
-    ``ValueError`` unless min(len a, len b)*e^2*(p-1)^2 < 2^53, a bound on
+    ``ExactnessError`` unless min(len a, len b)*e^2*(p-1)^2 < 2^53, a bound on
     the sums of both steps.
     """
     t = mul_tensor(field)
@@ -237,10 +231,8 @@ def _panels(a: np.ndarray, field: Field):
     after a panel with no live row when the rows left are all zero.
     """
     p, e = field.p, field.degree
-    if _PANEL * e * (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(
-            f"exact int64 elimination needs {_PANEL}*e*(p-1)^2 < 2^63; "
-            f"got e = {e}, p = {p}")
+    _exact(_PANEL * e * (p - 1) ** 2, f"{_PANEL}*e*(p-1)^2 (e = {e}, p = {p})",
+           np.int64)
     a = np.array(_reduced(np.asarray(a), p), dtype=np.float64, order="C")
     while a.shape[0] and a.shape[1]:
         w = min(_PANEL, a.shape[1])

@@ -22,6 +22,7 @@ from . import __version__
 from .cosets import decompose
 from .families import CASES, DEFAULT_M_MAX, DEFAULT_Q_MAX, FamilySpec, \
     build_defining_set, closed_form, ea_params, spec_from_q, verify_family
+from .fields import ExactnessError
 from .published_params import PUBLISHED_ROWS
 from .rank_oracle import DEFAULT_N_MAX, OracleSizeError, entanglement_rank
 from .verification import run_verification_sweep
@@ -120,9 +121,12 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    summary = run_verification_sweep(
-        m_max=args.m_max, q_max=args.q_max,
-        oracle_n_max=args.oracle_n_max, fault_inject=args.fault_inject)
+    try:
+        summary = run_verification_sweep(args.m_max, args.q_max, args.oracle_n_max,
+                                         args.fault_inject)
+    except ExactnessError as exc:
+        print(f"error: the sweep is too large to verify: {exc}", file=sys.stderr)
+        return 3
     if summary.spec_count == 0:
         print(f"error: no family instance has m <= {args.m_max} and "
               f"q <= {args.q_max}; an empty sweep verifies nothing",
@@ -152,7 +156,7 @@ def _cmd_oracle(args) -> int:
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OverflowError, MemoryError) as exc:  # n too large for the masks
+    except (ExactnessError, OverflowError, MemoryError) as exc:
         print(f"error: n = {spec.n} is too large for the rank oracle: {exc}",
               file=sys.stderr)
         return 3

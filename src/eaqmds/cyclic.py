@@ -24,8 +24,8 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from ._gflinalg import _exact, _mod, polymul_digits
-from .fields import Field, _power_table, _times_matrix, mul_tensor
+from ._gflinalg import _mod, polymul_digits
+from .fields import Field, _exact, _power_table, _times_matrix, mul_tensor
 from .cosets import ResidueSet, is_coset_closed
 
 

@@ -31,6 +31,18 @@ from functools import lru_cache
 import numpy as np
 
 
+class ExactnessError(ValueError):
+    """A size refusal: a sum of digit products could leave exact integers."""
+
+
+def _exact(bound: int, what: str, dtype=np.float64) -> None:
+    """Refuse sums reaching ``bound`` (``what``): 2^53 in float64, 2^63 in int64."""
+    bits = 53 if dtype is np.float64 else 63
+    if bound >> bits:
+        raise ExactnessError(
+            f"exact {dtype.__name__} sums need {what} < 2^{bits}; got {bound}")
+
+
 def prime_factors(x: int) -> tuple[int, ...]:
     """Distinct prime factors of x, ascending; () for x < 2."""
     out = []
@@ -109,8 +121,8 @@ def mul_tensor(field: Field) -> np.ndarray:
     over a level with base maps S (S = [1] over GF(p)) and modulus
     y^t + sum_j m_j y^j, b_(i*d + k) = s_k y^i maps as
     (I_t (x) S[k]) Y^i, with Y the block companion matrix of y.  Entries
-    lie in [0, p); the dtype is int64 while dim * (p-1)^2 < 2^63, so
-    every product of two maps is exact, and Python ints beyond that.
+    are int64 digits in [0, p), and the field is refused (``ExactnessError``)
+    unless dim * (p-1)^2 < 2^63, so every product of two maps is exact.
     Cached and read-only.
     """
     p, t = field.p, field.degree
@@ -118,16 +130,16 @@ def mul_tensor(field: Field) -> np.ndarray:
     if field.base is not None:
         base = mul_tensor(field.base)
     d = len(base)
-    dtype = np.int64 if t * d * (p - 1) ** 2 < 2**63 else object
+    _exact(t * d * (p - 1) ** 2, f"dim*(p-1)^2 (dim = {t * d}, p = {p})", np.int64)
     if field.base is None and t == 1:
-        maps = base.astype(dtype)
+        maps = base
     else:
-        y = np.zeros((t * d, t * d), dtype=dtype)
-        y[:-d, d:] = np.eye((t - 1) * d, dtype=dtype)
+        y = np.zeros((t * d, t * d), dtype=np.int64)
+        y[:-d, d:] = np.eye((t - 1) * d, dtype=np.int64)
         for j, digits in enumerate(_index_digits(field.modulus[:t], p, d)):
             y[-d:, j * d:(j + 1) * d] = -np.tensordot(digits, base, 1) % p
-        lifted = [np.kron(np.eye(t, dtype=dtype), s) for s in base]
-        maps, y_i = [], np.eye(t * d, dtype=dtype)
+        lifted = [np.kron(np.eye(t, dtype=np.int64), s) for s in base]
+        maps, y_i = [], np.eye(t * d, dtype=np.int64)
         for _ in range(t):
             maps.extend(s @ y_i % p for s in lifted)
             y_i = y_i @ y % p
@@ -210,17 +222,18 @@ def _irreducible(low: np.ndarray, p: int) -> np.ndarray:
     f is irreducible iff X^(p^e) = X and, for each prime r | e, the
     element a = X^(p^(e/r)) - X is a unit.  Once the first holds,
     GF(p)[X]/(f) is a product of fields GF(p^d) with d | e, so a is a
-    unit iff a^(p^e - 1) = 1, decided on a's map sum_k a_k C^k.
+    unit iff a^(p^e - 1) = 1, decided on a's map sum_k a_k C^k.  Refuses
+    e*(p-1)^2 >= 2^63, as ``mul_tensor`` does.
     """
     k, e = low.shape
-    dtype = np.int64 if e * (p - 1) ** 2 < 2**63 else object
-    comp = np.zeros((k, e, e), dtype=dtype)
-    comp[:, :-1, 1:] = np.eye(e - 1, dtype=dtype)
+    _exact(e * (p - 1) ** 2, f"e*(p-1)^2 (e = {e}, p = {p})", np.int64)
+    comp = np.zeros((k, e, e), dtype=np.int64)
+    comp[:, :-1, 1:] = np.eye(e - 1, dtype=np.int64)
     comp[:, -1] = -low % p
     x = comp[0, 0]                                  # the digits of X
     frobenius = _powers(comp, [p**j for j in range(e + 1)], p)  # X^(p^j)
     ok = (frobenius[e] == x).all(1)
-    basis = [np.broadcast_to(np.eye(e, dtype=dtype), comp.shape)]
+    basis = [np.broadcast_to(np.eye(e, dtype=np.int64), comp.shape)]
     for _ in range(e - 1):                          # the maps of X^j, j < e
         basis.append(basis[-1] @ comp % p)
     basis, one = np.stack(basis, axis=1), basis[0][0, 0]

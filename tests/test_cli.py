@@ -6,6 +6,7 @@ import time
 import pytest
 
 from eaqmds.cli import main
+from eaqmds.fields import _exact
 from eaqmds.published_params import PUBLISHED_ROWS, ROW_COUNTS
 from eaqmds.verification import run_verification_sweep
 
@@ -243,6 +244,30 @@ def test_oracle_out_of_memory_exits_3(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("error: n = 85 is too large for the rank oracle: "
                    "Unable to allocate the mask\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle", "--case", "1", "--m", "1", "--k", "3", "--alpha", "1"],
+    ["verify", "--m-max", "1", "--q-max", "30"],
+])
+def test_exactness_refusals_exit_3(command, capsys, monkeypatch):
+    # a product refused for its size on the oracle path is a size refusal,
+    # not a verification failure
+    def refuse(*args, **kwargs):
+        _exact(1 << 53, "the test bound")
+
+    monkeypatch.setattr("eaqmds._gflinalg.rank_digits", refuse)
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "exact float64 sums need the test bound < 2^53" in err
+
+
+def test_oracle_rejects_an_inadmissible_spec(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--case", "1", "--m", "2",
+                             "--k", "1", "--alpha", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: m must be odd and >= 1, got 2\n"
 
 
 def test_oracle_guard_exit_code(capsys):

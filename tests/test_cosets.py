@@ -178,6 +178,11 @@ def test_decompose_rejects_q_that_is_not_a_unit():
         decompose(85, 17, run_defining_set(85, 42, 16))
 
 
+def test_decompose_rejects_a_set_of_another_modulus():
+    with pytest.raises(ValueError, match="modulus mismatch: 85 vs 61"):
+        decompose(61, 11, run_defining_set(85, 42, 16))
+
+
 def test_decompose_z1_is_coset_closed_and_stable():
     z = run_defining_set(85, 42, 16)
     z1 = decompose(85, 13, z)

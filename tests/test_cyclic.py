@@ -89,6 +89,12 @@ def test_generator_polynomial_edges():
         generator_digits(tower, lam, ResidueSet.of(85, [1]))
 
 
+def test_generator_polynomial_needs_a_tower():
+    sub, tower, lam = context(13, 85)
+    with pytest.raises(ValueError, match="root of unity must live in a tower extension"):
+        generator_digits(sub, lam, run_defining_set(85, 42, 16))
+
+
 def test_generator_polynomial_case1_q13():
     sub, tower, lam = context(13, 85)
     z = run_defining_set(85, 42, 16)

@@ -109,6 +109,11 @@ def test_spec_validation_errors():
         FamilySpec(5, 1, 1, 1)
 
 
+def test_enumerate_admissible_rejects_an_even_m():
+    with pytest.raises(ValueError, match="m must be odd and >= 1, got 2"):
+        enumerate_admissible(1, 2, q_max=250)
+
+
 def test_spec_derived_quantities():
     s = FamilySpec(1, 1, 3, 1)
     assert (s.a, s.q, s.n, s.s) == (2, 13, 85, 42)

@@ -21,9 +21,9 @@ from sympy.polys.galoistools import gf_irreducible_p
 from eaqmds import _gflinalg as gfa
 from eaqmds.cyclic import generator_digits
 from eaqmds.families import build_defining_set, sweep_specs
-from eaqmds.fields import GF, _index_digits, _power_table, _powers, _times_matrix, \
-    find_primitive_element, mul_tensor, nth_root_of_unity, prime_power_base, \
-    quadratic_extension
+from eaqmds.fields import GF, ExactnessError, _index_digits, _power_table, _powers, \
+    _times_matrix, find_primitive_element, is_prime, mul_tensor, nth_root_of_unity, \
+    prime_power_base, quadratic_extension
 from eaqmds.rank_oracle import code_context
 
 from field_reference import embed, full_scan_primitive, object_field, \
@@ -90,13 +90,27 @@ def test_canonical_choices_digest():
     assert digest.hexdigest() == CANONICAL_SHA256
 
 
-@pytest.mark.parametrize("p", [5, 13, 4294967311])
+# the largest prime p with (p - 1)^2 < 2^63, and the first prime past it
+INT64_EDGE_PRIME, INT64_REFUSED_PRIME = 3037000493, 3037000507
+
+
+@pytest.mark.parametrize("p", [5, 13, INT64_EDGE_PRIME])
 def test_prime_field_scan_matches_object_scan(p):
-    # p = 4294967311 > 2^32: products of two digits overflow int64, so the
-    # maps hold Python ints
+    # at the edge prime a product of two digits is just below 2^63
     f = GF(p)
-    assert mul_tensor(f).dtype == (object if p > 2**32 else np.int64)
+    assert mul_tensor(f).dtype == np.int64
     assert find_primitive_element(f) == full_scan_primitive(f).digits
+
+
+@pytest.mark.parametrize("p", [INT64_REFUSED_PRIME, 4294967311])
+def test_multiplication_maps_refuse_past_the_int64_bound(p):
+    assert is_prime(INT64_EDGE_PRIME) and is_prime(INT64_REFUSED_PRIME)
+    assert all(not is_prime(x) for x in range(INT64_EDGE_PRIME + 1, INT64_REFUSED_PRIME))
+    assert (INT64_EDGE_PRIME - 1) ** 2 < 2**63 <= (p - 1) ** 2
+    for build in (lambda: mul_tensor(GF(p)), lambda: find_primitive_element(GF(p)),
+                  lambda: GF(p, 2)):
+        with pytest.raises(ExactnessError, match=r"int64.*p = %d\) < 2\^63" % p):
+            build()
 
 
 # The power tables below are built inside the tests, not at import: the
@@ -161,7 +175,10 @@ POWER_STACKS = {          # (p, a stack of maps)
     "GF(3^6)": lambda: (3, element_maps(GF(3, 6), (2, 3))),
     "GF(13^4)": lambda: (13, element_maps(tower_13(), (4,))),
     "companion-3^6": lambda: (3, companion_stack(3, 6, 6)),
-    "GF(4294967311)": lambda: (4294967311, element_maps(GF(4294967311), (4,))),
+    # mul_tensor refuses so large a p; the 1 x 1 maps of GF(p) are its
+    # elements, here Python ints, whose products overflow int64
+    "GF(4294967311)": lambda: (4294967311,
+                               np.arange(0, 4 * 37, 37).astype(object).reshape(4, 1, 1)),
 }
 
 

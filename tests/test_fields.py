@@ -207,6 +207,16 @@ def test_nth_root_edge_cases():
         nth_root_of_unity(f4, 9)  # 28560 = 2^4 * 3 * 5 * 7 * 17 has a single 3
 
 
+def test_quadratic_tower_needs_odd_characteristic():
+    with pytest.raises(ValueError, match="quadratic tower requires odd characteristic"):
+        quadratic_extension(GF(2))
+
+
+def test_nth_root_rejects_n_below_one():
+    with pytest.raises(ValueError, match="n must be positive"):
+        nth_root_of_unity(quadratic_extension(GF(13, 2)), 0)
+
+
 def test_frobenius_properties():
     f169 = object_field(GF(13, 2))
     for v in range(13):

@@ -10,7 +10,7 @@ from eaqmds import _gflinalg as gfa
 from eaqmds.families import FamilySpec
 from eaqmds.fields import GF
 from eaqmds.cyclic import generator_digits
-from eaqmds.rank_oracle import OracleSizeError, _code, entanglement_rank
+from eaqmds.rank_oracle import OracleSizeError, _code, code_context, entanglement_rank
 from field_reference import object_field
 
 
@@ -155,6 +155,11 @@ def test_size_guard():
         entanglement_rank(spec)
     with pytest.raises(OracleSizeError, match="50"):
         entanglement_rank(FamilySpec(1, 1, 3, 1), n_max=50)
+
+
+def test_code_context_rejects_a_q_that_is_not_a_prime_power():
+    with pytest.raises(ValueError, match="q = 6 is not a prime power"):
+        code_context(6, 37)
 
 
 def test_hh_dagger_rank_on_prime_power_q():

@@ -169,6 +169,14 @@ def test_coset_identity_matches_loop_exhaustively_small():
             assert coset_identity_holds(q, n) == ref.coset_identity_holds(q, n), (q, n)
 
 
+def test_coset_identity_matches_loop_where_the_small_n_case_decides():
+    # every n <= 2q + 2 for 13 <= q <= 60: the case 3 <= n <= 2q of the
+    # proof in coset_identity_holds, and the first lengths past it
+    for q in range(13, 61):
+        for n in range(1, 2 * q + 3):
+            assert coset_identity_holds(q, n) == ref.coset_identity_holds(q, n), (q, n)
+
+
 def test_coset_identity_fails_off_the_family_lengths():
     # q^2 = 1 mod n (n = 24, q = 5) and a generic n: both forms say no
     for q, n in ((5, 24), (13, 86), (13, 84)):
