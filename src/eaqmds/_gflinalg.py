@@ -42,13 +42,37 @@ updates stop at the last nonzero row and column, so a banded matrix
 costs only its band, and the elimination stops at the first panel
 without a live row once the rows left are all zero.
 
-Inside a panel reduction is delayed: the rows below the pivots take
-their updates unreduced, and only the column scanned for the next pivot,
-the pivot row before it is normalized, and the coefficient record (once
-per panel, before ``_gemm`` reads it) are reduced.  Each update
-subtracts at most e(p-1)^2 and a panel has at most ``_PANEL`` pivots, so
-every digit stays in (-_PANEL*e*(p-1)^2, p); ``rank_digits`` raises
-``ExactnessError`` unless _PANEL*e*(p-1)^2 < 2^63, which keeps p below 2^53.
+A tall panel, more than ``_TALL`` = 4*_PANEL rows up to its last live
+one, is eliminated on a window when _PANEL*e*(p-1)^2 < 2^53: only the
+pivot rows and the next rows of a window (``_PANEL`` at a time) are kept
+up to date, so a pivot's numpy calls touch at most 2*_PANEL rows instead
+of every row of the panel.  Each pivot clears its column from the pivot
+rows as well (Gauss-Jordan), so they are the identity P' on the pivot
+columns, and their records are M = S_J[:, piv]^-1.  Any row r then
+comes up to date in one ``_gemm``, r - r[piv] P': the one row of
+r + span(S) that is zero on the pivot columns, which is the column
+loop's state whatever the order of the updates.  A row is brought in
+only when the window runs out, or when no window row is nonzero in a
+column: then the rows past the window are brought up to date on the
+remaining columns and the first one nonzero there is swapped up.  The
+rows never brought in take their records C = -r[piv] M in one more
+``_gemm``, and the Schur update stays one tall GEMM per panel.  These
+lazy products have inner dimension at most ``_PANEL``, so their sums
+stay below 2^53 under the window's rule as the Schur sums do.  The
+window costs more than the full update on short panels and less on
+tall ones (``_panels`` gives the crossover), so the rule reads the row
+count alone.
+
+Inside a panel reduction is delayed: the updated rows take their
+updates unreduced, and only the column scanned for the next pivot, the
+pivot row before it is normalized, and the coefficient record (once per
+panel, before ``_gemm`` reads it) are reduced; a row brought in is
+reduced.  Each update subtracts at most e(p-1)^2 and a panel has at most
+``_PANEL`` pivots, so every digit stays in (-_PANEL*e*(p-1)^2, p);
+``rank_digits`` raises ``ExactnessError`` unless _PANEL*e*(p-1)^2 < 2^63,
+which keeps p below 2^53.  An int64 ``%`` by p beats x - (x // p)*p on
+these small reductions: 1.4 against 2.7 us on a 32-row scanned column,
+0.9 against 2.0 us on a 17-entry pivot row.
 """
 
 from __future__ import annotations
@@ -61,6 +85,7 @@ from .fields import Field, _exact, _power_table, _powers, _times_matrix, \
     find_primitive_element, mul_tensor
 
 _PANEL = 16                 # columns eliminated per panel of rank_digits
+_TALL = 4 * _PANEL          # rows past which a panel is eliminated on a window
 
 
 def _require_flat(field: Field):
@@ -163,56 +188,125 @@ def polymul_digits(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     return _mod(prod, p, np.empty(prod.shape, dtype=np.int64))
 
 
-def _eliminate_panel(panel: np.ndarray, w: int, field: Field,
-                     order: np.ndarray) -> int:
-    """Eliminate the first ``w`` columns of int64 ``panel`` in place; return its rank.
+def _brought_in(source: np.ndarray, pivots: np.ndarray, piv: list, start: int,
+                stop: int, field: Field, out: np.ndarray) -> np.ndarray:
+    """Columns [start, stop) of the original panel rows ``source`` brought up
+    to date with the Gauss-Jordan pivot rows ``pivots``, into int64 ``out``.
+
+    ``source`` holds float64 digits in [0, p) on the panel's w columns; a
+    row's record columns, from w on, start at zero.  A row r comes up to
+    date as r - r[piv] P' (see the module notes): one ``_gemm`` of r by -P'
+    placed on the pivot columns ``piv`` (zero on the others), plus r.  The
+    sums are at most k*e*(p-1)^2 + p - 1 for k pivots.
+    """
+    p, w = field.p, source.shape[1]
+    neg = np.zeros((w, stop - start, field.degree), dtype=np.int64)
+    neg[piv] = np.negative(pivots[:, start:stop]) % p
+    sums = _gemm(source, neg, field)
+    if start < w:
+        sums[:, :w - start] += source[:, start:stop]
+    return _mod(sums, p, out)
+
+
+def _eliminate_panel(source: np.ndarray, field: Field, window: bool):
+    """Eliminate the panel ``source`` (rows x w x e, float64 digits in
+    [0, p)) in an int64 buffer; return its rank k, the buffer and the row
+    order.
 
     Column by column, the pivot is the first nonzero row at or below the
     current rank; it is swapped into place (the swap is mirrored in
     ``order``), normalized to 1 and cleared from the rows below it.  The
-    columns from ``w`` on record each row as (original row) + C S, where
-    S are the original pivot rows in pivot order: pivot i gets C[i, i] = 1
-    when it is chosen, and every row operation then updates C with the row.
-    Pivot k's record is zero past column w + k, so its normalization and
-    the update of the rows below stop there.  The candidate row is tested
-    first (see the module notes), and every row below a pivot takes the
-    update, a zero one where the row is zero in the column.
+    buffer's columns from w on record each row as (original row) + C S,
+    where S are the original pivot rows in pivot order: pivot i gets
+    C[i, i] = 1 when it is chosen, and every row operation then updates C
+    with the row.  Pivot k's record is zero past column w + k, so its
+    normalization and the row updates stop there.  The candidate row is
+    tested first (see the module notes), and every updated row takes the
+    update, a zero one where the row is zero in the column.  On return the
+    buffer holds the record C of each row below the pivots, in the final
+    order.
+
+    With ``window`` (see the module notes) only the pivot rows and the
+    window rows [k, hi) are kept up to date, and each pivot clears its
+    column from the pivot rows too.  The window starts as the first
+    ``_PANEL`` rows and takes the next ``_PANEL`` when it runs out.  When
+    no window row is nonzero in a column, ``ahead`` holds the rows past
+    the window brought up to date on the remaining columns until the next
+    pivot, and the first one nonzero in the column is brought in whole and
+    swapped up; the window row it displaces falls back to its original
+    digits.  The rows past the window at the end get their records
+    C = -source[piv] M, M the pivot rows' records.
 
     The rows below the pivots are left unreduced (see the module notes):
     only the scanned column and the pivot row are reduced mod p, and the
-    pivot rows come out reduced.  Digits of the other rows are correct
-    mod p but may be negative.
+    pivot rows come out reduced unless ``window``.  Other digits are
+    correct mod p but may be negative.
     """
     t = mul_tensor(field)
     maps = inverse_table(field)
     p, e = field.p, field.degree
     index = p ** np.arange(e)
-    rows = panel.shape[0]
+    rows, w = source.shape[:2]
+    panel = np.zeros((rows, 2 * w, e), dtype=np.int64)
+    order = np.arange(rows)
+    hi = min(rows, _PANEL) if window else rows  # rows [k, hi) are up to date
+    panel[:hi, :w] = source[:hi]
+    piv = []
+    ahead = None        # the rows past the window on columns from ahead_col on
     k = 0
     for col in range(w):
         if k == rows:
             break
-        scan = panel[k:, col]
+        if k == hi:
+            hi = min(rows, k + _PANEL)
+            _brought_in(source[order[k:hi]], panel[:k], piv, 0, w + k, field,
+                        panel[k:hi, :w + k])
+        top = 0 if window else k        # the window clears the pivot rows too
+        scan = panel[top:hi, col]
         scan %= p
-        i = int(scan[0] @ index)
+        i = int(panel[k, col].dot(index))
         if not i:
-            nz = scan.any(axis=1).nonzero()[0]
-            if nz.size == 0:
-                continue
-            j = k + nz[0]
-            panel[[k, j]] = panel[[j, k]]
+            nz = scan[k - top:].any(axis=1).nonzero()[0]
+            if nz.size:
+                j = k + nz[0]
+                panel[[k, j]] = panel[[j, k]]
+            else:
+                if hi == rows:
+                    continue
+                if ahead is None:
+                    ahead_col = col
+                    ahead = _brought_in(source[order[hi:]], panel[:k], piv, col, w,
+                                        field, np.empty((rows - hi, w - col, e),
+                                                        dtype=np.int64))
+                nz = ahead[:, col - ahead_col].any(axis=1).nonzero()[0]
+                if nz.size == 0:
+                    continue
+                j = hi + nz[0]
+                _brought_in(source[order[j:j + 1]], panel[:k], piv, 0, w + k, field,
+                            panel[k:k + 1, :w + k])
             order[[k, j]] = order[[j, k]]
-            i = int(panel[k, col] @ index)
+            i = int(panel[k, col].dot(index))
         end = w + k + 1
         panel[k, end - 1, 0] = 1
         prow = panel[k, col:end] % p @ maps[i] % p
         panel[k, col:end] = prow
-        if k + 1 < rows:
+        if window:                      # every up-to-date row but the pivot
             pt = (prow @ t).reshape(e, -1) % p                  # x -> x prow
+            block = panel[:hi]
+            update = block[:, col] @ pt
+            update[k] = 0
+            block[:, col:end] -= update.reshape(hi, -1, e)
+            piv.append(col)
+            ahead = None
+        elif k + 1 < rows:              # the rows below the pivot
+            pt = (prow @ t).reshape(e, -1) % p
             below = panel[k + 1:]
             below[:, col:end] -= (below[:, col] @ pt).reshape(rows - k - 1, -1, e)
         k += 1
-    return k
+    if hi < rows and k:
+        _brought_in(source[order[hi:]], panel[:k], piv, w, w + k, field,
+                    panel[hi:, w:w + k])
+    return k, panel, order
 
 
 def _panels(a: np.ndarray, field: Field):
@@ -229,19 +323,27 @@ def _panels(a: np.ndarray, field: Field):
     rows S; the sum is reduced once, into the rows.  Elimination goes on
     in a view of the remaining rows, float64 digits in [0, p), and stops
     after a panel with no live row when the rows left are all zero.
+
+    A panel of more than ``_TALL`` rows up to its last live one is
+    eliminated on a window (see the module notes) when
+    _PANEL*e*(p-1)^2 < 2^53, under which the window's own GEMMs are exact;
+    past it the panel keeps the full update, which needs no GEMM.  Timed
+    per panel (elimination and Schur update) on the Gram matrices of the
+    185 sweep specs with n <= 1000, the window costs 1.08-1.34x the full
+    update below 48 rows, 1.04-1.07x from 48 to 71 and 0.69-0.94x from 72
+    rows on.
     """
     p, e = field.p, field.degree
     _exact(_PANEL * e * (p - 1) ** 2, f"{_PANEL}*e*(p-1)^2 (e = {e}, p = {p})",
            np.int64)
+    window_exact = _PANEL * e * (p - 1) ** 2 < 2**53
     a = np.array(_reduced(np.asarray(a), p), dtype=np.float64, order="C")
     while a.shape[0] and a.shape[1]:
         w = min(_PANEL, a.shape[1])
         live = np.flatnonzero(a[:, :w].any(axis=(1, 2)))
         last = int(live[-1]) + 1 if live.size else 0
-        panel = np.zeros((last, 2 * w, e), dtype=np.int64)
-        panel[:, :w] = a[:last, :w]
-        order = np.arange(last)
-        k = _eliminate_panel(panel, w, field, order)
+        k, panel, order = _eliminate_panel(a[:last, :w], field,
+                                           window_exact and last > _TALL)
         moved = np.flatnonzero(order != np.arange(last))
         a[moved, w:] = a[order[moved], w:]
         live = np.flatnonzero(a[:k, w:].any(axis=(0, 2)))

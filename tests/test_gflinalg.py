@@ -13,11 +13,16 @@ largest unreduced digits inside a panel, and the elimination is exact at
 the largest p its int64 guard admits.  A zero candidate row with a
 nonzero row below it, after zero columns, exercises the swap, and the
 elimination of a published n = 421 Gram matrix stops one panel after its
-last pivot.  The float64 reduction ``_mod`` must agree with Python's %
+last pivot.  Panels of more than ``_TALL`` rows, eliminated on a window
+of rows, must leave the same states on low-rank, banded and zero-suffix
+matrices, when a column is zero on the whole window and a row past it is
+brought in and swapped up, and at the largest p the window's GEMMs
+admit; at the largest p of the int64 guard a tall panel keeps the full
+update and still ranks without a GEMM.  The float64 reduction ``_mod`` must agree with Python's %
 up to the largest sum a Schur update can form.  The table of pivot
 inverse maps must agree with the reference ``FieldElement.inverse`` on
-every unit, and one wrong entry in it must break the panel states and
-flip the oracle.  A tower field is refused at entry.  The product under
+every unit, and one wrong entry in it must break the panel states, of a
+tall Gram matrix too, and flip the oracle.  A tower field is refused at entry.  The product under
 test is ``_gemm``'s float64 sums reduced mod p.
 """
 
@@ -304,6 +309,91 @@ def test_panels_with_zero_suffix_rows(field, rows, cols, t, zero_rows, seed):
     assert_panel_states_match(a, field)
 
 
+# tall panels: more than gfa._TALL live rows, eliminated on a window of rows
+
+tall_rows = st.integers(gfa._TALL + 1, 150)
+
+
+def assert_tall_panel_states_match(a, field):
+    """``assert_panel_states_match``, checking too that the first panel ran
+    on a window exactly when it has more than ``_TALL`` rows up to its last
+    live one (every field of FIELDS passes the window's 2^53 rule)."""
+    windows = []
+    eliminate = gfa._eliminate_panel
+
+    def spy(source, f, window):
+        windows.append(window)
+        return eliminate(source, f, window)
+
+    live = np.flatnonzero(a[:, :PANEL].any(axis=(1, 2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gfa, "_eliminate_panel", spy)
+        assert_panel_states_match(a, field)
+    assert windows[:1] == ([live[-1] >= gfa._TALL] if live.size else [False])
+
+
+@settings(deadline=None, max_examples=40)
+@given(fields, tall_rows, st.integers(1, 50), st.integers(0, 40), seeds, st.data())
+def test_tall_panels_leave_the_column_loop_state(field, rows, cols, t, seed, data):
+    a = low_rank(field, rows, cols, t, seed)
+    zero = data.draw(st.lists(st.integers(0, cols - 1), max_size=4))
+    a[:, zero] = 0
+    assert_tall_panel_states_match(a, field)
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
+
+
+@settings(deadline=None, max_examples=40)
+@given(fields, tall_rows, st.integers(1, 60), st.integers(0, 40),
+       st.integers(0, 150), st.integers(0, 20), seeds)
+def test_tall_panels_on_banded_rank_deficient_matrices(field, rows, cols, t, lower,
+                                                       upper, seed):
+    a = ref.matmul_digits(banded(field, rows, t, lower, upper, 1.0, seed),
+                          banded(field, t, cols, lower, upper, 1.0, seed + 1), field)
+    assert_tall_panel_states_match(a, field)
+
+
+@settings(deadline=None, max_examples=40)
+@given(fields, tall_rows, st.integers(1, 50), st.integers(0, 40), st.integers(1, 80),
+       seeds)
+def test_tall_panels_with_zero_suffix_rows(field, rows, cols, t, zero_rows, seed):
+    a = low_rank(field, rows, cols, t, seed)
+    a = np.concatenate([a, np.zeros((zero_rows, cols, field.degree), dtype=np.int64)])
+    assert_tall_panel_states_match(a, field)
+
+
+@settings(deadline=None, max_examples=40)
+@given(fields, tall_rows, st.integers(2, 50), st.integers(0, 40), seeds, st.data())
+def test_tall_panel_brings_in_a_row_past_the_window(field, rows, cols, t, seed, data):
+    # the first ``lead`` rows, the whole first window and maybe more, are
+    # zero in column ``skip`` (after ``skip`` zero columns) or span only
+    # ``t`` dimensions, so some column is zero on every window row while a
+    # row past the window is not: that row is brought up to date, swapped
+    # up and made the pivot
+    a = random_digits(field, (rows, cols), seed)
+    lead = data.draw(st.integers(PANEL, rows - 1))
+    a[:lead] = low_rank(field, lead, cols, t, seed + 2)
+    skip = data.draw(st.integers(0, cols - 1))
+    a[:, :skip] = 0
+    a[:lead, skip] = 0
+    a[data.draw(st.integers(lead, rows - 1)), skip, 0] = data.draw(
+        st.integers(1, field.p - 1))
+    assert_tall_panel_states_match(a, field)
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field)
+
+
+def test_tall_panel_swaps_up_the_row_past_the_window():
+    # column 0 is zero on the first 70 rows, so on the whole window; row 70
+    # is the pivot, swapped with row 0, and the rank is full
+    field = GF(13, 2)
+    a = random_digits(field, (90, 20), 5)
+    a[:70, 0] = 0
+    a[70, 0] = [3, 1]
+    assert_tall_panel_states_match(a, field)
+    k, panel, order = gfa._eliminate_panel(
+        a[:, :PANEL].astype(np.float64), field, True)
+    assert k == PANEL and order[0] == 70 and order[70] == 0
+
+
 def test_rank_leaves_its_input_unchanged():
     field = GF(13, 2)
     a = low_rank(field, 40, 40, 20, 3)
@@ -450,6 +540,37 @@ def test_elimination_guard_names_the_int64_bound(monkeypatch):
         gfa.rank_digits(edge_matrix(refused, PANEL + 4), GF(refused))
 
 
+def test_tall_panels_exact_at_the_largest_p_the_schur_gemm_admits(monkeypatch):
+    # the window's own products (rows brought in, the records of the rows
+    # never brought in) are float64 GEMMs too, at the edge of their guard
+    p = int((2**53 / PANEL) ** 0.5) + 2
+    while PANEL * (p - 1) ** 2 >= 2**53 or not is_prime(p):
+        p -= 1
+    field = GF(p)
+    monkeypatch.setattr(gfa, "inverse_table", lambda f: PowerInverses(f.p))
+    for t, rows in ((12, 100), (40, 100), (3 * PANEL, 5 * PANEL)):
+        a = low_rank(field, rows, 3 * PANEL, t, t)
+        a[:PANEL + 4, 1] = 0       # a column zero on the whole first window
+        assert_tall_panel_states_match(a, field)
+
+
+def test_tall_elimination_at_the_int64_guard_needs_no_gemm(monkeypatch):
+    # at the largest p of the int64 guard, PANEL*(p - 1)^2 >= 2^53: a tall
+    # panel keeps the full per-pivot update, whose GEMM-free single panel
+    # ranks this 80 x 16 matrix with a column zero on its first 16 rows
+    p = int((2**63 / PANEL) ** 0.5) + 2
+    while PANEL * (p - 1) ** 2 >= 2**63 or not is_prime(p):
+        p -= 1
+    assert p == 759250111 and PANEL * (p - 1) ** 2 >= 2**53
+    field = GF(p)
+    monkeypatch.setattr(gfa, "inverse_table", lambda f: PowerInverses(f.p))
+    a = edge_matrix(p, 5 * PANEL)
+    a[:PANEL, 3] = 0
+    a[PANEL:, 3] = np.arange(1, 4 * PANEL + 1)[:, None]
+    assert gfa.rank_digits(a, field) == ref.rank_digits(a, field) == PANEL
+    assert_panel_states_match(a, field)
+
+
 # ---------------------------------------------------------------------------
 # the oracle's own matrices: H H-dagger of the benchmark specs
 
@@ -526,6 +647,20 @@ def test_fault_wrong_pivot_inverse_breaks_panel_states(monkeypatch):
     # map of its inverse 4 is served as the map of 1, the identity
     assert a[0, 0].tolist() == [10, 0]
     corrupt_inverse(monkeypatch, subfield, 10, 1)
+    with pytest.raises(AssertionError):
+        assert_panel_states_match(a, subfield)
+
+
+def test_fault_wrong_pivot_inverse_breaks_tall_panel_states(monkeypatch):
+    spec = FamilySpec(1, 1, 4, 2)   # n = 145 over GF(17^2): H H-dagger is 76 x 76
+    subfield, tower, lam = code_context(spec.q, spec.n)
+    h = generator_digits(tower, lam, build_defining_set(spec).complement())
+    a = gram_digits(h, subfield, spec.q, spec.n)
+    assert a.shape[0] > gfa._TALL
+    assert_tall_panel_states_match(a, subfield)
+    # the first pivot is 16; the map of its inverse is served as the identity
+    assert a[0, 0].tolist() == [16, 0]
+    corrupt_inverse(monkeypatch, subfield, 16, 1)
     with pytest.raises(AssertionError):
         assert_panel_states_match(a, subfield)
 
