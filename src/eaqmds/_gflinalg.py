@@ -25,47 +25,48 @@ is eliminated in an int64 buffer, the rule's one exception: numpy's
 float64 ``%`` costs 3-4x its int64 ``%`` on the per-pivot reductions (a
 float64 panel measured 14 % slower on the seven n = 421 Gram ranks).
 The pivot is the first nonzero row of the column, swapped into place,
-and the panel records each remaining row's coefficients
-C = -rest_J S_J^-1 over the pivot rows S.  The remaining rows, float64
-digits in [0, p), then take the Schur complement rest_T + C S_T:
-``_gemm``'s sums plus the rows, reduced once as they are written back,
-at most k*e*(p-1)^2 + p - 1 for k pivots and so below 2^53 under
-``_gemm``'s guard k*e*(p-1)^2 < 2^53 (checked over every prime p: the
-only exceptions need k*e > 6*10^10).  That is the state the
-column-by-column loop would leave, with the same pivots.  The candidate
-row is tested first: the digit index of its reduced entry is both the
-zero test and the index into ``inverse_table``, the per-field table of
-the maps x -> x c^-1 that normalizes a pivot, and only a zero candidate
-makes the column be searched and a row swapped up.  Pivot k's row
-operations stop at its last live coefficient column, w + k.  Panels and
-updates stop at the last nonzero row and column, so a banded matrix
-costs only its band, and the elimination stops at the first panel
-without a live row once the rows left are all zero.
+normalized and cleared from every other up-to-date row, the pivot rows
+too (Gauss-Jordan), so the pivot rows are the identity P' on the pivot
+columns and their records are M = S_J[:, piv]^-1 over the original
+pivot rows S.  The panel records each remaining row's coefficients
+C = -rest_J S_J^-1.  The remaining rows, float64 digits in [0, p), then
+take the Schur complement rest_T + C S_T: ``_gemm``'s sums plus the
+rows, reduced once as they are written back, at most
+k*e*(p-1)^2 + p - 1 for k pivots and so below 2^53 under ``_gemm``'s
+guard k*e*(p-1)^2 < 2^53 (checked over every prime p: the only
+exceptions need k*e > 6*10^10).  That is the state the column-by-column
+loop would leave, with the same pivots.  The candidate row is tested
+first: the digit index of its reduced entry is both the zero test and
+the index into ``inverse_table``, the per-field table of the maps
+x -> x c^-1 that normalizes a pivot, and only a zero candidate makes the
+column be searched and a row swapped up.  Pivot k's row operations stop
+at its last live coefficient column, w + k.  Panels and updates stop at
+the last nonzero row and column, so a banded matrix costs only its
+band, and the elimination stops at the first panel without a live row
+once the rows left are all zero.
 
 A tall panel, more than ``_TALL`` = 4*_PANEL rows up to its last live
-one, is eliminated on a window when _PANEL*e*(p-1)^2 < 2^53: only the
-pivot rows and the next rows of a window (``_PANEL`` at a time) are kept
-up to date, so a pivot's numpy calls touch at most 2*_PANEL rows instead
-of every row of the panel.  Each pivot clears its column from the pivot
-rows as well (Gauss-Jordan), so they are the identity P' on the pivot
-columns, and their records are M = S_J[:, piv]^-1.  Any row r then
+one, is eliminated on a window when _PANEL*e*(p-1)^2 < 2^53: only its
+first ``_PANEL`` rows are kept up to date, so a pivot's numpy calls
+touch ``_PANEL`` rows instead of every row of the panel.  A panel has at
+most ``_PANEL`` pivots, so the window holds them all.  Any other row r
 comes up to date in one ``_gemm``, r - r[piv] P': the one row of
 r + span(S) that is zero on the pivot columns, which is the column
-loop's state whatever the order of the updates.  A row is brought in
-only when the window runs out, or when no window row is nonzero in a
-column: then the rows past the window are brought up to date on the
-remaining columns and the first one nonzero there is swapped up.  The
-rows never brought in take their records C = -r[piv] M in one more
-``_gemm``, and the Schur update stays one tall GEMM per panel.  These
-lazy products have inner dimension at most ``_PANEL``, so their sums
-stay below 2^53 under the window's rule as the Schur sums do.  The
-window costs more than the full update on short panels and less on
-tall ones (``_panels`` gives the crossover), so the rule reads the row
-count alone.
+loop's state whatever the order of the updates.  At the first column
+zero on the window's rows below the pivots, every row past the window
+is brought up to date so, and the elimination goes on over all rows.
+If no column is, the rows past the window take only their records
+C = -r[piv] M, in one ``_gemm``, and the Schur update stays one tall
+GEMM per panel.  These lazy products have inner dimension at most
+``_PANEL``, so their sums stay below 2^53 under the window's rule as the
+Schur sums do.  The window costs more than the full update on short
+panels and less on tall ones (``_panels`` gives the crossover), so the
+rule reads the row count alone.
 
 Inside a panel reduction is delayed: the updated rows take their
-updates unreduced, and only the column scanned for the next pivot, the
-pivot row before it is normalized, and the coefficient record (once per
+updates unreduced, and only the column scanned for the next pivot (on
+every up-to-date row, since each takes the pivot's update), the pivot
+row before it is normalized, and the coefficient record (once per
 panel, before ``_gemm`` reads it) are reduced; a row brought in is
 reduced.  Each update subtracts at most e(p-1)^2 and a panel has at most
 ``_PANEL`` pivots, so every digit stays in (-_PANEL*e*(p-1)^2, p);
@@ -197,7 +198,9 @@ def _brought_in(source: np.ndarray, pivots: np.ndarray, piv: list, start: int,
     row's record columns, from w on, start at zero.  A row r comes up to
     date as r - r[piv] P' (see the module notes): one ``_gemm`` of r by -P'
     placed on the pivot columns ``piv`` (zero on the others), plus r.  The
-    sums are at most k*e*(p-1)^2 + p - 1 for k pivots.
+    sums are at most k*e*(p-1)^2 + p - 1 for k pivots.  ``_eliminate_panel``
+    brings the rows past its window in once: from the first column zero on
+    the window, or else only their records, the columns from w on.
     """
     p, w = field.p, source.shape[1]
     neg = np.zeros((w, stop - start, field.degree), dtype=np.int64)
@@ -213,34 +216,28 @@ def _eliminate_panel(source: np.ndarray, field: Field, window: bool):
     [0, p)) in an int64 buffer; return its rank k, the buffer and the row
     order.
 
-    Column by column, the pivot is the first nonzero row at or below the
-    current rank; it is swapped into place (the swap is mirrored in
-    ``order``), normalized to 1 and cleared from the rows below it.  The
-    buffer's columns from w on record each row as (original row) + C S,
+    Rows [0, hi) of the buffer are up to date: every row, or with
+    ``window`` (see the module notes) the first ``_PANEL``.  Column by
+    column, the pivot is the first up-to-date row at or below the current
+    rank that is nonzero in the column, the candidate row tested first
+    (see the module notes); it is swapped into place (the swap is mirrored
+    in ``order``), normalized to 1 and cleared from every other up-to-date
+    row.  At the first column zero on the window's rows [k, hi), the rows
+    past it are brought in, from that column on (the columns before it are
+    pivot columns, zero on every up-to-date row), and hi becomes rows.
+    Rows never brought in get their records C = -source[piv] M at the end,
+    M the pivot rows' records.
+
+    The buffer's columns from w on record each row as (original row) + C S,
     where S are the original pivot rows in pivot order: pivot i gets
     C[i, i] = 1 when it is chosen, and every row operation then updates C
     with the row.  Pivot k's record is zero past column w + k, so its
-    normalization and the row updates stop there.  The candidate row is
-    tested first (see the module notes), and every updated row takes the
-    update, a zero one where the row is zero in the column.  On return the
-    buffer holds the record C of each row below the pivots, in the final
-    order.
+    normalization and the row updates stop there.  On return the buffer
+    holds the record C of each row below the pivots, in the final order.
 
-    With ``window`` (see the module notes) only the pivot rows and the
-    window rows [k, hi) are kept up to date, and each pivot clears its
-    column from the pivot rows too.  The window starts as the first
-    ``_PANEL`` rows and takes the next ``_PANEL`` when it runs out.  When
-    no window row is nonzero in a column, ``ahead`` holds the rows past
-    the window brought up to date on the remaining columns until the next
-    pivot, and the first one nonzero in the column is brought in whole and
-    swapped up; the window row it displaces falls back to its original
-    digits.  The rows past the window at the end get their records
-    C = -source[piv] M, M the pivot rows' records.
-
-    The rows below the pivots are left unreduced (see the module notes):
-    only the scanned column and the pivot row are reduced mod p, and the
-    pivot rows come out reduced unless ``window``.  Other digits are
-    correct mod p but may be negative.
+    The rows are left unreduced (see the module notes): only the scanned
+    column and the pivot row are reduced mod p.  Other digits are correct
+    mod p but may be negative.
     """
     t = mul_tensor(field)
     maps = inverse_table(field)
@@ -249,61 +246,36 @@ def _eliminate_panel(source: np.ndarray, field: Field, window: bool):
     rows, w = source.shape[:2]
     panel = np.zeros((rows, 2 * w, e), dtype=np.int64)
     order = np.arange(rows)
-    hi = min(rows, _PANEL) if window else rows  # rows [k, hi) are up to date
+    hi = min(rows, _PANEL) if window else rows  # rows [0, hi) are up to date
     panel[:hi, :w] = source[:hi]
     piv = []
-    ahead = None        # the rows past the window on columns from ahead_col on
     k = 0
     for col in range(w):
         if k == rows:
             break
-        if k == hi:
-            hi = min(rows, k + _PANEL)
-            _brought_in(source[order[k:hi]], panel[:k], piv, 0, w + k, field,
-                        panel[k:hi, :w + k])
-        top = 0 if window else k        # the window clears the pivot rows too
-        scan = panel[top:hi, col]
-        scan %= p
+        panel[:hi, col] %= p            # every row the pivot's update reaches
         i = int(panel[k, col].dot(index))
         if not i:
-            nz = scan[k - top:].any(axis=1).nonzero()[0]
-            if nz.size:
-                j = k + nz[0]
-                panel[[k, j]] = panel[[j, k]]
-            else:
-                if hi == rows:
-                    continue
-                if ahead is None:
-                    ahead_col = col
-                    ahead = _brought_in(source[order[hi:]], panel[:k], piv, col, w,
-                                        field, np.empty((rows - hi, w - col, e),
-                                                        dtype=np.int64))
-                nz = ahead[:, col - ahead_col].any(axis=1).nonzero()[0]
-                if nz.size == 0:
-                    continue
-                j = hi + nz[0]
-                _brought_in(source[order[j:j + 1]], panel[:k], piv, 0, w + k, field,
-                            panel[k:k + 1, :w + k])
+            if hi < rows and not panel[k:hi, col].any():
+                _brought_in(source[order[hi:]], panel[:k], piv, col, w + k, field,
+                            panel[hi:, col:w + k])
+                hi = rows
+            nz = panel[k:hi, col].any(axis=1).nonzero()[0]
+            if not nz.size:
+                continue
+            j = k + nz[0]
+            panel[[k, j]] = panel[[j, k]]
             order[[k, j]] = order[[j, k]]
             i = int(panel[k, col].dot(index))
         end = w + k + 1
         panel[k, end - 1, 0] = 1
         prow = panel[k, col:end] % p @ maps[i] % p
-        panel[k, col:end] = prow
-        if window:                      # every up-to-date row but the pivot
-            pt = (prow @ t).reshape(e, -1) % p                  # x -> x prow
-            block = panel[:hi]
-            update = block[:, col] @ pt
-            update[k] = 0
-            block[:, col:end] -= update.reshape(hi, -1, e)
-            piv.append(col)
-            ahead = None
-        elif k + 1 < rows:              # the rows below the pivot
-            pt = (prow @ t).reshape(e, -1) % p
-            below = panel[k + 1:]
-            below[:, col:end] -= (below[:, col] @ pt).reshape(rows - k - 1, -1, e)
+        pt = (prow @ t).reshape(e, -1) % p                      # x -> x prow
+        panel[:hi, col:end] -= (panel[:hi, col] @ pt).reshape(hi, -1, e)
+        panel[k, col:end] = prow        # the pivot row, zeroed above, normalized
+        piv.append(col)
         k += 1
-    if hi < rows and k:
+    if hi < rows:
         _brought_in(source[order[hi:]], panel[:k], piv, w, w + k, field,
                     panel[hi:, w:w + k])
     return k, panel, order
@@ -325,13 +297,14 @@ def _panels(a: np.ndarray, field: Field):
     after a panel with no live row when the rows left are all zero.
 
     A panel of more than ``_TALL`` rows up to its last live one is
-    eliminated on a window (see the module notes) when
-    _PANEL*e*(p-1)^2 < 2^53, under which the window's own GEMMs are exact;
-    past it the panel keeps the full update, which needs no GEMM.  Timed
-    per panel (elimination and Schur update) on the Gram matrices of the
-    185 sweep specs with n <= 1000, the window costs 1.08-1.34x the full
-    update below 48 rows, 1.04-1.07x from 48 to 71 and 0.69-0.94x from 72
-    rows on.
+    eliminated with only its first ``_PANEL`` rows up to date, a window
+    (see the module notes), when _PANEL*e*(p-1)^2 < 2^53, under which the
+    window's own GEMMs are exact; past it every row of the panel takes
+    every pivot's update, which needs no GEMM.  Timed per panel
+    (elimination and Schur update) on the Gram matrices of the 185 sweep
+    specs with n <= 1000, the window costs 1.08-1.34x the full update
+    below 48 rows, 1.04-1.07x from 48 to 71 and 0.69-0.94x from 72 rows
+    on.
     """
     p, e = field.p, field.degree
     _exact(_PANEL * e * (p - 1) ** 2, f"{_PANEL}*e*(p-1)^2 (e = {e}, p = {p})",

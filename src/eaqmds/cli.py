@@ -95,7 +95,7 @@ def _cmd_family(args) -> int:
     ea = ea_params(spec)
     try:
         report = verify_family(spec)
-    except (OverflowError, MemoryError) as exc:  # n too large for the masks
+    except (ExactnessError, MemoryError) as exc:  # n too large for the masks
         print(f"error: n = {spec.n} is too large to verify: {exc}",
               file=sys.stderr)
         return 3
@@ -156,7 +156,7 @@ def _cmd_oracle(args) -> int:
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ExactnessError, OverflowError, MemoryError) as exc:
+    except (ExactnessError, MemoryError) as exc:
         print(f"error: n = {spec.n} is too large for the rank oracle: {exc}",
               file=sys.stderr)
         return 3

@@ -12,9 +12,9 @@ int64 array, set by its constructor.
 The kernels multiply members (all below n) by -q, by (-q)^-1 mod n (q on
 the family lengths) or by a coset multiplier, so the products stay below
 |factor| * n.  They compute in int32 when that bound is under 2^31 and in
-int64 otherwise; past 2^63 they raise ``OverflowError``.  For the family
-lengths n = (q^2+1)/(m^2+1) the bound is about q^3/2: int32 up to
-q = 1 600 or so, int64 far past q = 10^5.
+int64 otherwise; past 2^63 they raise ``fields.ExactnessError``.  For
+the family lengths n = (q^2+1)/(m^2+1) the bound is about q^3/2: int32
+up to q = 1 600 or so, int64 far past q = 10^5.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import _exact
+
 
 def _check_int64_products(factor: int, n: int) -> None:
     """Refuse a factor whose products with residues mod n can reach 2^63:
-    ``OverflowError`` unless |factor| * n < 2^63."""
-    if abs(factor) * n >= 2 ** 63:
-        raise OverflowError(
-            f"residue products reach {abs(factor)} * {n} >= 2^63; "
-            "the int64 mask kernels require q*n < 2^63")
+    ``ExactnessError`` unless |factor| * n < 2^63."""
+    _exact(abs(factor) * n, "the residue kernels' |factor|*n", np.int64)
 
 
 def _times_mod(arr: np.ndarray, factor: int, n: int) -> np.ndarray:

@@ -361,7 +361,7 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     ``fault_delta`` perturbs the run half-length; it exists so the test
     harness can prove the checks actually bite.  Failures are report
     entries; only q*n >= 2^63 raises (``cosets._check_int64_products``'s
-    ``OverflowError``).
+    ``ExactnessError``).
     """
     cf = closed_form(spec)
     n, q, s = spec.n, spec.q, spec.s

@@ -121,7 +121,7 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     Ranks the smaller of H H† and G G†: when deg g = |Z| > n/2 it builds
     g only and adds 2 deg g - n, the degree read off the polynomial it
     ranked.  Raises OracleSizeError when n exceeds ``n_max``, and, before
-    any field is built, ``cosets._check_int64_products``'s OverflowError
+    any field is built, ``cosets._check_int64_products``'s ExactnessError
     when q*n >= 2^63.
     """
     n, q = spec.n, spec.q

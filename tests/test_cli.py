@@ -145,6 +145,15 @@ def test_negative_oracle_guard_rejected_at_parse_time(command, capsys):
     assert "--oracle-n-max" in captured.err and ">= 0" in captured.err
 
 
+def test_non_integer_oracle_guard_rejected_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--oracle-n-max", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle-n-max" in captured.err and "'abc'" in captured.err
+
+
 @pytest.mark.parametrize("bounds", [["--m-max", "0"], ["--q-max", "3"]])
 def test_verify_empty_sweep_is_usage_error(bounds, capsys):
     code, out, err = run_cli(capsys, "verify", *bounds)

@@ -200,6 +200,15 @@ def test_residue_set_operations():
         ResidueSet.from_mask(11, a.mask)  # a mask mod 10 is not a set mod 11
 
 
+def test_residue_set_equality_repr_and_empty_run():
+    a = ResidueSet.of(10, [3, 1])
+    assert a.__eq__(5) is NotImplemented
+    assert (a == 5) is False and a != 5
+    assert repr(a) == "ResidueSet(n=10, members=(1, 3))"
+    assert not ResidueSet.of(10, []).is_consecutive_run()
+    assert ResidueSet.of(10, [4, 2, 3]).is_consecutive_run()
+
+
 def test_coset_container_protocol():
     c = ResidueSet.of(85, (1, 84))
     assert 84 in c and 1 in c and 2 not in c

@@ -17,7 +17,8 @@ last pivot.  Panels of more than ``_TALL`` rows, eliminated on a window
 of rows, must leave the same states on low-rank, banded and zero-suffix
 matrices, when a column is zero on the whole window and a row past it is
 brought in and swapped up, and at the largest p the window's GEMMs
-admit; at the largest p of the int64 guard a tall panel keeps the full
+admit, and the rows past the window are brought in by one GEMM, at the
+first such column or else at the end; at the largest p of the int64 guard a tall panel keeps the full
 update and still ranks without a GEMM.  The float64 reduction ``_mod`` must agree with Python's %
 up to the largest sum a Schur update can form.  The table of pivot
 inverse maps must agree with the reference ``FieldElement.inverse`` on
@@ -392,6 +393,31 @@ def test_tall_panel_swaps_up_the_row_past_the_window():
     k, panel, order = gfa._eliminate_panel(
         a[:, :PANEL].astype(np.float64), field, True)
     assert k == PANEL and order[0] == 70 and order[70] == 0
+
+
+def test_tall_panel_brings_the_rows_past_the_window_in_once(monkeypatch):
+    # a windowed panel calls _brought_in once: at its first column zero on
+    # the window, where every row past the window comes up to date from
+    # that column on, or else at the end for their records alone
+    field = GF(13, 2)
+    calls = []
+    brought_in = gfa._brought_in
+
+    def spy(source, pivots, piv, start, stop, f, out):
+        calls.append((len(source), start, stop))
+        return brought_in(source, pivots, piv, start, stop, f, out)
+
+    monkeypatch.setattr(gfa, "_brought_in", spy)
+    missed = random_digits(field, (90, 20), 5)
+    missed[:70, 0] = 0
+    missed[70, 0] = [3, 1]
+    full = random_digits(field, (90, 20), 6)
+    for a, call in ((missed, (90 - PANEL, 0, PANEL)),
+                    (full, (90 - PANEL, PANEL, 2 * PANEL))):
+        calls.clear()
+        k, _, _ = gfa._eliminate_panel(a[:, :PANEL].astype(np.float64), field, True)
+        assert k == PANEL and calls == [call]
+        assert_tall_panel_states_match(a, field)
 
 
 def test_rank_leaves_its_input_unchanged():

@@ -12,6 +12,7 @@ import residue_reference as ref
 from eaqmds.cosets import (ResidueSet, _times_mod, all_cosets, decompose,
                            is_coset_closed, run_defining_set)
 from eaqmds.families import _mark
+from eaqmds.fields import ExactnessError
 from eaqmds.verification import coset_identity_holds
 
 
@@ -264,11 +265,11 @@ def test_mark_edges_match_reference():
 def test_int64_guard_refuses_overflowing_products():
     s = ResidueSet.of(5, [1, 4])
     big = 2 ** 62  # 5 * 2^62 >= 2^63
-    with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
+    with pytest.raises(ExactnessError, match=r"int64.*\|factor\|\*n < 2\^63"):
         _times_mod(s.array, -big, 5)
     # 2^62 = -1 mod 5: the guard also covers is_coset_closed's -1 shortcut,
     # which forms no product but still refuses what _times_mod refuses
-    with pytest.raises(OverflowError, match=r"require q\*n < 2\^63"):
+    with pytest.raises(ExactnessError, match=r"int64.*\|factor\|\*n < 2\^63"):
         is_coset_closed(5, big, s)
     # decompose multiplies by (-q)^-1 reduced mod n, so a huge q is fine
     assert decompose(5, big, s).members == ref.decompose(5, big, [1, 4])
