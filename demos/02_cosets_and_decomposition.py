@@ -7,11 +7,20 @@ yields Z1, whose size is the number of pre-shared entangled pairs the
 quantum code needs.
 """
 
-from eaqmds import all_cosets, decompose, run_defining_set
+from eaqmds import decompose, run_defining_set
 
 q, n = 13, 85
 s = (n - 1) // 2
 qsq = (q * q) % n
+
+
+def coset(i):
+    """The orbit of i under multiplication by q^2 mod n, as a sorted tuple."""
+    orbit, x = {i % n}, i * qsq % n
+    while x not in orbit:
+        orbit.add(x)
+        x = x * qsq % n
+    return tuple(sorted(orbit))
 
 
 def neg_q(members):
@@ -20,13 +29,13 @@ def neg_q(members):
 
 
 print(f"== cosets mod {n} under multiplication by q^2 = {qsq} (= -1 mod n)")
-cosets = all_cosets(n, qsq)
+cosets = sorted({coset(i) for i in range(n)})  # by least member
 print(f"   {len(cosets)} cosets: sizes "
       f"{sorted(set(len(c) for c in cosets))} "
       f"({sum(1 for c in cosets if len(c) == 1)} singleton + "
       f"{sum(1 for c in cosets if len(c) == 2)} pairs)")
-print(f"   C_1  = {cosets[1].members}")
-print(f"   C_42 = {all_cosets(n, qsq)[42].members}  (the middle pair)")
+print(f"   C_1  = {cosets[1]}")
+print(f"   C_42 = {coset(42)}  (the middle pair)")
 
 print("\n== the -q map")
 print(f"   -q * {{1}} = {neg_q([1])}   (since -13 = 72 mod 85)")

@@ -15,7 +15,6 @@ import numpy as np
 from eaqmds import (
     GF,
     ResidueSet,
-    all_cosets,
     nth_root_of_unity,
     quadratic_extension,
 )
@@ -32,7 +31,8 @@ full = np.zeros((n + 1, subfield.degree), dtype=np.int64)  # x^n - 1, low first
 full[0, 0], full[n, 0] = subfield.p - 1, 1
 product = full[n:]  # the constant 1
 degrees = []
-for coset in all_cosets(n, (q * q) % n):
+for i in range(n // 2 + 1):
+    coset = ResidueSet.of(n, (i, -i))  # q^2 = -1 mod n: the coset {i, n - i}
     mp = generator_digits(tower, lam, coset)  # the coset's minimal polynomial
     degrees.append(len(mp) - 1)
     product = polymul_digits(product, mp, subfield)

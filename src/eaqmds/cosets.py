@@ -1,7 +1,7 @@
 """Residue arithmetic mod n for cyclic defining sets.
 
-Covers q^2-cyclotomic cosets, the -q map x -> n - qx, consecutive-run
-defining sets, and Z1 = Z n (-qZ) of a defining set Z.
+Covers the -q map x -> n - qx, consecutive-run defining sets, and
+Z1 = Z n (-qZ) of a defining set Z.
 
 A set of residues is a ``ResidueSet``: a read-only numpy bool mask over
 [0, n), True at each member.  Cosets are ResidueSets too.  Coset closure
@@ -129,42 +129,6 @@ class ResidueSet:
         if not arr.size:
             return False
         return int(arr[-1] - arr[0]) + 1 == arr.size
-
-
-def cyclotomic_coset(n: int, multiplier: int, i: int) -> ResidueSet:
-    """Orbit of i under repeated multiplication by ``multiplier`` mod n.
-
-    For the lengths used here (n | q^2 + 1, multiplier q^2 = -1 mod n) the
-    orbit is {i, n - i}; the computation does not assume that shape.  The
-    multiplier must be a unit mod n, or the orbit need not return to i.
-    """
-    if math.gcd(multiplier, n) != 1:
-        raise ValueError(f"multiplier {multiplier} is not a unit mod n = {n}; "
-                         "its orbits are not cyclotomic cosets")
-    i %= n
-    members = [i]
-    x = (i * multiplier) % n
-    while x != i:
-        members.append(x)
-        x = (x * multiplier) % n
-    return ResidueSet.of(n, members)
-
-
-def all_cosets(n: int, multiplier: int) -> list[ResidueSet]:
-    """Partition of [0, n-1] into cyclotomic cosets, ordered by minimal member.
-
-    Each coset carries its own length-n mask, so the list takes about
-    n^2 / 2 bytes; it is meant for small n.
-    """
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if not seen[i]:
-            c = cyclotomic_coset(n, multiplier, i)
-            for x in c.members:
-                seen[x] = True
-            out.append(c)
-    return out
 
 
 def run_defining_set(n: int, s: int, delta: int) -> ResidueSet:

@@ -15,8 +15,8 @@ of ``field_reference.FieldElement``, low degree first, except in
 import numpy as np
 
 from eaqmds import fields
-from eaqmds.cosets import is_coset_closed
 from field_reference import in_subfield, object_field, project
+from residue_reference import is_coset_closed
 
 
 def elements(digits, field):
@@ -145,7 +145,7 @@ def coset_product_digits(tower, lam, z):
     subfield = tower.base
     n = z.n
     qsq = subfield.order % n
-    if not is_coset_closed(n, qsq, z):
+    if not is_coset_closed(n, qsq, z.members):
         raise ValueError("defining set is not a union of cyclotomic cosets")
     if (qsq + 1) % n:
         raise ValueError(f"q^2 is not -1 mod {n}; the cosets are not {{i, n - i}}")

@@ -1,5 +1,6 @@
-"""Set-and-loop reference versions of the residue kernels, and the image
-form of the -q laws.
+"""Set-and-loop reference versions of the residue kernels, the image
+form of the -q laws, the general coset enumerator, and |Z n (-qZ)| by
+floor sums.
 
 ``is_coset_closed``, ``neg_q_image``, ``decompose``, ``mark`` and
 ``coset_identity_holds`` are the plain-Python forms of
@@ -8,10 +9,19 @@ form of the -q laws.
 ``verification.coset_identity_holds``, one residue at a time on Python
 sets and tuples.  ``image_mask`` scatters factor * S into a fresh mask,
 so the laws T1 n (-qT1) = {} and -qT1' = T1' can be checked as written,
-apart from the gathers ``src/`` checks them with.
+apart from the gathers ``src/`` checks them with.  ``cyclotomic_coset``
+and ``all_cosets`` follow each orbit under a unit multiplier without
+assuming its shape, so the pair form {i, n - i} that ``src/`` relies on
+is proven against them.  ``z1_count`` counts Z n (-qZ) of an interval
+with no residue listed, a second computation of the decomposition's
+number.
 """
 
+import math
+
 import numpy as np
+
+from eaqmds.cosets import ResidueSet
 
 
 def image_mask(n: int, factor: int, members) -> np.ndarray:
@@ -70,3 +80,67 @@ def mark(n: int, q: int, blocks, thresh=None) -> set[int]:
                 idx = (u * q + v) % n
                 out.update((idx, (n - idx) % n))
     return out
+
+
+def cyclotomic_coset(n: int, multiplier: int, i: int) -> ResidueSet:
+    """The orbit of i under repeated multiplication by ``multiplier`` mod n.
+
+    No shape is assumed.  A multiplier that is not a unit mod n is
+    refused, since its orbit need not return to i.
+    """
+    if math.gcd(multiplier, n) != 1:
+        raise ValueError(f"multiplier {multiplier} is not a unit mod n = {n}; "
+                         "its orbits are not cyclotomic cosets")
+    orbit, x = [i % n], i * multiplier % n
+    while x != orbit[0]:
+        orbit.append(x)
+        x = x * multiplier % n
+    return ResidueSet.of(n, orbit)
+
+
+def all_cosets(n: int, multiplier: int) -> list[ResidueSet]:
+    """The cyclotomic cosets partitioning [0, n), ordered by least member."""
+    seen, out = set(), []
+    for i in range(n):
+        if i not in seen:
+            out.append(cyclotomic_coset(n, multiplier, i))
+            seen.update(out[-1].members)
+    return out
+
+
+def floor_sum(count: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*i + b) / m) over 0 <= i < count, for m >= 1.
+
+    Each round takes the whole parts of a/m and b/m out of the sum; what
+    is left counts the lattice points under a line of slope a/m < 1, which
+    is the same count read along the other axis, a sum with m and a
+    swapped.  So the rounds follow Euclid's algorithm on (m, a).  This is
+    the technique of AtCoder Library's ``floor_sum``
+    (https://github.com/atcoder/ac-library), here on Python integers,
+    whose floor division lets a and b be negative.
+    """
+    total = 0
+    while count:
+        whole, a = divmod(a, m)
+        total += whole * count * (count - 1) // 2
+        whole, b = divmod(b, m)
+        total += whole * count
+        count, b = divmod(a * count + b, m)
+        m, a = a, m
+    return total
+
+
+def z1_count(n: int, q: int, lo: int, hi: int) -> int:
+    """|Z n (-qZ)| for the interval Z = [lo, hi] of residues mod n.
+
+    With q^2 = -1 mod n, (-q)^-1 = q, so x lies in -qZ exactly when
+    qx mod n lies in [lo, hi], and for 0 <= lo <= hi < n that indicator is
+    floor((qx - lo) / n) - floor((qx - hi - 1) / n).  Summed over x in Z,
+    that is two floor sums.
+    """
+    if (q * q + 1) % n or not 0 <= lo <= hi < n:
+        raise ValueError(f"need q^2 = -1 mod n and 0 <= lo <= hi < n; got "
+                         f"q = {q}, n = {n}, [{lo}, {hi}]")
+    size = hi - lo + 1
+    return (floor_sum(size, n, q, q * lo - lo)
+            - floor_sum(size, n, q, q * lo - hi - 1))

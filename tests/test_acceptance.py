@@ -12,8 +12,9 @@ import time
 import numpy as np
 
 import residue_reference as ref
+from eaqmds import families
 from eaqmds.cli import main as cli_main
-from eaqmds.cosets import all_cosets, decompose
+from eaqmds.cosets import decompose
 from eaqmds._gflinalg import polymul_digits
 from eaqmds.cyclic import generator_digits
 from eaqmds.families import (
@@ -29,6 +30,7 @@ from eaqmds.families import (
 from eaqmds.published_params import PUBLISHED_ROWS
 from eaqmds.rank_oracle import code_context, entanglement_rank
 from linalg_reference import generator_matrix_digits, matmul_digits, parity_check_digits
+from residue_reference import all_cosets
 
 SWEEP_M_MAX = 5
 SWEEP_Q_MAX = 250
@@ -101,6 +103,54 @@ def test_criterion_2b_closed_form_vs_decomposition_past_q250(acceptance_log):
         failures.append(("sweep size", count))
     report(acceptance_log, "2b", f"|Z n -qZ| == closed-form c on {count} specs, q <= 500",
            failures, time.monotonic() - t0, 30.0)
+
+
+def floor_sum_z1(spec) -> int:
+    """|Z n (-qZ)| of the run Z = [s+1-delta, s+delta] by two floor sums,
+    with delta from the closed form and no residue listed."""
+    delta = closed_form(spec).delta
+    return ref.z1_count(spec.n, spec.q, spec.s + 1 - delta, spec.s + delta)
+
+
+def test_criterion_2c_closed_form_vs_floor_sum_count(acceptance_log):
+    # route 2's number without masks: against the closed form to q <= 1000,
+    # and against decompose on the default sweep
+    t0 = time.monotonic()
+    failures = []
+    count = 0
+    for spec in sweep_specs(SWEEP_M_MAX, 1000):
+        got, c = floor_sum_z1(spec), closed_form(spec).c
+        if got != c:
+            failures.append((spec, got, c))
+        count += 1
+    if count != 42903:
+        failures.append(("sweep size", count))
+    default = 0
+    for spec in sweep_specs(SWEEP_M_MAX, SWEEP_Q_MAX):
+        got, z1 = floor_sum_z1(spec), decompose(spec.n, spec.q, build_defining_set(spec))
+        if got != len(z1):
+            failures.append(("decompose", spec, got, len(z1)))
+        default += 1
+    if default != 3438:
+        failures.append(("default sweep size", default))
+    report(acceptance_log, "2c", f"floor-sum |Z n -qZ| == closed-form c on {count} specs, "
+           f"q <= 1000, and == |decompose| on {default}", failures,
+           time.monotonic() - t0, 5.0)
+
+
+def test_criterion_2c_fails_under_a_shape_fault(monkeypatch):
+    # delta0 + 1 in _shape moves delta by 1 and c by 2, but |Z1| of the
+    # longer run equals the old c, so every spec that can take it flips
+    specs = [spec for spec in sweep_specs() if closed_form(spec).delta + 1 <= spec.s]
+    assert len(specs) == 3286
+    shape = families._shape
+
+    def shifted(case, m):
+        b, delta0 = shape(case, m)
+        return b, delta0 + 1
+
+    monkeypatch.setattr(families, "_shape", shifted)
+    assert sum(floor_sum_z1(spec) != closed_form(spec).c for spec in specs) == 3286
 
 
 def test_criterion_3_rank_oracle(acceptance_log):

@@ -9,12 +9,11 @@ import residue_reference as ref
 from eaqmds.cosets import (
     ResidueSet,
     _times_mod,
-    all_cosets,
-    cyclotomic_coset,
     decompose,
     is_coset_closed,
     run_defining_set,
 )
+from residue_reference import all_cosets, cyclotomic_coset
 from eaqmds.families import sweep_specs
 from eaqmds.verification import coset_identity_holds
 

@@ -12,10 +12,11 @@ import pytest
 import cyclic_reference as cref
 import linalg_reference as ref
 from eaqmds import _gflinalg as gfa
-from eaqmds.cosets import ResidueSet, all_cosets, run_defining_set
+from eaqmds.cosets import ResidueSet, run_defining_set
 from eaqmds.cyclic import generator_digits
 from eaqmds.fields import GF, nth_root_of_unity, quadratic_extension
 from field_reference import embed, object_field
+from residue_reference import all_cosets
 
 
 def context(q, n):
