@@ -4,23 +4,30 @@ Covers the -q map x -> n - qx, consecutive-run defining sets, and
 Z1 = Z n (-qZ) of a defining set Z.
 
 A set of residues is a ``ResidueSet``: a read-only numpy bool mask over
-[0, n), True at each member.  Cosets are ResidueSets too.  Coset closure
-and Z1 are gathers, the mask read at the members times a unit mod n; no
-image set is built.  Each set also holds its sorted members as a read-only
-int64 array, set by its constructor.
+its span [lo, hi], from its smallest to its largest member, True at each
+member.  Cosets are ResidueSets too.  A defining set is an interval and
+the T1 / T1' unions lie inside it, so no mask on the structural path is
+n long.  The sorted members (an int64 array) and the mask over [0, n)
+are read-only views, derived on first use.
 
-The kernels multiply members (all below n) by -q, by (-q)^-1 mod n (q on
-the family lengths) or by a coset multiplier, so the products stay below
-|factor| * n.  They compute in int32 when that bound is under 2^31 and in
-int64 otherwise; past 2^63 they raise ``fields.ExactnessError``.  For
-the family lengths n = (q^2+1)/(m^2+1) the bound is about q^3/2: int32
-up to q = 1 600 or so, int64 far past q = 10^5.
+Coset closure and Z1 are gathers over a window of residues [lo, lo + w):
+each x in it is multiplied by a unit mod n (``_window_offsets``), and a
+window mask of the set is read at the product; no image set is built.
+x lies in -qZ exactly when (-q)^-1 x lies in Z.
+
+The kernels multiply residues (all below n) by a factor such as (-q)^-1
+mod n (q on the family lengths), so the products stay below |factor| * n.
+They compute in int32 when that bound is under 2^31 and in int64
+otherwise; past 2^63 they raise ``fields.ExactnessError``.  For the
+family lengths n = (q^2+1)/(m^2+1) the bound is about q^3/2: int32 up to
+q = 1 600 or so, int64 far past q = 10^5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,24 +62,41 @@ def _times_mod(arr: np.ndarray, factor: int, n: int) -> np.ndarray:
     return x.astype(np.intp, copy=False)
 
 
+def _window_offsets(n: int, factor: int, lo: int, width: int) -> np.ndarray:
+    """Where factor * x mod n falls in the window [lo, lo + width), for x
+    from lo to lo + width: the offset (factor * x mod n) - lo, or ``width``
+    when the product leaves the window.
+
+    ``ResidueSet.window`` leaves the slot at offset ``width`` False, so a
+    window mask read at these offsets says, for each x, whether factor * x
+    lies in the set.  The last x is the slot past the window; its entry
+    means nothing, and every caller ands it with that False slot.
+    """
+    x = np.arange(lo, lo + width + 1, dtype=np.int32 if n < 2 ** 31 else np.int64)
+    x = _times_mod(x, factor, n)
+    x -= lo
+    # read unsigned, an offset below 0 is past width too
+    np.minimum(x.view(np.uintp), width, out=x.view(np.uintp))
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class ResidueSet:
-    """A set of residues mod n: a read-only bool mask of length n and the
-    members as a sorted, read-only int64 array."""
+    """A set of residues mod n: a read-only bool mask ``span`` over
+    [lo, hi], the smallest and largest members (an empty span for the
+    empty set).  ``array`` (the sorted members, int64) and ``mask``
+    (length n) are read-only views derived on first use."""
 
     n: int
-    mask: np.ndarray
-    array: np.ndarray
+    lo: int
+    span: np.ndarray
 
     def __post_init__(self):
-        mask, arr = self.mask, self.array
-        if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_
-                and mask.shape == (self.n,) and isinstance(arr, np.ndarray)
-                and arr.dtype == np.int64 and arr.ndim == 1):
-            raise ValueError(f"a ResidueSet mod {self.n} needs a bool mask of "
-                             f"shape ({self.n},) and a 1-D int64 member array")
-        mask.setflags(write=False)
-        arr.setflags(write=False)
+        if not (isinstance(self.span, np.ndarray) and self.span.dtype == np.bool_
+                and self.span.ndim == 1 and 0 <= self.lo <= self.n - self.span.size
+                and (not self.span.size or self.span[0] and self.span[-1])):
+            raise ValueError(f"need a 1-D bool span in [0, {self.n}) True at both ends")
+        self.span.setflags(write=False)
 
     @classmethod
     def of(cls, n: int, values) -> "ResidueSet":
@@ -80,20 +104,50 @@ class ResidueSet:
         return cls.from_sorted(n, sorted({v % n for v in values}))
 
     @classmethod
+    def from_window(cls, n: int, lo: int, window: np.ndarray) -> "ResidueSet":
+        """The set {lo + i | window[i]} for a bool window inside [0, n),
+        trimmed to its first and last True (kept as a view, not copied)."""
+        if not window.any():
+            return cls(n, 0, window[:0])
+        first, end = int(window.argmax()), window.size - int(window[::-1].argmax())
+        return cls(n, lo + first, window[first:end])
+
+    @classmethod
     def from_mask(cls, n: int, mask) -> "ResidueSet":
-        """Wrap a length-n bool mask (frozen, not copied) with its members."""
+        """The set a length-n bool mask marks; the mask is frozen, not copied."""
         mask = np.asarray(mask, dtype=np.bool_)
-        return cls(n, mask, np.flatnonzero(mask).astype(np.int64, copy=False))
+        if mask.shape != (n,):
+            raise ValueError(f"a mask mod {n} needs shape ({n},), got {mask.shape}")
+        mask.setflags(write=False)
+        return cls.from_window(n, 0, mask)
 
     @classmethod
     def from_sorted(cls, n: int, members) -> "ResidueSet":
-        """The set of sorted, distinct members in [0, n), kept as ``array``
-        (frozen, not copied)."""
+        """The set of sorted, distinct members in [0, n); a run gets an
+        all-True span."""
         arr = np.asarray(members, dtype=np.int64)
-        mask = np.zeros(n, dtype=np.bool_)
-        run = arr.size and arr[-1] - arr[0] + 1 == arr.size
-        mask[slice(arr[0], arr[-1] + 1) if run else arr] = True  # a run: slice
-        return cls(n, mask, arr)
+        window = np.zeros(arr.size and int(arr[-1] - arr[0]) + 1, dtype=np.bool_)
+        window[arr - arr[:1]] = True  # arr[:1]: the least member, or none
+        return cls.from_window(n, int(arr[0]) if arr.size else 0, window)
+
+    def window(self, lo: int, width: int) -> np.ndarray:
+        """The set's mask over [lo, lo + width), which holds its span, and one
+        False slot after it, where ``_window_offsets`` sends what leaves it."""
+        out = np.zeros(width + 1, dtype=np.bool_)
+        out[self.lo - lo:self.lo - lo + self.span.size] = self.span
+        return out
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        arr = (np.flatnonzero(self.span) + self.lo).astype(np.int64, copy=False)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        mask = self.window(0, self.n)[:-1]
+        mask.setflags(write=False)
+        return mask
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -101,7 +155,7 @@ class ResidueSet:
         return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return self.array.size
+        return int(np.count_nonzero(self.span))
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask[x % self.n])
@@ -112,10 +166,10 @@ class ResidueSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResidueSet):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.mask, other.mask)
+        return self.n == other.n and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mask.tobytes()))
+        return hash((self.n, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"ResidueSet(n={self.n}, members={self.members})"
@@ -125,10 +179,7 @@ class ResidueSet:
 
     def is_consecutive_run(self) -> bool:
         """Whether the members form one gap-free integer interval."""
-        arr = self.array
-        if not arr.size:
-            return False
-        return int(arr[-1] - arr[0]) + 1 == arr.size
+        return bool(self.span.size and self.span.all())
 
 
 def run_defining_set(n: int, s: int, delta: int) -> ResidueSet:
@@ -139,7 +190,7 @@ def run_defining_set(n: int, s: int, delta: int) -> ResidueSet:
     """
     if not 1 <= delta <= s:
         raise ValueError(f"run half-length {delta} outside [1, {s}]")
-    return ResidueSet.from_sorted(n, np.arange(s + 1 - delta, s + delta + 1))
+    return ResidueSet(n, s + 1 - delta, np.ones(2 * delta, dtype=np.bool_))
 
 
 def is_coset_closed(n: int, multiplier: int, s: ResidueSet) -> bool:
@@ -147,6 +198,8 @@ def is_coset_closed(n: int, multiplier: int, s: ResidueSet) -> bool:
 
     A multiplier = -1 mod n (q^2 here) needs no product: numpy reads index
     -x as n - x and 0 as 0.  As in _times_mod, |multiplier| * n >= 2^63 raises.
+    Reads the member array and the length-n mask, which the rank oracle's
+    callers of this check read anyway; the structural sweep never calls it.
     """
     _check_int64_products(multiplier, n)
     minus_one = not (multiplier + 1) % n
@@ -155,12 +208,12 @@ def is_coset_closed(n: int, multiplier: int, s: ResidueSet) -> bool:
 
 
 def decompose(n: int, q: int, z: ResidueSet) -> ResidueSet:
-    """Z1 = Z n (-qZ) of a defining set Z, built from its sorted members.
+    """Z1 = Z n (-qZ) of a defining set Z, one gather over Z's span.
 
     x lies in -qZ exactly when (-q)^-1 x lies in Z; that factor is q when
     q^2 = -1 mod n, which is not assumed.  Rejects a q that is not a unit
-    mod n, and Z not closed under q^2 (a -x read when q^2 = -1 mod n), as
-    |Z1| counts entanglement only for unions of q^2-cyclotomic cosets.
+    mod n, and Z not closed under q^2, as |Z1| counts entanglement only
+    for unions of q^2-cyclotomic cosets.
     """
     if z.n != n:
         raise ValueError(f"modulus mismatch: {z.n} vs {n}")
@@ -169,5 +222,6 @@ def decompose(n: int, q: int, z: ResidueSet) -> ResidueSet:
                          "the -q map is not a permutation of the residues")
     if not is_coset_closed(n, q * q % n, z):
         raise ValueError("set is not closed under the q^2-cyclotomic action")
-    hit = z.mask[_times_mod(z.array, pow(-q, -1, n), n)]
-    return ResidueSet.from_sorted(n, z.array[hit])
+    inside = z.window(z.lo, z.span.size)
+    pre = _window_offsets(n, pow(-q, -1, n), z.lo, z.span.size)
+    return ResidueSet.from_window(n, z.lo, inside & inside[pre])

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import prime_power_base
-from .cosets import (ResidueSet, _check_int64_products, _times_mod, decompose,
-                     is_coset_closed, run_defining_set)
+from .cosets import (ResidueSet, _check_int64_products, _window_offsets,
+                     decompose, run_defining_set)
 
 CASES = (1, 2, 3, 4)
 DEFAULT_M_MAX, DEFAULT_Q_MAX = 5, 250  # the default sweep's bounds
@@ -218,8 +218,10 @@ def _mark(n: int, q: int, blocks, thresh: int | None = None) -> ResidueSet:
     their v ranges are one arange plus per-block offsets, and each v
     carries its own u bound.  Only the length-(umax+1) table uq mod n and
     v mod n are reduced with ``%``; their sum lies in [0, 2n), so one
-    conditional subtract reduces the grid.  The mirror n - idx is the
-    index -idx, which sends 0 to 0.
+    conditional subtract reduces the grid.  The union is symmetric under
+    x -> n - x, so it spans [lo, n - lo], with lo the least of the indices
+    and of their mirrors; the indices are marked in a mask over that span,
+    and the mask reversed marks the mirrors.
     """
     lo, hi, umax = np.array(blocks, dtype=np.int64).T
     width = np.maximum(hi - lo + 1, 0)
@@ -231,10 +233,13 @@ def _mark(n: int, q: int, blocks, thresh: int | None = None) -> ResidueSet:
     idx = ((u * q) % n)[:, None] + v % n
     np.subtract(idx, n, out=idx, where=idx >= n)
     idx = idx[u[:, None] <= v_umax]
-    mask = np.zeros(n, dtype=np.bool_)
-    mask[idx] = True
-    mask[-idx] = True
-    return ResidueSet.from_mask(n, mask)
+    lo = min(idx.min(initial=n), n - idx.max(initial=0))
+    # [lo, n - lo]; an empty union gets lo = n and no span
+    span = np.zeros(max(n + 1 - 2 * lo, 0), dtype=np.bool_)
+    span[idx - lo] = True
+    span |= span[::-1]  # x and its mirror n - x sit at mirrored offsets
+    # the slots of the residues below n: with lo = 0, slot n is 0 again
+    return ResidueSet.from_window(n, int(lo), span[:n - lo])
 
 
 def build_T1(spec: FamilySpec) -> ResidueSet:
@@ -362,35 +367,45 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     harness can prove the checks actually bite.  Failures are report
     entries; only q*n >= 2^63 raises (``cosets._check_int64_products``'s
     ``ExactnessError``).
+
+    The checks read masks over W, the least window holding Z, T1 and T1'
+    (Z itself unless a set leaves it), and one preimage (-q)^-1 x per x
+    in W: x lies in -qS exactly when its preimage lies in S.
     """
     cf = closed_form(spec)
     n, q, s = spec.n, spec.q, spec.s
     _check_int64_products(q, n)  # refuses q*n >= 2^63 up front
     delta = cf.delta + fault_delta
     z = run_defining_set(n, s, delta)
-    z1 = decompose(n, q, z)
-
     t1 = build_T1(spec)
     # cases 2-4 build T1' as Z1 of the unperturbed Z, which is z1 when
     # there is no fault
-    t1p = z1 if spec.case != 1 and not fault_delta else build_T1_prime(spec)
-    ea = assemble_ea_params(n, n - len(z), 2 * delta + 1, cf.c)
+    t1p = None if spec.case != 1 and not fault_delta else build_T1_prime(spec)
+
+    held = [x for x in (z, t1, t1p) if x is not None and x.span.size]
+    lo = min(x.lo for x in held)
+    width = max(x.lo + x.span.size for x in held) - lo
+    pre = _window_offsets(n, pow(-q, -1, n), lo, width)
+    zw, t1w = z.window(lo, width), t1.window(lo, width)
+    z1w = zw & zw[pre]
+    t1pw = z1w if t1p is None else t1p.window(lo, width)
+    z_size, z1_size = len(z), int(np.count_nonzero(z1w))
+    ea = assemble_ea_params(n, n - z_size, 2 * delta + 1, cf.c)
 
     checks = {
-        "defining_set_size": len(z) == 2 * cf.delta,
+        "defining_set_size": z_size == 2 * cf.delta,
         "consecutive_run": z.is_consecutive_run(),
-        "entanglement_closed_form": len(z1) == cf.c,
-        "t1_disjoint": not np.count_nonzero(t1.mask[_times_mod(t1.array, -q, n)]),
-        # -q is a unit mod n, so a finite set closed under it is its image
-        "t1_prime_stable": is_coset_closed(n, -q, t1p),
-        "t1_partition": np.array_equal(t1.mask | t1p.mask, z.mask)
-        and not np.count_nonzero(t1.mask & t1p.mask),
-        "quantum_dim_formula": ea.kq == theorem_quantum_dim(spec)
-        and ea.kq == cf.quantum_dim,
+        "entanglement_closed_form": z1_size == cf.c,
+        "t1_disjoint": not (t1w & t1w[pre]).any(),
+        # -q is a unit mod n, so a finite set closed under its inverse is
+        # its own -q image: no member of T1' has a preimage outside it
+        "t1_prime_stable": not np.greater(t1pw, t1pw[pre]).any(),
+        "t1_partition": np.array_equal(t1w | t1pw, zw) and not (t1w & t1pw).any(),
+        "quantum_dim_formula": ea.kq == theorem_quantum_dim(spec) == cf.quantum_dim,
         "ea_singleton_equality": ea.ea_singleton_equality,
     }
     return VerificationReport(spec=spec, checks=checks,
-                              z1_size=len(z1), z2_size=len(z) - len(z1))
+                              z1_size=z1_size, z2_size=z_size - z1_size)
 
 
 def sweep_specs(m_max: int = DEFAULT_M_MAX, q_max: int = DEFAULT_Q_MAX):

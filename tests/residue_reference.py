@@ -1,6 +1,6 @@
 """Set-and-loop reference versions of the residue kernels, the image
-form of the -q laws, the general coset enumerator, and |Z n (-qZ)| by
-floor sums.
+form of the -q laws, the general coset enumerator, |Z n (-qZ)| by floor
+sums, and the structural checks of ``verify_family`` on length-n masks.
 
 ``is_coset_closed``, ``neg_q_image``, ``decompose``, ``mark`` and
 ``coset_identity_holds`` are the plain-Python forms of
@@ -14,7 +14,9 @@ and ``all_cosets`` follow each orbit under a unit multiplier without
 assuming its shape, so the pair form {i, n - i} that ``src/`` relies on
 is proven against them.  ``z1_count`` counts Z n (-qZ) of an interval
 with no residue listed, a second computation of the decomposition's
-number.
+number.  ``verify_checks_reference`` runs the checks of
+``families.verify_family`` as written, on bool masks over [0, n) and
+scattered -q images; ``t1_laws`` checks the T1 / T1' laws on Python sets.
 """
 
 import math
@@ -22,12 +24,15 @@ import math
 import numpy as np
 
 from eaqmds.cosets import ResidueSet
+from eaqmds.families import (assemble_ea_params, build_T1, build_T1_prime,
+                             closed_form, theorem_quantum_dim)
 
 
 def image_mask(n: int, factor: int, members) -> np.ndarray:
     """The bool mask of {factor * x mod n | x in S}, for members below n."""
     out = np.zeros(n, dtype=np.bool_)
-    out[np.asarray(members, dtype=np.int64) * (factor % n) % n] = True
+    x = np.asarray(members, dtype=np.int64) * (factor % n)
+    out[x - x // n * n] = True  # x mod n; numpy's // by a scalar is faster than %
     return out
 
 
@@ -144,3 +149,67 @@ def z1_count(n: int, q: int, lo: int, hi: int) -> int:
     size = hi - lo + 1
     return (floor_sum(size, n, q, q * lo - lo)
             - floor_sum(size, n, q, q * lo - hi - 1))
+
+
+def verify_checks_reference(spec, fault_delta: int = 0) -> dict:
+    """The eight checks of ``families.verify_family``, then ``z1_size`` and
+    ``z2_size``, computed on length-n masks.
+
+    Z is the interval [s + 1 - delta, s + delta] with delta shifted by
+    ``fault_delta``; Z1 = Z n (-qZ) is Z and the scattered image of Z.  T1
+    and case 1's T1' come from ``build_T1`` and ``build_T1_prime``; in
+    cases 2-4 T1' is Z1 of the unshifted Z, as ``build_T1_prime`` defines
+    it there.  Each -q law is checked against a scattered image.
+    """
+    cf = closed_form(spec)
+    n, q, s = spec.n, spec.q, spec.s
+
+    def interval(delta):
+        mask = np.zeros(n, dtype=np.bool_)
+        mask[s + 1 - delta:s + delta + 1] = True
+        return mask
+
+    def image(mask):
+        return image_mask(n, -q, np.flatnonzero(mask))
+
+    delta = cf.delta + fault_delta
+    z = interval(delta)
+    z1 = z & image(z)
+    t1 = build_T1(spec).mask
+    if spec.case == 1:
+        t1p = build_T1_prime(spec).mask
+    elif fault_delta:
+        unshifted = interval(cf.delta)
+        t1p = unshifted & image(unshifted)
+    else:
+        t1p = z1
+    members = np.flatnonzero(z)
+    size, z1_size = int(z.sum()), int(z1.sum())
+    ea = assemble_ea_params(n, n - size, 2 * delta + 1, cf.c)
+    return {
+        "defining_set_size": size == 2 * cf.delta,
+        "consecutive_run": bool(size) and int(members[-1] - members[0]) + 1 == size,
+        "entanglement_closed_form": z1_size == cf.c,
+        "t1_disjoint": not (t1 & image(t1)).any(),
+        "t1_prime_stable": np.array_equal(image(t1p), t1p),
+        "t1_partition": np.array_equal(t1 | t1p, z) and not (t1 & t1p).any(),
+        "quantum_dim_formula": ea.kq == theorem_quantum_dim(spec)
+        and ea.kq == cf.quantum_dim,
+        "ea_singleton_equality": ea.ea_singleton_equality,
+        "z1_size": z1_size,
+        "z2_size": size - z1_size,
+    }
+
+
+def t1_laws(n: int, q: int, z, t1, t1p) -> dict:
+    """The T1 / T1' checks of ``verify_family`` on Python sets of residues."""
+    z, t1, t1p = set(z), set(t1), set(t1p)
+
+    def image(members):
+        return {(-q * x) % n for x in members}
+
+    return {
+        "t1_disjoint": not t1 & image(t1),
+        "t1_prime_stable": image(t1p) == t1p,
+        "t1_partition": t1 | t1p == z and not t1 & t1p,
+    }

@@ -260,6 +260,60 @@ def test_verify_family_reports_are_pinned_on_the_default_sweep():
     assert digest.hexdigest() == REPORTS_SHA256
 
 
+def _report_fields(report):
+    return {**report.checks, "z1_size": report.z1_size, "z2_size": report.z2_size}
+
+
+def test_verify_family_matches_the_mask_reference_on_the_default_sweep():
+    # every check, z1_size and z2_size against the length-n mask checks of
+    # residue_reference, clean and with fault_delta=1 wherever delta + 1 <= s
+    runs = {0: 0, 1: 0}
+    for spec in sweep_specs(5, 250):
+        deltas = (0, 1) if closed_form(spec).delta + 1 <= spec.s else (0,)
+        for fault_delta in deltas:
+            assert _report_fields(verify_family(spec, fault_delta)) == \
+                ref.verify_checks_reference(spec, fault_delta), (spec, fault_delta)
+            runs[fault_delta] += 1
+    assert runs == {0: 3438, 1: 3286}
+
+
+# sets that leave Z: one holding 0, one reaching both ends of [0, n), and
+# one holding the pair {1, n - 1} next to the ends
+OFF_WINDOW = [
+    ("build_T1", lambda n: (0,)),
+    ("build_T1", lambda n: (0, 1, n - 1)),
+    ("build_T1", lambda n: (1, n - 1)),
+    ("build_T1_prime", lambda n: (0,)),
+    ("build_T1_prime", lambda n: (0, 1, n - 1)),
+    ("build_T1_prime", lambda n: (1, n - 1)),
+]
+
+
+@pytest.mark.parametrize("spec, fault_delta", [
+    (FamilySpec(1, 1, 3, 1), 0),   # [[85,33,33;12]]_13, T1' from its union
+    (FamilySpec(2, 3, 2, 1), 1),   # q = 53: T1' from build_T1_prime under a fault
+])
+@pytest.mark.parametrize("builder, extra", OFF_WINDOW)
+def test_verify_family_is_exact_on_sets_that_leave_z(monkeypatch, spec, fault_delta,
+                                                    builder, extra):
+    n, q = spec.n, spec.q
+    t1, t1p = build_T1(spec), build_T1_prime(spec)
+    sets = {"build_T1": t1, "build_T1_prime": t1p}
+    sets[builder] = ResidueSet.of(n, set(sets[builder]) | set(extra(n)))
+    monkeypatch.setattr(families, builder, lambda s, out=sets[builder]: out)
+    delta = closed_form(spec).delta + fault_delta
+    z = range(spec.s + 1 - delta, spec.s + delta + 1)
+    report = verify_family(spec, fault_delta)
+    laws = ref.t1_laws(n, q, z, sets["build_T1"], sets["build_T1_prime"])
+    assert {name: report.checks[name] for name in laws} == laws
+    assert not report.checks["t1_partition"]
+    monkeypatch.undo()  # the other checks and the sizes do not move
+    plain = verify_family(spec, fault_delta)
+    assert {name: ok for name, ok in report.checks.items() if name not in laws} == \
+        {name: ok for name, ok in plain.checks.items() if name not in laws}
+    assert (report.z1_size, report.z2_size) == (plain.z1_size, plain.z2_size)
+
+
 def _assert_builtin_bools(report):
     # the checks are written as JSON, which takes bool but not numpy.bool_
     assert all(type(ok) is bool for ok in report.checks.values()), \

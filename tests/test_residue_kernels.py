@@ -287,16 +287,57 @@ def test_residue_set_views_and_identity():
     assert b.array.tolist() == [3, 11] and not b.array.flags.writeable
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != ResidueSet.of(13, [3, 11])
-    # the constructor takes the mask and the member array, and checks their
-    # dtype and shape (ndim for the array), not that they agree
-    assert ResidueSet(12, a.mask, a.array) == a
-    for mask, array in [((3, 11), a.array),  # a member tuple is not a mask
-                        (a.mask.astype(np.int8), a.array),
-                        (a.mask[:11], a.array),
-                        (a.mask, [3, 11]),
-                        (a.mask, a.array.astype(np.int32)),
-                        (a.mask, a.array[None, :])]:
+    # the constructor takes the least member and the bool span from it to
+    # the greatest, and checks its dtype, shape and ends, and that it fits
+    assert (a.lo, a.span.tolist()) == (3, [True] + [False] * 7 + [True])
+    assert ResidueSet(12, 3, a.span) == a and not a.span.flags.writeable
+    assert ResidueSet(12, 0, np.zeros(0, dtype=np.bool_)) == ResidueSet.of(12, [])
+    for lo, span in [(3, (True, False, True)),  # a tuple is not a span
+                     (3, a.span.astype(np.int8)),
+                     (3, a.span[None, :]),
+                     (4, a.span),               # past n = 12
+                     (-1, a.span),
+                     (3, np.array([True, False])),   # ends on a non-member
+                     (3, np.array([False, True]))]:
         with pytest.raises(ValueError):
-            ResidueSet(12, mask, array)
+            ResidueSet(12, lo, span)
     with pytest.raises(ValueError):
         ResidueSet.from_mask(12, [True] * 11)
+
+
+@st.composite
+def residue_sets(draw):
+    """(n, members): empty sets, sets holding 0 or n - 1, runs and any."""
+    n = draw(st.integers(1, 300))
+    members = draw(st.one_of(
+        st.just(set()), st.just({0}), st.just(set(range(n))),
+        st.integers(0, n - 1).flatmap(
+            lambda lo: st.integers(lo, n).map(lambda hi: set(range(lo, hi)))),
+        st.sets(st.integers(0, n - 1)).map(lambda s: s | {0}),
+        st.sets(st.integers(0, n - 1)).map(lambda s: s | {n - 1}),
+        st.sets(st.integers(0, n - 1))))
+    return n, members
+
+
+@given(residue_sets(), residue_sets())
+def test_constructors_round_trip_like_python_sets(case, other):
+    n, members = case
+    listed = sorted(members)
+    mask = np.zeros(n, dtype=np.bool_)
+    mask[listed] = True
+    made = [ResidueSet.of(n, listed[::-1] + [x + n for x in listed]),
+            ResidueSet.from_sorted(n, np.array(listed, dtype=np.int64)),
+            ResidueSet.from_mask(n, mask)]
+    for s in made:
+        assert s.array.tolist() == listed and s.array.dtype == np.int64
+        assert np.array_equal(s.mask, mask) and s.mask.dtype == np.bool_
+        assert not s.array.flags.writeable and not s.mask.flags.writeable
+        assert len(s) == len(members) and s.members == tuple(listed)
+        assert all((x in s) == (x % n in members) for x in range(-1, n + 1))
+        assert s.is_consecutive_run() == bool(
+            listed and listed[-1] - listed[0] + 1 == len(listed))
+        assert s == made[0] and hash(s) == hash(made[0])
+    m, others = other
+    same = (n, members) == (m, others)
+    assert (made[0] == ResidueSet.of(m, others)) == same
+    assert made[0].complement().members == tuple(sorted(set(range(n)) - members))
