@@ -10,10 +10,12 @@ the T1 / T1' unions lie inside it, so no mask on the structural path is
 n long.  The sorted members (an int64 array) and the mask over [0, n)
 are read-only views, derived on first use.
 
-Coset closure and Z1 are gathers over a window of residues [lo, lo + w):
-each x in it is multiplied by a unit mod n (``_window_offsets``), and a
-window mask of the set is read at the product; no image set is built.
-x lies in -qZ exactly when (-q)^-1 x lies in Z.
+Z1 and the structural checks are gathers over a window of residues
+[lo, lo + w): each x in it is multiplied by a unit mod n
+(``_window_offsets``), and a window mask of the set is read at the
+product; no image set is built.  x lies in -qZ exactly when (-q)^-1 x
+lies in Z.  Coset closure, which only ``decompose`` and the rank oracle
+ask for, gathers the length-n mask at the members times the multiplier.
 
 The kernels multiply residues (all below n) by a factor such as (-q)^-1
 mod n (q on the family lengths), so the products stay below |factor| * n.

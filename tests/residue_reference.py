@@ -31,7 +31,8 @@ from eaqmds.families import (assemble_ea_params, build_T1, build_T1_prime,
 def image_mask(n: int, factor: int, members) -> np.ndarray:
     """The bool mask of {factor * x mod n | x in S}, for members below n."""
     out = np.zeros(n, dtype=np.bool_)
-    x = np.asarray(members, dtype=np.int64) * (factor % n)
+    small = abs(factor) * n < 2 ** 31  # then the products fit int32
+    x = np.asarray(members, dtype=np.int32 if small else np.int64) * factor
     out[x - x // n * n] = True  # x mod n; numpy's // by a scalar is faster than %
     return out
 
