@@ -210,36 +210,48 @@ def ea_params(spec: FamilySpec) -> EAParams:
 
 
 def _mark(n: int, q: int, blocks, thresh: int | None = None) -> ResidueSet:
-    """The union of the cosets {idx, n - idx} of idx = uq + v over all blocks.
+    """The union of the cosets {x, n - x} of x = uq + v over all blocks.
 
     Each block is a triple (lo, hi, umax): v runs over lo..hi, and u over
     0..umax while v <= thresh (every v when thresh is None) and over
-    0..umax-1 beyond it.  All blocks of a union are marked in one pass:
-    their v ranges are one arange plus per-block offsets, and each v
-    carries its own u bound.  Only the length-(umax+1) table uq mod n and
-    v mod n are reduced with ``%``; their sum lies in [0, 2n), so one
-    conditional subtract reduces the grid.  The union is symmetric under
-    x -> n - x, so it spans [lo, n - lo], with lo the least of the indices
-    and of their mirrors; the indices are marked in a mask over that span,
-    and the mask reversed marks the mirrors.
+    0..umax-1 beyond it.  So a block is at most two rectangles in (u, v),
+    one each side of thresh.  Row u of a rectangle is the run of x from
+    uq + lo to uq + hi, and rows lie q apart, so every rectangle is a
+    slice of one (rows, width) view with strides (q, 1) into a bool strip
+    over x = vmin, vmin + 1, ...: each is painted with one scalar write,
+    and no index is formed.  When width > q the rows overlap in the
+    strip; writing the same scalar True is order-independent, so that is
+    safe (no array is ever written through the view).  The strip starts
+    at slot vmin mod n of a buffer of whole multiples of n; past n it is
+    folded onto [0, n) by OR-ing its length-n rows.  The union is
+    symmetric under x -> n - x, so it spans [lo, n - lo], with lo the
+    least of the strip's residues and of their mirrors; the strip is
+    copied into a mask over that span, and the mask reversed marks the
+    mirrors.
     """
-    lo, hi, umax = np.array(blocks, dtype=np.int64).T
-    width = np.maximum(hi - lo + 1, 0)
-    v = np.arange(width.sum()) + np.repeat(lo + width - width.cumsum(), width)
-    v_umax = np.repeat(umax, width)
-    if thresh is not None:
-        v_umax -= v > thresh
-    u = np.arange(umax.max() + 1)
-    idx = ((u * q) % n)[:, None] + v % n
-    np.subtract(idx, n, out=idx, where=idx >= n)
-    idx = idx[u[:, None] <= v_umax]
-    lo = min(idx.min(initial=n), n - idx.max(initial=0))
-    # [lo, n - lo]; an empty union gets lo = n and no span
-    span = np.zeros(max(n + 1 - 2 * lo, 0), dtype=np.bool_)
-    span[idx - lo] = True
+    rects = []
+    for lo, hi, umax in blocks:
+        cut = hi if thresh is None else min(hi, thresh)
+        rects += [(lo, cut, umax), (max(lo, cut + 1), hi, umax - 1)]
+    rects = [(lo, hi, top) for lo, hi, top in rects if lo <= hi and top >= 0]
+    if not rects:
+        return ResidueSet.of(n, ())
+    vmin = min(r[0] for r in rects)
+    width = max(r[1] for r in rects) - vmin + 1
+    rows = max(r[2] for r in rects) + 1
+    base, size = vmin % n, (rows - 1) * q + width
+    strip = np.zeros(-(-(base + size) // n) * n, dtype=np.bool_)
+    view = np.ndarray((rows, width), np.bool_, strip, base, (q, 1))
+    for lo, hi, top in rects:
+        view[:top + 1, lo - vmin:hi - vmin + 1] = True
+    if strip.size > n:  # x mod n: OR the strip's rows of n
+        strip, base, size = strip.reshape(-1, n).any(axis=0), 0, n
+    lo = min(base, n + 1 - base - size)
+    span = np.zeros(n + 1 - 2 * lo, dtype=np.bool_)  # [lo, n - lo]
+    span[base - lo:base - lo + size] = strip[base:base + size]
     span |= span[::-1]  # x and its mirror n - x sit at mirrored offsets
     # the slots of the residues below n: with lo = 0, slot n is 0 again
-    return ResidueSet.from_window(n, int(lo), span[:n - lo])
+    return ResidueSet.from_window(n, lo, span[:n - lo])
 
 
 def build_T1(spec: FamilySpec) -> ResidueSet:

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 import residue_reference as ref
 from eaqmds.cosets import (ResidueSet, _times_mod, decompose, is_coset_closed,
                            run_defining_set)
-from eaqmds.families import _mark
+from eaqmds import families
+from eaqmds.families import _mark, sweep_specs
 from eaqmds.fields import ExactnessError
 from eaqmds.verification import coset_identity_holds
 from residue_reference import all_cosets
@@ -261,6 +262,54 @@ def test_mark_edges_match_reference():
     for thresh in (None, -1, 0, 20, 95, 96, 200):
         assert _mark(n, q, blocks, thresh) == \
             ResidueSet.of(n, ref.mark(n, q, blocks, thresh)), thresh
+    # no blocks, and blocks whose rectangles thresh empties all (umax = 0
+    # beyond it, or hi < lo)
+    for n, q, blocks, thresh in ((97, 22, [], None), (97, 22, [], 5),
+                                 (97, 22, [(10, 20, 0), (30, 40, 0), (50, 49, 2)], 5)):
+        assert _mark(n, q, blocks, thresh) == ResidueSet.of(n, ()) == \
+            ResidueSet.of(n, ref.mark(n, q, blocks, thresh))
+    cases = [
+        (97, 5, [(10, 30, 3), (33, 34, 1)]),   # |v| = 25 > q: rows overlap
+        (11, 30, [(2, 4, 3), (25, 26, 1)]),    # q > n: 11 rows of n folded
+        (53, 30, [(40, 45, 1), (60, 61, 0)]),  # v past n: 2 rows of n folded
+        (61, 11, [(20, 30, 2)]),               # |v| = q, no fold
+    ]
+    for n, q, blocks in cases:
+        lo, hi = blocks[0][:2]
+        # thresh at a block's lo, inside it, at its hi, below and above
+        for thresh in (None, lo - 1, lo, (lo + hi) // 2, hi, hi + 1):
+            assert _mark(n, q, blocks, thresh) == \
+                ResidueSet.of(n, ref.mark(n, q, blocks, thresh)), (n, q, thresh)
+
+
+def test_mark_matches_reference_on_sweep_unions_past_q_or_n(monkeypatch):
+    # the default sweep's T1 and case-1 T1' unions whose v range is wider
+    # than q (rows overlap) or whose (umax + 1) rows of v reach past n
+    # (the strip is folded), against the set-and-loop reference
+    calls = []
+
+    def recorded(n, q, blocks, thresh=None):
+        calls.append((n, q, blocks, thresh))
+        return _mark(n, q, blocks, thresh)
+
+    monkeypatch.setattr(families, "_mark", recorded)
+    for spec in sweep_specs():
+        families.build_T1(spec)
+        if spec.case == 1:
+            families.build_T1_prime(spec)
+    monkeypatch.undo()
+    overlap, folded = [], []
+    for n, q, blocks, thresh in calls:
+        lo, hi, umax = np.array(blocks).T
+        vmin, width = int(lo.min()), int(hi.max() - lo.min() + 1)
+        if width > q:
+            overlap.append((n, q, blocks, thresh))
+        elif vmin % n + int(umax.max()) * q + width > n:
+            folded.append((n, q, blocks, thresh))
+    assert len(calls) == 4302 and len(overlap) == 45 and folded
+    for n, q, blocks, thresh in overlap + folded:
+        assert _mark(n, q, blocks, thresh) == \
+            ResidueSet.of(n, ref.mark(n, q, blocks, thresh)), (n, q, thresh)
 
 
 def test_int64_guard_refuses_overflowing_products():
