@@ -7,15 +7,16 @@ A set of residues is a ``ResidueSet``: a read-only numpy bool mask over
 its span [lo, hi], from its smallest to its largest member, True at each
 member.  Cosets are ResidueSets too.  A defining set is an interval and
 the T1 / T1' unions lie inside it, so no mask on the structural path is
-n long.  The sorted members (an int64 array) and the mask over [0, n)
-are read-only views, derived on first use.
+n long.  The span is the only stored form: membership, equality and every
+kernel read it, and the sorted members and the mask over [0, n) are
+derived on request for tests and demos.
 
 Z1 and the structural checks are gathers over a window of residues
 [lo, lo + w): each x in it is multiplied by a unit mod n
 (``_window_offsets``), and a window mask of the set is read at the
 product; no image set is built.  x lies in -qZ exactly when (-q)^-1 x
-lies in Z.  Coset closure, which only ``decompose`` and the rank oracle
-ask for, gathers the length-n mask at the members times the multiplier.
+lies in Z.  Coset closure is the same gather over the set's own span,
+at its members times the multiplier.
 
 The kernels multiply residues (all below n) by a factor such as (-q)^-1
 mod n (q on the family lengths), so the products stay below |factor| * n.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +74,8 @@ def _window_offsets(n: int, factor: int, lo: int, width: int) -> np.ndarray:
     lies in the set.  The last x is the slot past the window; its entry
     means nothing, and every caller ands it with that False slot.
     """
+    # int32 residues when they fit: an int64 arange, cast by _times_mod,
+    # made the sweep benchmark's wall time 5 % worse
     x = np.arange(lo, lo + width + 1, dtype=np.int32 if n < 2 ** 31 else np.int64)
     x = _times_mod(x, factor, n)
     x -= lo
@@ -85,9 +87,9 @@ def _window_offsets(n: int, factor: int, lo: int, width: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ResidueSet:
     """A set of residues mod n: a read-only bool mask ``span`` over
-    [lo, hi], the smallest and largest members (an empty span for the
-    empty set).  ``array`` (the sorted members, int64) and ``mask``
-    (length n) are read-only views derived on first use."""
+    [lo, hi], the smallest and largest members (an empty span at lo = 0
+    for the empty set).  ``array`` (the sorted members, int64) and
+    ``mask`` (length n) are read-only copies derived on each read."""
 
     n: int
     lo: int
@@ -96,14 +98,18 @@ class ResidueSet:
     def __post_init__(self):
         if not (isinstance(self.span, np.ndarray) and self.span.dtype == np.bool_
                 and self.span.ndim == 1 and 0 <= self.lo <= self.n - self.span.size
-                and (not self.span.size or self.span[0] and self.span[-1])):
-            raise ValueError(f"need a 1-D bool span in [0, {self.n}) True at both ends")
+                and (self.span[0] and self.span[-1] if self.span.size else not self.lo)):
+            raise ValueError(f"need a 1-D bool span in [0, {self.n}) True at both ends, "
+                             "or an empty one at 0")
         self.span.setflags(write=False)
 
     @classmethod
     def of(cls, n: int, values) -> "ResidueSet":
         """The set {v mod n | v in values}; duplicates collapse."""
-        return cls.from_sorted(n, sorted({v % n for v in values}))
+        arr = np.array(sorted({v % n for v in values}), dtype=np.int64)
+        window = np.zeros(arr.size and int(arr[-1] - arr[0]) + 1, dtype=np.bool_)
+        window[arr - arr[:1]] = True  # arr[:1]: the least member, or none
+        return cls.from_window(n, int(arr[0]) if arr.size else 0, window)
 
     @classmethod
     def from_window(cls, n: int, lo: int, window: np.ndarray) -> "ResidueSet":
@@ -123,15 +129,6 @@ class ResidueSet:
         mask.setflags(write=False)
         return cls.from_window(n, 0, mask)
 
-    @classmethod
-    def from_sorted(cls, n: int, members) -> "ResidueSet":
-        """The set of sorted, distinct members in [0, n); a run gets an
-        all-True span."""
-        arr = np.asarray(members, dtype=np.int64)
-        window = np.zeros(arr.size and int(arr[-1] - arr[0]) + 1, dtype=np.bool_)
-        window[arr - arr[:1]] = True  # arr[:1]: the least member, or none
-        return cls.from_window(n, int(arr[0]) if arr.size else 0, window)
-
     def window(self, lo: int, width: int) -> np.ndarray:
         """The set's mask over [lo, lo + width), which holds its span, and one
         False slot after it, where ``_window_offsets`` sends what leaves it."""
@@ -139,13 +136,13 @@ class ResidueSet:
         out[self.lo - lo:self.lo - lo + self.span.size] = self.span
         return out
 
-    @cached_property
+    @property
     def array(self) -> np.ndarray:
         arr = (np.flatnonzero(self.span) + self.lo).astype(np.int64, copy=False)
         arr.setflags(write=False)
         return arr
 
-    @cached_property
+    @property
     def mask(self) -> np.ndarray:
         mask = self.window(0, self.n)[:-1]
         mask.setflags(write=False)
@@ -160,7 +157,8 @@ class ResidueSet:
         return int(np.count_nonzero(self.span))
 
     def __contains__(self, x: int) -> bool:
-        return bool(self.mask[x % self.n])
+        i = x % self.n - self.lo
+        return 0 <= i < self.span.size and bool(self.span[i])
 
     def __iter__(self):
         return iter(self.members)
@@ -168,16 +166,17 @@ class ResidueSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResidueSet):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.array, other.array)
+        return (self.n, self.lo) == (other.n, other.lo) and \
+            np.array_equal(self.span, other.span)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.array.tobytes()))
+        return hash((self.n, self.lo, self.span.tobytes()))
 
     def __repr__(self) -> str:
         return f"ResidueSet(n={self.n}, members={self.members})"
 
     def complement(self) -> "ResidueSet":
-        return ResidueSet.from_mask(self.n, ~self.mask)
+        return ResidueSet.from_window(self.n, 0, ~self.window(0, self.n)[:-1])
 
     def is_consecutive_run(self) -> bool:
         """Whether the members form one gap-free integer interval."""
@@ -196,17 +195,13 @@ def run_defining_set(n: int, s: int, delta: int) -> ResidueSet:
 
 
 def is_coset_closed(n: int, multiplier: int, s: ResidueSet) -> bool:
-    """Whether x * multiplier mod n lies in S for every x in S.
-
-    A multiplier = -1 mod n (q^2 here) needs no product: numpy reads index
-    -x as n - x and 0 as 0.  As in _times_mod, |multiplier| * n >= 2^63 raises.
-    Reads the member array and the length-n mask, which the rank oracle's
-    callers of this check read anyway; the structural sweep never calls it.
+    """Whether x * multiplier mod n lies in S for every x in S: S's span
+    read at the products of its own residues (``_window_offsets``).  As in
+    _times_mod, |multiplier| * n >= 2^63 raises.
     """
-    _check_int64_products(multiplier, n)
-    minus_one = not (multiplier + 1) % n
-    idx = -s.array if minus_one else _times_mod(s.array, multiplier, n)
-    return bool(np.count_nonzero(s.mask[idx]) == idx.size)
+    inside = s.window(s.lo, s.span.size)
+    at = _window_offsets(n, multiplier, s.lo, s.span.size)
+    return not np.greater(inside, inside[at]).any()
 
 
 def decompose(n: int, q: int, z: ResidueSet) -> ResidueSet:

@@ -96,12 +96,14 @@ def generator_digits(tower: Field, lam: tuple[int, ...], z: ResidueSet) -> np.nd
         raise ValueError(f"q^2 is not -1 mod {n}; the cosets are not {{i, n - i}}")
     p, e = subfield.p, subfield.degree
     powers, fact = _root_table(tower, lam, n)
-    a = z.array                  # maximal cyclic runs; a negative index wraps
-    heads, ends = a[~z.mask[a - 1]], a[~z.mask[a + 1 - n]]
-    if ends.size and ends[0] < heads[0]:         # the last run wraps into the first
-        ends = np.roll(ends, -1)
-    runs = zip(heads.tolist(), ((ends - heads) % n + 1).tolist())
-    if len(z) == n:                              # 1 - lam^n = 0: split the full run
+    # the maximal runs [head, end): the edges of the span between two False slots
+    w = z.window(z.lo - 1, z.span.size + 1)
+    edges = (np.flatnonzero(np.diff(w)) + z.lo).tolist()
+    runs = [(head, end - head) for head, end in zip(edges[::2], edges[1::2])]
+    if len(runs) > 1 and edges[0] == 0 and edges[-1] == n:
+        first = runs.pop(0)                      # the last run wraps into the first
+        runs[-1] = (runs[-1][0], runs[-1][1] + first[1])
+    if runs == [(0, n)]:                         # 1 - lam^n = 0: split the full run
         runs = [(1, n - 1), (0, 1)]
     parts = []
     for s, m in runs:            # u(lam^s) = 0, from the (dim, dim) digit sums of u^T

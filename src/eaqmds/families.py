@@ -60,13 +60,17 @@ def q_for(case: int, m: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Admissible parameter set (case, m, k, alpha) with derived q, n, s."""
+    """Admissible parameter set (case, m, k, alpha); q, a = m^2 + 1, n and s
+    are derived once, on construction."""
 
     case: int
     m: int
     k: int
     alpha: int
     q: int = field(init=False, compare=False, repr=False)
+    a: int = field(init=False, compare=False, repr=False)
+    n: int = field(init=False, compare=False, repr=False)
+    s: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):  # an unknown case is refused by q_for
         if self.m < 1 or self.m % 2 == 0:
@@ -81,21 +85,11 @@ class FamilySpec:
             raise ValueError(
                 f"q = {q} (case {self.case}, m = {self.m}, k = {self.k}) "
                 "is not an odd prime power")
-        if (q * q + 1) % self.a:
+        a = self.m * self.m + 1
+        if (q * q + 1) % a:
             raise AssertionError("a does not divide q^2 + 1")  # cannot happen
-        object.__setattr__(self, "q", q)
-
-    @property
-    def a(self) -> int:
-        return self.m * self.m + 1
-
-    @property
-    def n(self) -> int:
-        return (self.q * self.q + 1) // self.a
-
-    @property
-    def s(self) -> int:
-        return (self.n - 1) // 2
+        n = (q * q + 1) // a
+        self.__dict__.update(q=q, a=a, n=n, s=(n - 1) // 2)  # past the frozen setattr
 
 
 def spec_from_q(case: int, m: int, q: int, alpha: int) -> FamilySpec:

@@ -1,6 +1,6 @@
 """Mask kernels against the set-and-loop references, on both sides of
-``_times_mod``'s int32 bound, the -1 closure read, the member arrays kept
-by ``ResidueSet.from_sorted``, and the int64 guard."""
+``_times_mod``'s int32 bound, closure under -1, the member arrays derived
+from the sets ``ResidueSet.of`` builds, and the int64 guard."""
 
 import math
 
@@ -11,9 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 import residue_reference as ref
 from eaqmds.cosets import (ResidueSet, _times_mod, decompose, is_coset_closed,
                            run_defining_set)
-from eaqmds import families
+from eaqmds import cli, families
+from eaqmds.cyclic import generator_digits
 from eaqmds.families import _mark, sweep_specs
 from eaqmds.fields import ExactnessError
+from eaqmds.rank_oracle import entanglement_rank, generator_parity_orthogonal
 from eaqmds.verification import coset_identity_holds
 from residue_reference import all_cosets
 
@@ -134,12 +136,12 @@ def _assert_members_kept(z: ResidueSet):
 
 
 @given(sorted_members())
-def test_from_sorted_keeps_its_members_as_the_array(case):
+def test_of_keeps_its_members_as_the_array(case):
     n, members = case
-    z = ResidueSet.from_sorted(n, np.array(members, dtype=np.int64))
+    z = ResidueSet.of(n, np.array(members, dtype=np.int64))
     _assert_members_kept(z)
     assert z.members == tuple(members)
-    assert ResidueSet.from_sorted(n, members) == z  # a list works too
+    assert ResidueSet.of(n, members) == z  # a list works too
 
 
 @given(closed_union(), st.data())
@@ -317,8 +319,8 @@ def test_int64_guard_refuses_overflowing_products():
     big = 2 ** 62  # 5 * 2^62 >= 2^63
     with pytest.raises(ExactnessError, match=r"int64.*\|factor\|\*n < 2\^63"):
         _times_mod(s.array, -big, 5)
-    # 2^62 = -1 mod 5: the guard also covers is_coset_closed's -1 shortcut,
-    # which forms no product but still refuses what _times_mod refuses
+    # 2^62 = -1 mod 5: is_coset_closed refuses what _times_mod refuses, for
+    # a multiplier = -1 mod n too
     with pytest.raises(ExactnessError, match=r"int64.*\|factor\|\*n < 2\^63"):
         is_coset_closed(5, big, s)
     # decompose multiplies by (-q)^-1 reduced mod n, so a huge q is fine
@@ -347,7 +349,8 @@ def test_residue_set_views_and_identity():
                      (4, a.span),               # past n = 12
                      (-1, a.span),
                      (3, np.array([True, False])),   # ends on a non-member
-                     (3, np.array([False, True]))]:
+                     (3, np.array([False, True])),
+                     (3, a.span[:0])]:              # empty, but not at 0
         with pytest.raises(ValueError):
             ResidueSet(12, lo, span)
     with pytest.raises(ValueError):
@@ -375,7 +378,7 @@ def test_constructors_round_trip_like_python_sets(case, other):
     mask = np.zeros(n, dtype=np.bool_)
     mask[listed] = True
     made = [ResidueSet.of(n, listed[::-1] + [x + n for x in listed]),
-            ResidueSet.from_sorted(n, np.array(listed, dtype=np.int64)),
+            ResidueSet.of(n, np.array(listed, dtype=np.int64)),
             ResidueSet.from_mask(n, mask)]
     for s in made:
         assert s.array.tolist() == listed and s.array.dtype == np.int64
@@ -390,3 +393,31 @@ def test_constructors_round_trip_like_python_sets(case, other):
     same = (n, members) == (m, others)
     assert (made[0] == ResidueSet.of(m, others)) == same
     assert made[0].complement().members == tuple(sorted(set(range(n)) - members))
+
+
+def test_no_src_path_reads_a_derived_view(monkeypatch, capsys):
+    # the span is the one stored form: with the member array and the
+    # length-n mask refused, the structural checks, the rank oracle,
+    # decompose and the table command still run
+    def refuse(self):
+        raise AssertionError("a derived view of a ResidueSet was read")
+
+    monkeypatch.setattr(ResidueSet, "array", property(refuse))
+    monkeypatch.setattr(ResidueSet, "mask", property(refuse))
+    generator_digits.cache_clear()  # memoized g and h would skip their build
+    specs = list(sweep_specs())
+    for case in families.CASES:
+        spec = next(s for s in specs
+                    if s.case == case and families.closed_form(s).delta < s.s)
+        assert families.verify_family(spec).passed, spec
+        assert not families.verify_family(spec, fault_delta=1).passed, spec
+    oracle = [s for s in specs if s.n <= 150]
+    assert len(oracle) == 29
+    for spec in oracle:
+        assert entanglement_rank(spec).match, spec
+        assert generator_parity_orthogonal(spec), spec
+    assert decompose(85, 13, run_defining_set(85, 42, 32)) == \
+        ResidueSet.of(85, ref.decompose(85, 13, range(11, 75)))
+    for case in families.CASES:
+        assert cli.main(["table", "--case", str(case)]) == 0
+        assert '"all_match": true' in capsys.readouterr().out
