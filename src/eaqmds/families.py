@@ -58,7 +58,7 @@ def q_for(case: int, m: int, k: int) -> int:
     return 2 * (m * m + 1) * k + _shape(case, m)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilySpec:
     """Admissible parameter set (case, m, k, alpha); q, a = m^2 + 1, n and s
     are derived once, on construction."""
@@ -89,7 +89,8 @@ class FamilySpec:
         if (q * q + 1) % a:
             raise AssertionError("a does not divide q^2 + 1")  # cannot happen
         n = (q * q + 1) // a
-        self.__dict__.update(q=q, a=a, n=n, s=(n - 1) // 2)  # past the frozen setattr
+        for name, value in (("q", q), ("a", a), ("n", n), ("s", (n - 1) // 2)):
+            object.__setattr__(self, name, value)  # past the frozen setattr
 
 
 def spec_from_q(case: int, m: int, q: int, alpha: int) -> FamilySpec:
@@ -203,49 +204,74 @@ def ea_params(spec: FamilySpec) -> EAParams:
 # piecewise coset unions; they appear nowhere else in the API.
 
 
-def _mark(n: int, q: int, blocks, thresh: int | None = None) -> ResidueSet:
-    """The union of the cosets {x, n - x} of x = uq + v over all blocks.
+def _rectangles(n: int, q: int, blocks, thresh: int | None = None) -> list:
+    """The union of the cosets {x, n - x} of x = uq + v over all blocks, as
+    (v0, rows, width) rectangles: x = v0 + uq + j for u < rows, j < width.
 
     Each block is a triple (lo, hi, umax): v runs over lo..hi, and u over
     0..umax while v <= thresh (every v when thresh is None) and over
-    0..umax-1 beyond it.  So a block is at most two rectangles in (u, v),
-    one each side of thresh.  Row u of a rectangle is the run of x from
-    uq + lo to uq + hi, and rows lie q apart, so every rectangle is a
-    slice of one (rows, width) view with strides (q, 1) into a bool strip
-    over x = vmin, vmin + 1, ...: each is painted with one scalar write,
-    and no index is formed.  When width > q the rows overlap in the
-    strip; writing the same scalar True is order-independent, so that is
-    safe (no array is ever written through the view).  The strip starts
-    at slot vmin mod n of a buffer of whole multiples of n; past n it is
-    folded onto [0, n) by OR-ing its length-n rows.  The union is
-    symmetric under x -> n - x, so it spans [lo, n - lo], with lo the
-    least of the strip's residues and of their mirrors; the strip is
-    copied into a mask over that span, and the mask reversed marks the
-    mirrors.
+    0..umax-1 beyond it.  So a block is at most two rectangles, one each
+    side of thresh.  The mirror n - x of a rectangle whose v ends at e is
+    the rectangle that starts at n - e - (rows - 1)q, with its rows in
+    reverse order.  Empty rectangles are left out.
     """
     rects = []
     for lo, hi, umax in blocks:
         cut = hi if thresh is None else min(hi, thresh)
-        rects += [(lo, cut, umax), (max(lo, cut + 1), hi, umax - 1)]
-    rects = [(lo, hi, top) for lo, hi, top in rects if lo <= hi and top >= 0]
+        for v0, end, rows in ((lo, cut, umax + 1), (max(lo, cut + 1), hi, umax)):
+            if v0 <= end and rows > 0:
+                width = end - v0 + 1
+                rects += [(v0, rows, width), (n - end - (rows - 1) * q, rows, width)]
+    return rects
+
+
+def _ends(n: int, q: int, rect) -> tuple[int, int]:
+    """[lo, end): the least window of [0, n) holding a rectangle's residues,
+    or all of [0, n) when the rectangle crosses a multiple of n."""
+    v0, rows, width = rect
+    lo = v0 % n
+    end = lo + (rows - 1) * q + width
+    return (lo, end) if end <= n else (0, n)
+
+
+def _paint(window: np.ndarray, lo: int, n: int, q: int, rects) -> None:
+    """Set window[x - lo] for every residue x of the rectangles; the bool
+    window over [lo, lo + window.size) must hold them all (``_ends``).
+
+    Rows of a rectangle lie q apart, so a rectangle inside [0, n) is one
+    (rows, width) view with strides (q, 1) into the window, painted with
+    one scalar write, and no index is formed.  When width > q the rows
+    overlap in the window; writing the same scalar True is
+    order-independent, so that is safe.  A rectangle is taken mod n; one
+    that crosses n is split there into the rows before it, the row across
+    it (in two runs) and the rows after it, which are taken mod n again.
+    """
+    rects = list(rects)
+    step = q % n
+    while rects:
+        v0, rows, width = rects.pop()
+        if rows < 1 or width < 1:
+            continue
+        v0 %= n
+        if v0 + (rows - 1) * step + width <= n:
+            np.ndarray((rows, width), np.bool_, window, v0 - lo, (step, 1))[...] = True
+            continue
+        below = max(0, (n - v0 - width) // step + 1) if step else 0
+        a = v0 + below * step  # where the first row that leaves [0, n) starts
+        cut = max(a, n)
+        rects += [(v0, below, width), (a, 1, n - a), (cut, 1, a + width - cut),
+                  (a + step, rows - below - 1, width)]
+
+
+def _union(n: int, q: int, rects) -> ResidueSet:
+    """The residues of the rectangles, painted into a window over their hull."""
     if not rects:
         return ResidueSet.of(n, ())
-    vmin = min(r[0] for r in rects)
-    width = max(r[1] for r in rects) - vmin + 1
-    rows = max(r[2] for r in rects) + 1
-    base, size = vmin % n, (rows - 1) * q + width
-    strip = np.zeros(-(-(base + size) // n) * n, dtype=np.bool_)
-    view = np.ndarray((rows, width), np.bool_, strip, base, (q, 1))
-    for lo, hi, top in rects:
-        view[:top + 1, lo - vmin:hi - vmin + 1] = True
-    if strip.size > n:  # x mod n: OR the strip's rows of n
-        strip, base, size = strip.reshape(-1, n).any(axis=0), 0, n
-    lo = min(base, n + 1 - base - size)
-    span = np.zeros(n + 1 - 2 * lo, dtype=np.bool_)  # [lo, n - lo]
-    span[base - lo:base - lo + size] = strip[base:base + size]
-    span |= span[::-1]  # x and its mirror n - x sit at mirrored offsets
-    # the slots of the residues below n: with lo = 0, slot n is 0 again
-    return ResidueSet.from_window(n, lo, span[:n - lo])
+    ends = [_ends(n, q, r) for r in rects]
+    lo = min(e[0] for e in ends)
+    window = np.zeros(max(e[1] for e in ends) - lo, dtype=np.bool_)
+    _paint(window, lo, n, q, rects)
+    return ResidueSet.from_window(n, lo, window)
 
 
 def build_T1(spec: FamilySpec) -> ResidueSet:
@@ -254,6 +280,11 @@ def build_T1(spec: FamilySpec) -> ResidueSet:
     Together with T1' it partitions the defining set Z; its existence is
     what pins the entanglement count to |Z1|.
     """
+    return _union(spec.n, spec.q, _t1_rectangles(spec))
+
+
+def _t1_rectangles(spec: FamilySpec) -> list:
+    """T1 as (v0, rows, width) rectangles (``_rectangles``)."""
     case, m, k, alpha = spec.case, spec.m, spec.k, spec.alpha
     a, q, n, s = spec.a, spec.q, spec.n, spec.s
     blocks = []
@@ -290,11 +321,12 @@ def build_T1(spec: FamilySpec) -> ResidueSet:
                     hi = s + t * (2 * k + 1) + 2 * k - (h - 1) - alpha
                 blocks.append((lo, hi, alpha))
 
-    return _mark(n, q, blocks, thresh)
+    return _rectangles(n, q, blocks, thresh)
 
 
-def _t1_prime_case1(spec: FamilySpec) -> ResidueSet:
-    """Case 1's explicit T1' union (elsewhere T1' is obtained as Z1)."""
+def _t1_prime_case1(spec: FamilySpec) -> list:
+    """Case 1's explicit T1' union as rectangles (elsewhere T1' is obtained
+    as Z1)."""
     m, k, alpha = spec.m, spec.k, spec.alpha
     a, q, n, s = spec.a, spec.q, spec.n, spec.s
 
@@ -319,7 +351,7 @@ def _t1_prime_case1(spec: FamilySpec) -> ResidueSet:
         mid = s + (g * m + 1) * k + (g + 1) // 2
         blocks.append((mid - alpha, mid + alpha, alpha - 1))
 
-    return _mark(n, q, blocks)
+    return _rectangles(n, q, blocks)
 
 
 def build_T1_prime(spec: FamilySpec) -> ResidueSet:
@@ -329,7 +361,7 @@ def build_T1_prime(spec: FamilySpec) -> ResidueSet:
     as Z1 of the decomposition.
     """
     if spec.case == 1:
-        return _t1_prime_case1(spec)
+        return _union(spec.n, spec.q, _t1_prime_case1(spec))
     return decompose(spec.n, spec.q, build_defining_set(spec))
 
 
@@ -376,25 +408,38 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
 
     The checks read masks over W, the least window holding Z, T1 and T1'
     (Z itself unless a set leaves it), and one preimage (-q)^-1 x per x
-    in W: x lies in -qS exactly when its preimage lies in S.
+    in W: x lies in -qS exactly when its preimage lies in S.  W's ends come
+    from Z's and from the ends of the T1 / T1' rectangles, as integers;
+    the rectangles are then painted straight into masks over W.
     """
     cf = closed_form(spec)
     n, q, s = spec.n, spec.q, spec.s
     _check_int64_products(q, n)  # refuses q*n >= 2^63 up front
     delta = cf.delta + fault_delta
     z = run_defining_set(n, s, delta)
-    t1 = build_T1(spec)
+    t1 = _t1_rectangles(spec)
+    t1p = _t1_prime_case1(spec) if spec.case == 1 else []
     # cases 2-4 build T1' as Z1 of the unperturbed Z, which is z1 when
     # there is no fault
-    t1p = None if spec.case != 1 and not fault_delta else build_T1_prime(spec)
+    built = build_T1_prime(spec) if spec.case != 1 and fault_delta else None
 
-    held = [x for x in (z, t1, t1p) if x is not None and x.span.size]
-    lo = min(x.lo for x in held)
-    width = max(x.lo + x.span.size for x in held) - lo
+    ends = [(x.lo, x.lo + x.span.size) for x in (z, built) if x is not None and x.span.size]
+    ends += [_ends(n, q, r) for r in t1 + t1p]
+    lo = min(e[0] for e in ends)
+    width = max(e[1] for e in ends) - lo
     pre = _window_offsets(n, pow(-q, -1, n), lo, width)
-    zw, t1w = z.window(lo, width), t1.window(lo, width)
+
+    def painted(rects):
+        window = np.zeros(width + 1, dtype=np.bool_)
+        _paint(window, lo, n, q, rects)
+        return window
+
+    zw, t1w = z.window(lo, width), painted(t1)
     z1w = zw & zw[pre]
-    t1pw = z1w if t1p is None else t1p.window(lo, width)
+    if spec.case == 1:
+        t1pw = painted(t1p)
+    else:
+        t1pw = z1w if built is None else built.window(lo, width)
     z_size, z1_size = len(z), int(np.count_nonzero(z1w))
     ea = assemble_ea_params(n, n - z_size, 2 * delta + 1, cf.c)
 

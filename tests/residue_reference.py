@@ -5,9 +5,10 @@ sums, and the structural checks of ``verify_family`` on length-n masks.
 ``is_coset_closed``, ``neg_q_image``, ``decompose``, ``mark`` and
 ``coset_identity_holds`` are the plain-Python forms of
 ``cosets.is_coset_closed``, the -q map of ``cosets._times_mod``,
-``cosets.decompose``, ``families._mark`` and
+``cosets.decompose``, the rectangles ``families._paint`` paints and
 ``verification.coset_identity_holds``, one residue at a time on Python
-sets and tuples.  ``image_mask`` scatters factor * S into a fresh mask,
+sets and tuples.  ``window_offsets`` is ``cosets._window_offsets`` with
+one multiply and reduction per residue of the window, not a row step.  ``image_mask`` scatters factor * S into a fresh mask,
 so the laws T1 n (-qT1) = {} and -qT1' = T1' can be checked as written,
 apart from the gathers ``src/`` checks them with.  ``cyclotomic_coset``
 and ``all_cosets`` follow each orbit under a unit multiplier without
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from eaqmds.cosets import ResidueSet
+from eaqmds.cosets import ResidueSet, _times_mod
 from eaqmds.families import (assemble_ea_params, build_T1, build_T1_prime,
                              closed_form, theorem_quantum_dim)
 
@@ -35,6 +36,23 @@ def image_mask(n: int, factor: int, members) -> np.ndarray:
     x = np.asarray(members, dtype=np.int32 if small else np.int64) * factor
     out[x - x // n * n] = True  # x mod n; numpy's // by a scalar is faster than %
     return out
+
+
+def window_offsets(n: int, factor: int, lo: int, width: int) -> np.ndarray:
+    """``cosets._window_offsets`` one product at a time over the window: each
+    x from lo to lo + width is multiplied by factor and reduced mod n, then
+    taken as its offset in [lo, lo + width), or ``width`` past the window.
+
+    This is the kernel's arithmetic before it read the window in rows:
+    int32 residues and products while |factor| * n < 2^31, int64 otherwise,
+    through ``cosets._times_mod``, so the refusals are the same.
+    """
+    x = np.arange(lo, lo + width + 1, dtype=np.int32 if n < 2 ** 31 else np.int64)
+    x = _times_mod(x, factor, n)
+    x -= lo
+    # read unsigned, an offset below 0 is past width too
+    np.minimum(x.view(np.uintp), width, out=x.view(np.uintp))
+    return x
 
 
 def is_coset_closed(n: int, multiplier: int, members) -> bool:

@@ -296,11 +296,18 @@ OFF_WINDOW = [
 @pytest.mark.parametrize("builder, extra", OFF_WINDOW)
 def test_verify_family_is_exact_on_sets_that_leave_z(monkeypatch, spec, fault_delta,
                                                     builder, extra):
+    # verify_family paints T1 and case 1's T1' from their rectangles, and
+    # takes T1' from build_T1_prime in cases 2-4 under a fault
     n, q = spec.n, spec.q
     t1, t1p = build_T1(spec), build_T1_prime(spec)
     sets = {"build_T1": t1, "build_T1_prime": t1p}
     sets[builder] = ResidueSet.of(n, set(sets[builder]) | set(extra(n)))
-    monkeypatch.setattr(families, builder, lambda s, out=sets[builder]: out)
+    source = {"build_T1": "_t1_rectangles", "build_T1_prime": "_t1_prime_case1"}
+    if builder == "build_T1_prime" and spec.case != 1:
+        monkeypatch.setattr(families, builder, lambda s, out=sets[builder]: out)
+    else:
+        rects = getattr(families, source[builder])(spec) + [(x, 1, 1) for x in extra(n)]
+        monkeypatch.setattr(families, source[builder], lambda s, out=rects: out)
     delta = closed_form(spec).delta + fault_delta
     z = range(spec.s + 1 - delta, spec.s + delta + 1)
     report = verify_family(spec, fault_delta)
@@ -414,8 +421,9 @@ def test_fault_t1_prime_missing_a_coset_is_not_stable(monkeypatch):
     x = next(x for x in t1p if (q * x - x) % n and (q * x + x) % n)
     mask = t1p.mask.copy()
     mask[[x, -x]] = False
-    monkeypatch.setattr(families, "build_T1_prime",
-                        lambda s: ResidueSet.from_mask(n, mask))
+    # verify_family paints case 1's T1' from _t1_prime_case1's rectangles
+    monkeypatch.setattr(families, "_t1_prime_case1",
+                        lambda s: [(x, 1, 1) for x in np.flatnonzero(mask).tolist()])
     report = verify_family(spec)
     assert report.failed_checks() == ["t1_prime_stable", "t1_partition"]
 
@@ -427,8 +435,9 @@ def test_fault_t1_holding_the_image_of_its_own_coset_is_not_disjoint(monkeypatch
     t1 = build_T1(spec)
     x = t1.members[0]
     image = ref.image_mask(n, -q, [x, n - x])
-    monkeypatch.setattr(families, "build_T1",
-                        lambda s: ResidueSet.from_mask(n, t1.mask | image))
+    # verify_family paints T1 from _t1_rectangles' rectangles
+    monkeypatch.setattr(families, "_t1_rectangles",
+                        lambda s: [(x, 1, 1) for x in np.flatnonzero(t1.mask | image).tolist()])
     report = verify_family(spec)
     assert report.failed_checks() == ["t1_disjoint", "t1_partition"]
 

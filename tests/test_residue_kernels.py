@@ -1,6 +1,8 @@
 """Mask kernels against the set-and-loop references, on both sides of
-``_times_mod``'s int32 bound, closure under -1, the member arrays derived
-from the sets ``ResidueSet.of`` builds, and the int64 guard."""
+``_times_mod``'s int32 bound, closure under -1, the window offsets against
+one multiply per residue, the painted T1 / T1' rectangles, the member
+arrays derived from the sets ``ResidueSet.of`` builds, and the int64
+guard."""
 
 import math
 
@@ -9,11 +11,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import residue_reference as ref
-from eaqmds.cosets import (ResidueSet, _times_mod, decompose, is_coset_closed,
-                           run_defining_set)
-from eaqmds import cli, families
+from eaqmds.cosets import (ResidueSet, _times_mod, _window_offsets, decompose,
+                           is_coset_closed, run_defining_set)
+from eaqmds import cli, cosets, families
 from eaqmds.cyclic import generator_digits
-from eaqmds.families import _mark, sweep_specs
+from eaqmds.families import _paint, _rectangles, _union, sweep_specs
 from eaqmds.fields import ExactnessError
 from eaqmds.rank_oracle import entanglement_rank, generator_parity_orthogonal
 from eaqmds.verification import coset_identity_holds
@@ -235,6 +237,61 @@ def test_coset_identity_matches_loop_at_large_n(n):
 
 
 @st.composite
+def offset_windows(draw):
+    """(n, factor, lo, width): any n >= 1 and window [lo, lo + width) of
+    [0, n], with factors that are negative, not units, = -1 mod n, or whose
+    |factor| * n is past 2^31 or 2^63."""
+    n = draw(st.one_of(st.integers(1, 300), st.integers(1, 30_000)))
+    factor = draw(st.one_of(
+        st.integers(-3 * n, 3 * n),
+        st.integers(-5, 5).map(lambda t: t * n - 1),              # = -1 mod n
+        st.sampled_from(_divisors(n)).flatmap(                    # not a unit
+            lambda d: st.integers(-50, 50).map(lambda t: t * d)),
+        st.integers(2 ** 31 // n + 1, 2 ** 40).flatmap(
+            lambda f: st.sampled_from((f, -f))),
+        st.integers(2 ** 63 // n, 2 ** 64)))
+    lo = draw(st.integers(0, n))
+    width = draw(st.one_of(st.just(n - lo), st.just(0), st.integers(0, n - lo)))
+    lo, width = draw(st.one_of(st.just((lo, width)), st.just((0, n))))
+    return n, factor, lo, width
+
+
+@given(offset_windows())
+def test_window_offsets_match_reference(case):
+    # the kernel as it runs, and with every window at least one row of
+    # L = (-factor)^-1 read in rows, against one multiply per residue
+    n, factor, lo, width = case
+    if abs(factor) * n >= 2 ** 63:
+        for kernel in (_window_offsets, ref.window_offsets):
+            with pytest.raises(ExactnessError):
+                kernel(n, factor, lo, width)
+        return
+    expected = ref.window_offsets(n, factor, lo, width)
+    for row_step_width in (cosets._ROW_STEP_WIDTH, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cosets, "_ROW_STEP_WIDTH", row_step_width)
+            got = _window_offsets(n, factor, lo, width)
+        assert got.dtype == expected.dtype == np.intp
+        assert np.array_equal(got, expected), row_step_width
+
+
+def test_window_offsets_match_reference_on_the_default_sweep():
+    # every spec's Z window, and all of [0, n) for each (q, n) pair (where
+    # the rows of q wrap past 0), for the -q preimage (-q)^-1 = q and the
+    # closure multiplier q^2 = -1 (rows of 1)
+    windows = set()
+    for spec in sweep_specs():
+        z = families.build_defining_set(spec)
+        windows |= {(spec.q, spec.n, z.lo, z.span.size), (spec.q, spec.n, 0, spec.n)}
+    # 1 799 distinct Z windows, as cases can share (q, n, delta)
+    assert len({w[:2] for w in windows}) == 92 and len(windows) == 1799 + 92
+    for q, n, lo, width in sorted(windows):
+        for factor in (pow(-q, -1, n), q * q % n):
+            assert np.array_equal(_window_offsets(n, factor, lo, width),
+                                  ref.window_offsets(n, factor, lo, width)), (q, n, lo)
+
+
+@st.composite
 def mark_blocks(draw):
     """(n, q, blocks, thresh): random (lo, hi, umax) blocks, some near n."""
     n = draw(st.integers(2, 400))
@@ -249,11 +306,20 @@ def mark_blocks(draw):
     return n, q, blocks, thresh
 
 
+def _painted(n, q, blocks, thresh=None) -> ResidueSet:
+    """The union of the blocks' cosets, painted into its own hull."""
+    return _union(n, q, _rectangles(n, q, blocks, thresh))
+
+
 @given(mark_blocks())
 def test_mark_matches_reference(case):
     n, q, blocks, thresh = case
-    assert _mark(n, q, blocks, thresh) == \
-        ResidueSet.of(n, ref.mark(n, q, blocks, thresh))
+    expected = ref.mark(n, q, blocks, thresh)
+    assert _painted(n, q, blocks, thresh) == ResidueSet.of(n, expected)
+    # painted into [0, n) and one slot past it, as verify_family's windows
+    window = np.zeros(n + 1, dtype=np.bool_)
+    _paint(window, 0, n, q, _rectangles(n, q, blocks, thresh))
+    assert np.flatnonzero(window).tolist() == sorted(expected)
 
 
 def test_mark_edges_match_reference():
@@ -262,39 +328,71 @@ def test_mark_edges_match_reference():
     n, q = 97, 22
     blocks = [(0, 3, 0), (90, 96, 2), (95, 101, 1), (40, 39, 3), (10, 30, 0)]
     for thresh in (None, -1, 0, 20, 95, 96, 200):
-        assert _mark(n, q, blocks, thresh) == \
+        assert _painted(n, q, blocks, thresh) == \
             ResidueSet.of(n, ref.mark(n, q, blocks, thresh)), thresh
     # no blocks, and blocks whose rectangles thresh empties all (umax = 0
     # beyond it, or hi < lo)
     for n, q, blocks, thresh in ((97, 22, [], None), (97, 22, [], 5),
                                  (97, 22, [(10, 20, 0), (30, 40, 0), (50, 49, 2)], 5)):
-        assert _mark(n, q, blocks, thresh) == ResidueSet.of(n, ()) == \
+        assert _rectangles(n, q, blocks, thresh) == []
+        assert _painted(n, q, blocks, thresh) == ResidueSet.of(n, ()) == \
             ResidueSet.of(n, ref.mark(n, q, blocks, thresh))
     cases = [
         (97, 5, [(10, 30, 3), (33, 34, 1)]),   # |v| = 25 > q: rows overlap
-        (11, 30, [(2, 4, 3), (25, 26, 1)]),    # q > n: 11 rows of n folded
-        (53, 30, [(40, 45, 1), (60, 61, 0)]),  # v past n: 2 rows of n folded
-        (61, 11, [(20, 30, 2)]),               # |v| = q, no fold
+        (11, 30, [(2, 4, 3), (25, 26, 1)]),    # q > n: rows past n, 2n, ...
+        (53, 30, [(40, 45, 1), (60, 61, 0)]),  # v past n
+        (61, 11, [(20, 30, 2)]),               # |v| = q, inside [0, n)
+        (61, 11, [(50, 58, 2)]),               # row 1 crosses n, row 2 is past it
+        (61, 11, [(1, 3, 1)]),                 # the mirror of row 1 crosses 0
+        (61, 4, [(5, 20, 4)]),                 # 16 > q: rows overlap, and cross n
+        (7, 3, [(2, 12, 2)]),                  # each row longer than n
+        (61, 61, [(55, 60, 3)]),               # q = 0 mod n: every row the same
     ]
     for n, q, blocks in cases:
         lo, hi = blocks[0][:2]
         # thresh at a block's lo, inside it, at its hi, below and above
         for thresh in (None, lo - 1, lo, (lo + hi) // 2, hi, hi + 1):
-            assert _mark(n, q, blocks, thresh) == \
+            assert _painted(n, q, blocks, thresh) == \
                 ResidueSet.of(n, ref.mark(n, q, blocks, thresh)), (n, q, thresh)
+
+
+def test_painter_splits_rectangles_at_multiples_of_n():
+    # one rectangle each: across n, across n in a middle row, wider than q
+    # and across n, a mirror across 0, and one whose v starts past 2n
+    n, q = 61, 11
+    for v0, rows, width in ((55, 1, 10), (30, 4, 5), (40, 3, 15),
+                            (-7, 2, 4), (130, 3, 2)):
+        window = np.zeros(n + 1, dtype=np.bool_)
+        _paint(window, 0, n, q, [(v0, rows, width)])
+        expected = {(v0 + u * q + j) % n for u in range(rows) for j in range(width)}
+        assert np.flatnonzero(window).tolist() == sorted(expected), (v0, rows, width)
+
+
+def test_empty_t1_at_alpha_equal_k():
+    # case 1, m = 1, alpha = k: every T1 block has hi - lo = 2k - 1 - 2 alpha
+    # < 0, so T1 has no rectangle; T1' is all of Z and the checks still hold
+    for k in (1, 2, 3, 4, 6):
+        spec = families.FamilySpec(1, 1, k, k)
+        assert families._t1_rectangles(spec) == []
+        assert len(families.build_T1(spec)) == 0
+        assert families.build_T1_prime(spec) == families.build_defining_set(spec)
+        report = families.verify_family(spec)
+        assert report.passed, report.failed_checks()
+        assert {**report.checks, "z1_size": report.z1_size, "z2_size": report.z2_size} \
+            == ref.verify_checks_reference(spec)
 
 
 def test_mark_matches_reference_on_sweep_unions_past_q_or_n(monkeypatch):
     # the default sweep's T1 and case-1 T1' unions whose v range is wider
-    # than q (rows overlap) or whose (umax + 1) rows of v reach past n
-    # (the strip is folded), against the set-and-loop reference
+    # than q (rows overlap) or whose (umax + 1) rows of v reach past n,
+    # against the set-and-loop reference
     calls = []
 
     def recorded(n, q, blocks, thresh=None):
         calls.append((n, q, blocks, thresh))
-        return _mark(n, q, blocks, thresh)
+        return _rectangles(n, q, blocks, thresh)
 
-    monkeypatch.setattr(families, "_mark", recorded)
+    monkeypatch.setattr(families, "_rectangles", recorded)
     for spec in sweep_specs():
         families.build_T1(spec)
         if spec.case == 1:
@@ -310,7 +408,7 @@ def test_mark_matches_reference_on_sweep_unions_past_q_or_n(monkeypatch):
             folded.append((n, q, blocks, thresh))
     assert len(calls) == 4302 and len(overlap) == 45 and folded
     for n, q, blocks, thresh in overlap + folded:
-        assert _mark(n, q, blocks, thresh) == \
+        assert _painted(n, q, blocks, thresh) == \
             ResidueSet.of(n, ref.mark(n, q, blocks, thresh)), (n, q, thresh)
 
 
