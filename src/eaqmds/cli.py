@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .cosets import decompose
+from .cosets import z1_count
 from .families import CASES, DEFAULT_M_MAX, DEFAULT_Q_MAX, FamilySpec, \
     build_defining_set, closed_form, ea_params, spec_from_q, verify_family
 from .fields import ExactnessError
@@ -66,8 +66,9 @@ def _cmd_table(args) -> int:
     for m, q, n, alpha, kq, d, c in PUBLISHED_ROWS[args.case]:
         spec = spec_from_q(args.case, m, q, alpha)
         ea = ea_params(spec)
-        z1 = decompose(spec.n, spec.q, build_defining_set(spec))
-        verified = (spec.n, ea.kq, ea.d, ea.c) == (n, kq, d, c) and len(z1) == ea.c
+        z = build_defining_set(spec)
+        z1_size = z1_count(spec.n, spec.q, z.lo, z.lo + z.span.size - 1)
+        verified = (spec.n, ea.kq, ea.d, ea.c) == (n, kq, d, c) and z1_size == ea.c
         all_match &= verified
         rows.append({
             "m": m, "q": q, "n": spec.n, "alpha": alpha,

@@ -11,25 +11,22 @@ n long.  The span is the only stored form: membership, equality and every
 kernel read it, and the sorted members and the mask over [0, n) are
 derived on request for tests and demos.
 
-Z1 and the structural checks are gathers over a window of residues
-[lo, lo + w): each x in it is taken to factor * x mod n for a unit
-factor (``_window_offsets``), and a window mask of the set is read at
-the product; no image set is built.  x lies in -qZ exactly when
-(-q)^-1 x lies in Z.  Coset closure is the same gather over the set's
-own span, at its members times the multiplier.
+|Z1| of an interval Z is counted with no residue listed: on the family
+lengths q^2 = -1 mod n, so x lies in -qZ exactly when qx mod n lies in Z,
+and the x of an interval with that property are two floor sums
+(``z1_count``).  The structural checks read the -q images forward, as
+rectangles (``families._image``); only a set with no known shape is
+gathered.
 
-The products come from the paper's coset identity -qC_{uq+v} = C_{vq-u}:
-on the family lengths q^2 = -1 mod n, so q(lo + iq + j) = q(lo + j) - i.
-A wide window is read in rows of q: one row is multiplied and reduced,
-and each later row is the first minus its row index.  In general the
-rows are L = (-factor)^-1 mod n long, and L = 1 for the closure
-multiplier q^2 = -1.
-
-The products of a row's residues (all below n) stay below |factor| * n.
-They are computed in int32 when that bound is under 2^31 and in int64
-otherwise; past 2^63 the kernels raise ``fields.ExactnessError``.  For
-the family lengths n = (q^2+1)/(m^2+1) the bound is about q^3/2: int32 up
-to q = 1 600 or so, int64 far past q = 10^5.
+``decompose`` (Z1 as a set) and coset closure are gathers over the set's
+own span: each x in it is taken to factor * x mod n for a unit factor
+(``_window_offsets``), and the span's window mask is read at the product.
+x lies in -qZ exactly when (-q)^-1 x lies in Z.  The products of residues
+below n stay below |factor| * n.  They are computed in int32 when that
+bound is under 2^31 and in int64 otherwise; past 2^63 the kernels raise
+``fields.ExactnessError``.  For the family lengths n = (q^2+1)/(m^2+1)
+the bound is about q^3/2: int32 up to q = 1 600 or so, int64 far past
+q = 10^5.
 """
 
 from __future__ import annotations
@@ -70,13 +67,6 @@ def _times_mod(arr: np.ndarray, factor: int, n: int) -> np.ndarray:
     return x.astype(np.intp, copy=False)
 
 
-# windows narrower than this are read as one row.  Below it the row step's
-# few more numpy calls cost more than the divisions they save: on a 2-core
-# x86-64 host the rank oracle's calls (n <= 150) took 14.0 us each in rows
-# against 8.4 us in one, and the sweep's windows broke even near 4 000
-_ROW_STEP_WIDTH = 4096
-
-
 def _window_offsets(n: int, factor: int, lo: int, width: int) -> np.ndarray:
     """Where factor * x mod n falls in the window [lo, lo + width), for x
     from lo to lo + width (a window inside [0, n]): the offset
@@ -86,42 +76,55 @@ def _window_offsets(n: int, factor: int, lo: int, width: int) -> np.ndarray:
     window mask read at these offsets says, for each x, whether factor * x
     lies in the set.  The last x is the slot past the window; its entry
     means nothing, and every caller ands it with that False slot.
-
-    A window of at least ``_ROW_STEP_WIDTH`` residues is read in rows of
-    L = (-factor)^-1 mod n, so factor * L = -1 and x = lo + iL + j maps to
-    factor * (lo + j) - i: one ``_times_mod`` over the first row, the row
-    index i subtracted, and n added back in column j's rows past
-    factor * (lo + j) mod n, where the difference fell below 0.  This is
-    the paper's coset identity -qC_{uq+v} = C_{vq-u}: on the family lengths
-    (-q)^-1 = q, so the -q preimages step by rows of L = q, and the
-    closure multiplier q^2 = -1 has L = 1.  A factor that is not a unit,
-    L > width, or a narrower window is one row: one ``_times_mod`` over it.
-    A wrapped product is at least n - (rows - 1), so the add is skipped
-    when the window ends below that, or no first-row product is small
-    enough to wrap there.
     """
-    step = pow(-factor, -1, n) if math.gcd(factor, n) == 1 else 0
-    cols = step if 0 < step <= width and width >= _ROW_STEP_WIDTH else width + 1
-    rows = -(-(width + 1) // cols)
-    # int32 residues when they fit: an int64 arange, cast by _times_mod,
-    # made the sweep benchmark's wall time 5 % worse
-    row = _times_mod(np.arange(lo, lo + cols, dtype=np.int32 if n < 2 ** 31 else np.int64),
-                     factor, n)
-    row -= lo
-    x = row.view(np.uintp)  # unsigned: an offset below 0 reads past width too
-    if rows > 1:
-        x = x - np.arange(rows, dtype=np.uintp)[:, None]
-        # column j falls below 0 in its rows i > factor * (lo + j) mod n =
-        # row[j] + lo, and needs n back there.  That product is at least
-        # n - (rows - 1), so it can land in the window only if row[j] + lo
-        # is below reach
-        reach = min(rows - 1, lo + width + rows - 1 - n)
-        if reach > 0 and row.min() < reach - lo:
-            for j in np.flatnonzero(row < reach - lo).tolist():
-                x[row[j] + lo + 1:, j] += n
-        x = x.reshape(-1)[:width + 1]
-    np.minimum(x, width, out=x)
-    return x.view(np.intp)
+    # int32 residues when they fit, so _times_mod makes no int64 copy to cast
+    x = _times_mod(np.arange(lo, lo + width + 1, dtype=np.int32 if n < 2 ** 31 else np.int64),
+                   factor, n)
+    x -= lo
+    # read unsigned, an offset below 0 is past width too
+    np.minimum(x.view(np.uintp), width, out=x.view(np.uintp))
+    return x
+
+
+def floor_sum(count: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*i + b) / m) over 0 <= i < count, for m >= 1 and
+    count >= 0.
+
+    Each round takes the whole parts of a/m and b/m out of the sum; what
+    is left counts the lattice points under a line of slope a/m < 1, which
+    is the same count read along the other axis, a sum with m and a
+    swapped.  So the rounds follow Euclid's algorithm on (m, a).  This is
+    the technique of AtCoder Library's ``floor_sum``
+    (https://github.com/atcoder/ac-library), here on Python integers,
+    whose floor division lets a and b be negative.
+    """
+    total = 0
+    while count:
+        whole, a = divmod(a, m)
+        total += whole * count * (count - 1) // 2
+        whole, b = divmod(b, m)
+        total += whole * count
+        count, b = divmod(a * count + b, m)
+        m, a = a, m
+    return total
+
+
+def z1_count(n: int, q: int, lo: int, hi: int, among: tuple[int, int] | None = None) -> int:
+    """|Z n (-qZ)| for the interval Z = [lo, hi] of residues mod n, with no
+    residue listed; with ``among`` = (a, b), the number of x in [a, b] that
+    lie in -qZ instead.
+
+    With q^2 = -1 mod n, (-q)^-1 = q, so x lies in -qZ exactly when
+    qx mod n lies in [lo, hi], and for 0 <= lo <= hi < n that indicator is
+    floor((qx - lo) / n) - floor((qx - hi - 1) / n).  Summed over the x
+    counted, that is two floor sums, O(log n) exact integer steps.
+    """
+    a, b = (lo, hi) if among is None else among
+    if (q * q + 1) % n or not 0 <= lo <= hi < n or not 0 <= a <= b + 1 <= n:
+        raise ValueError(f"need q^2 = -1 mod n and intervals inside [0, n); got "
+                         f"q = {q}, n = {n}, Z = [{lo}, {hi}], x in [{a}, {b}]")
+    size = b - a + 1
+    return floor_sum(size, n, q, q * a - lo) - floor_sum(size, n, q, q * a - hi - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,12 @@ c = 4*alpha*(a*alpha + b) + 2*delta0.
 
 The printed k_q and the T1 thresholds keep their own per-case forms, so
 the checks against them stay independent of this table.
+
+T1 and T1' are unions of (u, v) rectangles x = v0 + uq + j.  The coset
+identity -qC_{uq+v} = C_{vq-u} takes a rectangle to a rectangle with its
+rows and columns swapped, so ``verify_family`` paints the images of T1
+and T1' forward into its check window, and counts |Z1| by floor sums; it
+forms no preimage of the window.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import prime_power_base
-from .cosets import (ResidueSet, _check_int64_products, _window_offsets,
-                     decompose, run_defining_set)
+from .cosets import (ResidueSet, _check_int64_products, decompose, is_coset_closed,
+                     run_defining_set, z1_count)
 
 CASES = (1, 2, 3, 4)
 DEFAULT_M_MAX, DEFAULT_Q_MAX = 5, 250  # the default sweep's bounds
@@ -235,32 +241,60 @@ def _ends(n: int, q: int, rect) -> tuple[int, int]:
 
 
 def _paint(window: np.ndarray, lo: int, n: int, q: int, rects) -> None:
-    """Set window[x - lo] for every residue x of the rectangles; the bool
-    window over [lo, lo + window.size) must hold them all (``_ends``).
+    """Set window[x - lo] for every residue x of the rectangles that lies in
+    the bool window over [lo, lo + window.size); the others are clipped.
 
-    Rows of a rectangle lie q apart, so a rectangle inside [0, n) is one
-    (rows, width) view with strides (q, 1) into the window, painted with
-    one scalar write, and no index is formed.  When width > q the rows
-    overlap in the window; writing the same scalar True is
-    order-independent, so that is safe.  A rectangle is taken mod n; one
-    that crosses n is split there into the rows before it, the row across
-    it (in two runs) and the rows after it, which are taken mod n again.
+    A rectangle is the integers v0 + u*step + j (u < rows, j < width, step =
+    q mod n) taken mod n.  When width >= step its rows touch, so it is one
+    run of (rows - 1) * step + width integers: a rectangle of one row.
+    Otherwise its rows are disjoint and in order.  The integer line is
+    walked a lap [tn, (t+1)n) at a time, and in lap t the window is
+    [tn + lo, tn + hi): the rows wholly inside it are one (rows, width) view
+    with strides (step, 1), painted with one scalar write and no index, and
+    at most one row crosses each edge of it, painted as a slice.
     """
-    rects = list(rects)
-    step = q % n
-    while rects:
-        v0, rows, width = rects.pop()
+    hi = min(lo + window.size, n)
+    for v0, rows, width in rects:
         if rows < 1 or width < 1:
             continue
-        v0 %= n
-        if v0 + (rows - 1) * step + width <= n:
+        v0, step = v0 % n, q % n
+        if width >= step:
+            rows, width = 1, (rows - 1) * step + width
+            if width >= n:
+                window[:hi - lo] = True
+                continue
+            step = width  # one row, and a stride past it, so the row index math holds
+        end = v0 + (rows - 1) * step + width
+        if lo <= v0 and end <= hi:  # in the window, with no wrap: one write
             np.ndarray((rows, width), np.bool_, window, v0 - lo, (step, 1))[...] = True
             continue
-        below = max(0, (n - v0 - width) // step + 1) if step else 0
-        a = v0 + below * step  # where the first row that leaves [0, n) starts
-        cut = max(a, n)
-        rects += [(v0, below, width), (a, 1, n - a), (cut, 1, a + width - cut),
-                  (a + step, rows - below - 1, width)]
+        for t in range((v0 - hi) // n + 1, (end - lo - 1) // n + 1):
+            a, b = t * n + lo, t * n + hi
+            # rows first .. last lie wholly in [a, b); the row before first
+            # starts below a, the row after last ends past b
+            first, last = -((v0 - a) // step), (b - width - v0) // step
+            if first > 0 and v0 + (first - 1) * step + width > a:
+                window[:min(v0 + (first - 1) * step + width, b) - a] = True
+            first, last = max(first, 0), min(last, rows - 1)
+            if first <= last:
+                np.ndarray((last - first + 1, width), np.bool_, window,
+                           v0 + first * step - a, (step, 1))[...] = True
+            start = v0 + (last + 1) * step
+            if last + 1 < rows and a <= start < b:
+                window[start - a:b - a] = True
+
+
+def _image(q: int, rect, sign: int = 1) -> tuple[int, int, int]:
+    """The rectangle sign * q * R of R = (v0, rows, width), for sign = +-1,
+    on a length with q^2 = -1 mod n.
+
+    The coset identity -qC_{uq+v} = C_{vq-u}: q(v0 + uq + j) = q(v0 + j) - u,
+    so a rectangle's columns become the rows of its image and its rows the
+    columns.  qR is (q*v0 - rows + 1, width, rows), and -qR is
+    (-q(v0 + width - 1), width, rows).
+    """
+    v0, rows, width = rect
+    return (q * v0 - rows + 1 if sign > 0 else -q * (v0 + width - 1)), width, rows
 
 
 def _union(n: int, q: int, rects) -> ResidueSet:
@@ -406,17 +440,23 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     entries; only q*n >= 2^63 raises (``cosets._check_int64_products``'s
     ``ExactnessError``).
 
-    The checks read masks over W, the least window holding Z, T1 and T1'
-    (Z itself unless a set leaves it), and one preimage (-q)^-1 x per x
-    in W: x lies in -qS exactly when its preimage lies in S.  W's ends come
-    from Z's and from the ends of the T1 / T1' rectangles, as integers;
-    the rectangles are then painted straight into masks over W.
+    |Z1| = |Z n (-qZ)| is counted by floor sums (``z1_count``).  The T1 /
+    T1' laws read masks over W, the least window holding Z, T1 and T1' (Z
+    itself unless a set leaves it), into which T1, T1' and the images of
+    their rectangles (``_image``) are painted, clipped to W.  As
+    q * (-q) = 1, T1 n (-qT1) is empty exactly when qT1 n T1 is, and T1'
+    is -q-stable exactly when T1' lies in -qT1', since both have |T1'|
+    members.  In cases 2-4 T1' is Z1 of the unperturbed Z; in a clean run
+    that is Z1 itself, whose laws are counts: -qZ1 = -qZ n -Z (q^2 = -1),
+    so it is stable when |(Z n -Z) n -qZ| = |Z1|, and it partitions Z with
+    T1 when T1 lies in Z, qT1 misses Z and |T1| + |Z1| = |Z|.
     """
     cf = closed_form(spec)
     n, q, s = spec.n, spec.q, spec.s
     _check_int64_products(q, n)  # refuses q*n >= 2^63 up front
     delta = cf.delta + fault_delta
     z = run_defining_set(n, s, delta)
+    zlo, zhi = z.lo, z.lo + z.span.size - 1
     t1 = _t1_rectangles(spec)
     t1p = _t1_prime_case1(spec) if spec.case == 1 else []
     # cases 2-4 build T1' as Z1 of the unperturbed Z, which is z1 when
@@ -427,31 +467,36 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     ends += [_ends(n, q, r) for r in t1 + t1p]
     lo = min(e[0] for e in ends)
     width = max(e[1] for e in ends) - lo
-    pre = _window_offsets(n, pow(-q, -1, n), lo, width)
-
-    def painted(rects):
-        window = np.zeros(width + 1, dtype=np.bool_)
-        _paint(window, lo, n, q, rects)
-        return window
-
-    zw, t1w = z.window(lo, width), painted(t1)
-    z1w = zw & zw[pre]
-    if spec.case == 1:
-        t1pw = painted(t1p)
+    zw, t1w, image, t1pw = np.zeros((4, width), dtype=np.bool_)  # one buffer
+    zw[zlo - lo:zhi + 1 - lo] = True
+    _paint(t1w, lo, n, q, t1)
+    _paint(image, lo, n, q, [_image(q, r) for r in t1])
+    z_size, z1_size = zhi + 1 - zlo, z1_count(n, q, zlo, zhi)
+    t1_disjoint = not (t1w & image).any()
+    if built is None and spec.case != 1:  # T1' = Z1, read through counts
+        stable = z1_count(n, q, zlo, zhi, among=(max(zlo, n - zhi), min(zhi, n - zlo))) \
+            == z1_size
+        partition = not (np.greater(t1w, zw).any() or (image & zw).any()) \
+            and int(np.count_nonzero(t1w)) + z1_size == z_size
     else:
-        t1pw = z1w if built is None else built.window(lo, width)
-    z_size, z1_size = len(z), int(np.count_nonzero(z1w))
+        if built is None:
+            _paint(t1pw, lo, n, q, t1p)
+            image[:] = False
+            _paint(image, lo, n, q, [_image(q, r, -1) for r in t1p])
+            stable = not np.greater(t1pw, image).any()
+        else:
+            t1pw[built.lo - lo:built.lo - lo + built.span.size] = built.span
+            stable = is_coset_closed(n, -q % n, built)
+        partition = np.array_equal(t1w | t1pw, zw) and not (t1w & t1pw).any()
     ea = assemble_ea_params(n, n - z_size, 2 * delta + 1, cf.c)
 
     checks = {
         "defining_set_size": z_size == 2 * cf.delta,
         "consecutive_run": z.is_consecutive_run(),
         "entanglement_closed_form": z1_size == cf.c,
-        "t1_disjoint": not (t1w & t1w[pre]).any(),
-        # -q is a unit mod n, so a finite set closed under its inverse is
-        # its own -q image: no member of T1' has a preimage outside it
-        "t1_prime_stable": not np.greater(t1pw, t1pw[pre]).any(),
-        "t1_partition": np.array_equal(t1w | t1pw, zw) and not (t1w & t1pw).any(),
+        "t1_disjoint": t1_disjoint,
+        "t1_prime_stable": stable,
+        "t1_partition": partition,
         "quantum_dim_formula": ea.kq == theorem_quantum_dim(spec) == cf.quantum_dim,
         "ea_singleton_equality": ea.ea_singleton_equality,
     }

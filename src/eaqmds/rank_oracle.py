@@ -1,6 +1,6 @@
 """Independent verification of the entanglement count via rank(H H†).
 
-The decomposition route counts c = |Z1| with pure residue arithmetic;
+The decomposition route counts c = |Z1| by floor sums on Z's ends;
 this module recomputes c as the rank of H H† over GF(q^2), where H is the
 parity-check matrix of the actual cyclic code and H† its conjugate
 transpose (the Wilde-Brun entanglement formula).  The two routes share no
@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _gflinalg as gfa
-from .cosets import ResidueSet, _check_int64_products, decompose
+from .cosets import ResidueSet, _check_int64_products, z1_count
 from .cyclic import generator_digits
 from .families import FamilySpec, build_defining_set, closed_form
 from .fields import GF, Field, nth_root_of_unity, prime_power_base, quadratic_extension
@@ -135,8 +135,8 @@ def entanglement_rank(spec: FamilySpec, n_max: int = DEFAULT_N_MAX) -> RankRepor
     rank = gfa.rank_digits(gram_digits(poly, tower.base, q, n), tower.base)
     if g_side:
         rank += 2 * (len(poly) - 1) - n
-    return RankReport(rank_hh_dagger=rank, z1_size=len(decompose(n, q, z)),
-                      closed_form_c=closed_form(spec).c)
+    z1_size = z1_count(n, q, z.lo, z.lo + z.span.size - 1)
+    return RankReport(rank_hh_dagger=rank, z1_size=z1_size, closed_form_c=closed_form(spec).c)
 
 
 def generator_parity_orthogonal(spec: FamilySpec) -> bool:

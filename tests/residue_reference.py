@@ -1,24 +1,24 @@
 """Set-and-loop reference versions of the residue kernels, the image
-form of the -q laws, the general coset enumerator, |Z n (-qZ)| by floor
-sums, and the structural checks of ``verify_family`` on length-n masks.
+form of the -q laws, the general coset enumerator, and the structural
+checks of ``verify_family`` on length-n masks.
 
 ``is_coset_closed``, ``neg_q_image``, ``decompose``, ``mark`` and
 ``coset_identity_holds`` are the plain-Python forms of
-``cosets.is_coset_closed``, the -q map of ``cosets._times_mod``,
-``cosets.decompose``, the rectangles ``families._paint`` paints and
-``verification.coset_identity_holds``, one residue at a time on Python
-sets and tuples.  ``window_offsets`` is ``cosets._window_offsets`` with
-one multiply and reduction per residue of the window, not a row step.  ``image_mask`` scatters factor * S into a fresh mask,
-so the laws T1 n (-qT1) = {} and -qT1' = T1' can be checked as written,
-apart from the gathers ``src/`` checks them with.  ``cyclotomic_coset``
-and ``all_cosets`` follow each orbit under a unit multiplier without
-assuming its shape, so the pair form {i, n - i} that ``src/`` relies on
-is proven against them.  ``z1_count`` counts Z n (-qZ) of an interval
-with no residue listed, a second computation of the decomposition's
-number.  ``verify_checks_reference`` runs the checks of
-``families.verify_family`` as written, on bool masks over [0, n) and
-scattered -q images; ``t1_laws`` checks the T1 / T1' laws on Python sets.
-"""
+``cosets.is_coset_closed``, the -q map of ``cosets._times_mod`` and of
+``families._image``, ``cosets.decompose``, the rectangles
+``families._paint`` paints and ``verification.coset_identity_holds``, one
+residue at a time on Python sets and tuples.  ``window_offsets`` is
+``cosets._window_offsets`` written out, one multiply and reduction per
+residue of the window.  ``image_mask`` scatters factor * S into a fresh
+mask, so the laws T1 n (-qT1) = {} and -qT1' = T1' can be checked as
+written, apart from the painted images ``src/`` checks them with.
+``cyclotomic_coset`` and ``all_cosets`` follow each orbit under a unit
+multiplier without assuming its shape, so the pair form {i, n - i} that
+``src/`` relies on is proven against them.  ``verify_checks_reference``
+runs the checks of ``families.verify_family`` as written, on bool masks
+over [0, n) and scattered -q images, with |Z1| counted on the masks
+rather than by floor sums; ``t1_laws`` checks the T1 / T1' laws on Python
+sets."""
 
 import math
 
@@ -43,7 +43,6 @@ def window_offsets(n: int, factor: int, lo: int, width: int) -> np.ndarray:
     x from lo to lo + width is multiplied by factor and reduced mod n, then
     taken as its offset in [lo, lo + width), or ``width`` past the window.
 
-    This is the kernel's arithmetic before it read the window in rows:
     int32 residues and products while |factor| * n < 2^31, int64 otherwise,
     through ``cosets._times_mod``, so the refusals are the same.
     """
@@ -130,44 +129,6 @@ def all_cosets(n: int, multiplier: int) -> list[ResidueSet]:
             out.append(cyclotomic_coset(n, multiplier, i))
             seen.update(out[-1].members)
     return out
-
-
-def floor_sum(count: int, m: int, a: int, b: int) -> int:
-    """The sum of floor((a*i + b) / m) over 0 <= i < count, for m >= 1.
-
-    Each round takes the whole parts of a/m and b/m out of the sum; what
-    is left counts the lattice points under a line of slope a/m < 1, which
-    is the same count read along the other axis, a sum with m and a
-    swapped.  So the rounds follow Euclid's algorithm on (m, a).  This is
-    the technique of AtCoder Library's ``floor_sum``
-    (https://github.com/atcoder/ac-library), here on Python integers,
-    whose floor division lets a and b be negative.
-    """
-    total = 0
-    while count:
-        whole, a = divmod(a, m)
-        total += whole * count * (count - 1) // 2
-        whole, b = divmod(b, m)
-        total += whole * count
-        count, b = divmod(a * count + b, m)
-        m, a = a, m
-    return total
-
-
-def z1_count(n: int, q: int, lo: int, hi: int) -> int:
-    """|Z n (-qZ)| for the interval Z = [lo, hi] of residues mod n.
-
-    With q^2 = -1 mod n, (-q)^-1 = q, so x lies in -qZ exactly when
-    qx mod n lies in [lo, hi], and for 0 <= lo <= hi < n that indicator is
-    floor((qx - lo) / n) - floor((qx - hi - 1) / n).  Summed over x in Z,
-    that is two floor sums.
-    """
-    if (q * q + 1) % n or not 0 <= lo <= hi < n:
-        raise ValueError(f"need q^2 = -1 mod n and 0 <= lo <= hi < n; got "
-                         f"q = {q}, n = {n}, [{lo}, {hi}]")
-    size = hi - lo + 1
-    return (floor_sum(size, n, q, q * lo - lo)
-            - floor_sum(size, n, q, q * lo - hi - 1))
 
 
 def verify_checks_reference(spec, fault_delta: int = 0) -> dict:

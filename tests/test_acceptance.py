@@ -14,7 +14,7 @@ import numpy as np
 import residue_reference as ref
 from eaqmds import families
 from eaqmds.cli import main as cli_main
-from eaqmds.cosets import decompose
+from eaqmds.cosets import decompose, z1_count
 from eaqmds._gflinalg import polymul_digits
 from eaqmds.cyclic import generator_digits
 from eaqmds.families import (
@@ -109,7 +109,7 @@ def floor_sum_z1(spec) -> int:
     """|Z n (-qZ)| of the run Z = [s+1-delta, s+delta] by two floor sums,
     with delta from the closed form and no residue listed."""
     delta = closed_form(spec).delta
-    return ref.z1_count(spec.n, spec.q, spec.s + 1 - delta, spec.s + delta)
+    return z1_count(spec.n, spec.q, spec.s + 1 - delta, spec.s + delta)
 
 
 def test_criterion_2c_closed_form_vs_floor_sum_count(acceptance_log):

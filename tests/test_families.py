@@ -442,6 +442,27 @@ def test_fault_t1_holding_the_image_of_its_own_coset_is_not_disjoint(monkeypatch
     assert report.failed_checks() == ["t1_disjoint", "t1_partition"]
 
 
+def test_fault_t1_trading_a_coset_with_z1_breaks_the_partition(monkeypatch):
+    # cases 2-4 read a clean run's partition through counts; a T1 that
+    # trades one of its cosets for one of Z1 keeps T1 inside Z and
+    # |T1| + |Z1| = |Z|, so only qT1 n Z = {} (T1 n Z1 = {}) can see it
+    spec = FamilySpec(2, 1, 2, 1)  # q = 11, n = 61
+    n, q = spec.n, spec.q
+    assert verify_family(spec).passed
+    t1 = set(build_T1(spec))
+    z = build_defining_set(spec)
+    z1 = set(decompose(n, q, z))
+    x, y = min(t1), min(z1)
+    traded = (t1 - {x, n - x}) | {y, n - y}
+    assert len(traded) == len(t1) and traded <= set(z)
+    monkeypatch.setattr(families, "_t1_rectangles",
+                        lambda s: [(v, 1, 1) for v in sorted(traded)])
+    report = verify_family(spec)
+    laws = ref.t1_laws(n, q, z, traded, z1)
+    assert {name: report.checks[name] for name in laws} == laws
+    assert not report.checks["t1_partition"]
+
+
 def test_decomposition_matches_closed_form_sample():
     for spec in sweep_specs(3, 60):
         z1 = decompose(spec.n, spec.q, build_defining_set(spec))

@@ -1,8 +1,8 @@
 """Mask kernels against the set-and-loop references, on both sides of
 ``_times_mod``'s int32 bound, closure under -1, the window offsets against
-one multiply per residue, the painted T1 / T1' rectangles, the member
-arrays derived from the sets ``ResidueSet.of`` builds, and the int64
-guard."""
+one multiply per residue, the painted T1 / T1' rectangles and their q and
+-q images, the floor-sum count, the member arrays derived from the sets
+``ResidueSet.of`` builds, and the int64 guard."""
 
 import math
 
@@ -258,8 +258,6 @@ def offset_windows(draw):
 
 @given(offset_windows())
 def test_window_offsets_match_reference(case):
-    # the kernel as it runs, and with every window at least one row of
-    # L = (-factor)^-1 read in rows, against one multiply per residue
     n, factor, lo, width = case
     if abs(factor) * n >= 2 ** 63:
         for kernel in (_window_offsets, ref.window_offsets):
@@ -267,18 +265,14 @@ def test_window_offsets_match_reference(case):
                 kernel(n, factor, lo, width)
         return
     expected = ref.window_offsets(n, factor, lo, width)
-    for row_step_width in (cosets._ROW_STEP_WIDTH, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cosets, "_ROW_STEP_WIDTH", row_step_width)
-            got = _window_offsets(n, factor, lo, width)
-        assert got.dtype == expected.dtype == np.intp
-        assert np.array_equal(got, expected), row_step_width
+    got = _window_offsets(n, factor, lo, width)
+    assert got.dtype == expected.dtype == np.intp
+    assert np.array_equal(got, expected)
 
 
 def test_window_offsets_match_reference_on_the_default_sweep():
-    # every spec's Z window, and all of [0, n) for each (q, n) pair (where
-    # the rows of q wrap past 0), for the -q preimage (-q)^-1 = q and the
-    # closure multiplier q^2 = -1 (rows of 1)
+    # every spec's Z window, and all of [0, n) for each (q, n) pair, for
+    # the -q preimage (-q)^-1 = q and the closure multiplier q^2 = -1
     windows = set()
     for spec in sweep_specs():
         z = families.build_defining_set(spec)
@@ -366,6 +360,121 @@ def test_painter_splits_rectangles_at_multiples_of_n():
         _paint(window, 0, n, q, [(v0, rows, width)])
         expected = {(v0 + u * q + j) % n for u in range(rows) for j in range(width)}
         assert np.flatnonzero(window).tolist() == sorted(expected), (v0, rows, width)
+
+
+def _residues(n, q, rect) -> set[int]:
+    v0, rows, width = rect
+    return {(v0 + u * q + j) % n for u in range(rows) for j in range(width)}
+
+
+@st.composite
+def paint_cases(draw):
+    """(n, q, rect, lo, size): a rectangle anywhere on the integer line, some
+    wrapping n several times, some with width > q or q = 0 mod n, and a
+    window [lo, lo + size) that may run past n."""
+    n = draw(st.integers(1, 200))
+    q = draw(st.one_of(st.integers(0, 3 * n), st.integers(0, 3).map(lambda t: t * n)))
+    rect = (draw(st.integers(-3 * n, 3 * n)), draw(st.integers(-1, 3 * n // max(q % n, 1) + 3)),
+            draw(st.one_of(st.integers(-1, 12), st.integers(0, 2 * n))))
+    lo = draw(st.integers(0, n))
+    size = draw(st.one_of(st.integers(0, n - lo + 1), st.just(n - lo)))
+    return n, q, rect, lo, size
+
+
+@given(paint_cases())
+def test_painter_clips_to_its_window_like_the_reference(case):
+    # rows cut by either edge of the window, rows wholly outside it and
+    # laps past n that miss it, against the residues one at a time
+    n, q, rect, lo, size = case
+    window = np.zeros(size, dtype=np.bool_)
+    _paint(window, lo, n, q, [rect])
+    expected = sorted(x for x in _residues(n, q, rect) if lo <= x < lo + size)
+    assert (np.flatnonzero(window) + lo).tolist() == expected
+
+
+def test_painter_edges_match_the_reference():
+    n, q = 61, 11
+    cases = [
+        (5, 20, 3),     # wraps n three times, rows 11 apart
+        (-7, 30, 2),    # starts below 0
+        (40, 6, 4),     # rows cut by both edges of [20, 45)
+        (50, 2, 30),    # width > q: one run of 41, across n
+        (3, 4, 70),     # width > n: every residue
+        (200, 9, 1),    # v0 past 3n
+        (20, 2, 8),     # a row that starts at lo = 20 and outruns the window
+    ]
+    for rect in cases:
+        for lo, size in ((0, n), (20, 25), (20, 5), (0, 1), (60, 1), (25, 0), (33, 40)):
+            window = np.zeros(size, dtype=np.bool_)
+            _paint(window, lo, n, q, [rect])
+            expected = sorted(x for x in _residues(n, q, rect) if lo <= x < lo + size)
+            assert (np.flatnonzero(window) + lo).tolist() == expected, (rect, lo, size)
+    # q = 0 mod n: every row is the same
+    window = np.zeros(13, dtype=np.bool_)
+    _paint(window, 0, 13, 26, [(11, 5, 3)])
+    assert np.flatnonzero(window).tolist() == [0, 11, 12]
+
+
+def test_images_match_reference_on_the_default_sweep():
+    # qR and -qR of every T1 and case-1 T1' rectangle of the default sweep,
+    # painted into [0, n), against the reference image of the union's members
+    checked = 0
+    for spec in sweep_specs():
+        n, q = spec.n, spec.q
+        rects = families._t1_rectangles(spec)
+        if spec.case == 1:
+            rects += families._t1_prime_case1(spec)
+        if not rects:
+            continue
+        members = np.flatnonzero(families._union(n, q, rects).mask)
+        for sign in (1, -1):
+            window = np.zeros(n, dtype=np.bool_)
+            _paint(window, 0, n, q, [families._image(q, r, sign) for r in rects])
+            assert np.array_equal(window, ref.image_mask(n, sign * q, members)), (spec, sign)
+        checked += 1
+    # at alpha = k T1 has no rectangle, and cases 2-4 then paint nothing
+    assert checked == 3438 - 113
+    # and one union's images against the set form of the map
+    spec = families.FamilySpec(1, 1, 3, 1)  # [[85,33,33;12]]_13
+    t1 = families._t1_rectangles(spec)
+    image = families._union(spec.n, spec.q, [families._image(spec.q, r, -1) for r in t1])
+    assert image.members == tuple(sorted(set(ref.neg_q_image(spec.n, spec.q,
+                                                               families.build_T1(spec)))))
+
+
+@given(q_and_length(q_max=60), st.data())
+def test_z1_count_matches_the_loop(case, data):
+    q, n = case
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo, n - 1))
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(a - 1, n - 1))
+    neg_q_z = {x for x in range(n) if lo <= (q * x) % n <= hi}  # (-q)^-1 = q
+    assert cosets.z1_count(n, q, lo, hi) == len(neg_q_z & set(range(lo, hi + 1)))
+    assert cosets.z1_count(n, q, lo, hi, among=(a, b)) == len(neg_q_z & set(range(a, b + 1)))
+
+
+def test_z1_count_refuses_what_it_cannot_count():
+    for args in ((86, 13, 10, 20), (85, 13, 20, 10), (85, 13, -1, 10), (85, 13, 10, 85),
+                 (85, 13, 10, 20, (5, 3)), (85, 13, 10, 20, (0, 85))):
+        with pytest.raises(ValueError, match="q\\^2 = -1"):
+            cosets.z1_count(*args)
+    assert cosets.z1_count(85, 13, 10, 20, among=(7, 6)) == 0  # no x to count
+
+
+def test_verify_family_forms_no_preimage_and_no_decomposition(monkeypatch):
+    # a clean run reads Z1 by floor sums and the -q laws by painted images
+    def refuse(*args, **kwargs):
+        raise AssertionError("a preimage window or a decomposition was formed")
+
+    for module in (cosets, families):
+        monkeypatch.setattr(module, "decompose", refuse)
+    monkeypatch.setattr(cosets, "_window_offsets", refuse)
+    specs = list(sweep_specs())
+    for case in families.CASES:
+        spec = next(s for s in specs if s.case == case and s.alpha < s.k)
+        report = families.verify_family(spec)
+        assert report.passed and report.z1_size == families.closed_form(spec).c, spec
 
 
 def test_empty_t1_at_alpha_equal_k():
