@@ -109,22 +109,20 @@ def floor_sum(count: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def z1_count(n: int, q: int, lo: int, hi: int, among: tuple[int, int] | None = None) -> int:
+def z1_count(n: int, q: int, lo: int, hi: int) -> int:
     """|Z n (-qZ)| for the interval Z = [lo, hi] of residues mod n, with no
-    residue listed; with ``among`` = (a, b), the number of x in [a, b] that
-    lie in -qZ instead.
+    residue listed.
 
     With q^2 = -1 mod n, (-q)^-1 = q, so x lies in -qZ exactly when
     qx mod n lies in [lo, hi], and for 0 <= lo <= hi < n that indicator is
-    floor((qx - lo) / n) - floor((qx - hi - 1) / n).  Summed over the x
-    counted, that is two floor sums, O(log n) exact integer steps.
+    floor((qx - lo) / n) - floor((qx - hi - 1) / n).  Summed over x in Z,
+    that is two floor sums, O(log n) exact integer steps.
     """
-    a, b = (lo, hi) if among is None else among
-    if (q * q + 1) % n or not 0 <= lo <= hi < n or not 0 <= a <= b + 1 <= n:
-        raise ValueError(f"need q^2 = -1 mod n and intervals inside [0, n); got "
-                         f"q = {q}, n = {n}, Z = [{lo}, {hi}], x in [{a}, {b}]")
-    size = b - a + 1
-    return floor_sum(size, n, q, q * a - lo) - floor_sum(size, n, q, q * a - hi - 1)
+    if (q * q + 1) % n or not 0 <= lo <= hi < n:
+        raise ValueError(f"need q^2 = -1 mod n and 0 <= lo <= hi < n; got "
+                         f"q = {q}, n = {n}, [{lo}, {hi}]")
+    size = hi - lo + 1
+    return floor_sum(size, n, q, q * lo - lo) - floor_sum(size, n, q, q * lo - hi - 1)
 
 
 @dataclass(frozen=True, eq=False)

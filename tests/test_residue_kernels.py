@@ -447,19 +447,14 @@ def test_z1_count_matches_the_loop(case, data):
     q, n = case
     lo = data.draw(st.integers(0, n - 1))
     hi = data.draw(st.integers(lo, n - 1))
-    a = data.draw(st.integers(0, n))
-    b = data.draw(st.integers(a - 1, n - 1))
     neg_q_z = {x for x in range(n) if lo <= (q * x) % n <= hi}  # (-q)^-1 = q
     assert cosets.z1_count(n, q, lo, hi) == len(neg_q_z & set(range(lo, hi + 1)))
-    assert cosets.z1_count(n, q, lo, hi, among=(a, b)) == len(neg_q_z & set(range(a, b + 1)))
 
 
 def test_z1_count_refuses_what_it_cannot_count():
-    for args in ((86, 13, 10, 20), (85, 13, 20, 10), (85, 13, -1, 10), (85, 13, 10, 85),
-                 (85, 13, 10, 20, (5, 3)), (85, 13, 10, 20, (0, 85))):
+    for args in ((86, 13, 10, 20), (85, 13, 20, 10), (85, 13, -1, 10), (85, 13, 10, 85)):
         with pytest.raises(ValueError, match="q\\^2 = -1"):
             cosets.z1_count(*args)
-    assert cosets.z1_count(85, 13, 10, 20, among=(7, 6)) == 0  # no x to count
 
 
 def test_verify_family_forms_no_preimage_and_no_decomposition(monkeypatch):
