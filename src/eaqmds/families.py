@@ -24,7 +24,9 @@ T1 and T1' are unions of (u, v) rectangles x = v0 + uq + j.  The coset
 identity -qC_{uq+v} = C_{vq-u} takes a rectangle to a rectangle with its
 rows and columns swapped, so ``verify_family`` paints the images of T1
 and T1' forward into its check window, and counts |Z1| by floor sums; it
-forms no preimage of the window.
+forms no preimage of the window.  It holds the defining set Z only as its
+ends, a slice of that window, and reads the painted q image of T1 only
+when the painter reports that it reached the window.
 """
 
 from __future__ import annotations
@@ -223,26 +225,33 @@ def _rectangles(n: int, q: int, blocks, thresh: int | None = None) -> list:
     """
     rects = []
     for lo, hi, umax in blocks:
-        cut = hi if thresh is None else min(hi, thresh)
-        for v0, end, rows in ((lo, cut, umax + 1), (max(lo, cut + 1), hi, umax)):
+        # conditionals, not min() and max(), as in _hull
+        cut = hi if thresh is None or thresh > hi else thresh
+        for v0, end, rows in ((lo, cut, umax + 1), (lo if lo > cut else cut + 1, hi, umax)):
             if v0 <= end and rows > 0:
                 width = end - v0 + 1
                 rects += [(v0, rows, width), (n - end - (rows - 1) * q, rows, width)]
     return rects
 
 
-def _ends(n: int, q: int, rect) -> tuple[int, int]:
-    """[lo, end): the least window of [0, n) holding a rectangle's residues,
-    or all of [0, n) when the rectangle crosses a multiple of n."""
-    v0, rows, width = rect
-    lo = v0 % n
-    end = lo + (rows - 1) * q + width
-    return (lo, end) if end <= n else (0, n)
+def _hull(n: int, q: int, rects, lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi) widened to the least window of [0, n) that also holds the
+    rectangles' residues, or all of [0, n) when one crosses a multiple of n."""
+    for v0, rows, width in rects:
+        v0 %= n
+        end = v0 + (rows - 1) * q + width
+        if end > n:
+            return 0, n
+        # conditionals, not min() and max(): a third of the time
+        lo, hi = v0 if v0 < lo else lo, end if end > hi else hi
+    return lo, hi
 
 
-def _paint(window: np.ndarray, lo: int, n: int, q: int, rects) -> None:
+def _paint(window: np.ndarray, lo: int, n: int, q: int, rects) -> bool:
     """Set window[x - lo] for every residue x of the rectangles that lies in
     the bool window over [lo, lo + window.size); the others are clipped.
+    Returns whether it set any slot (each write that sets one says so), so
+    a caller can skip reading a window that no rectangle reached.
 
     A rectangle is the integers v0 + u*step + j (u < rows, j < width, step =
     q mod n) taken mod n.  When width >= step its rows touch, so it is one
@@ -251,39 +260,40 @@ def _paint(window: np.ndarray, lo: int, n: int, q: int, rects) -> None:
     walked a lap [tn, (t+1)n) at a time, and in lap t the window is
     [tn + lo, tn + hi): the rows wholly inside it are one (rows, width) view
     with strides (step, 1), painted with one scalar write and no index, and
-    at most one row crosses each edge of it, painted as a slice.
+    at most one row crosses each edge of it, painted as a one-row view
+    clipped to the window.
     """
-    hi = min(lo + window.size, n)
+    hi, q, wrote = min(lo + window.size, n), q % n, False
     for v0, rows, width in rects:
         if rows < 1 or width < 1:
             continue
-        v0, step = v0 % n, q % n
+        v0, step = v0 % n, q
         if width >= step:
             rows, width = 1, (rows - 1) * step + width
-            if width >= n:
-                window[:hi - lo] = True
-                continue
+            if width >= n:  # every residue: the whole window
+                v0, width = lo, hi - lo
             step = width  # one row, and a stride past it, so the row index math holds
         end = v0 + (rows - 1) * step + width
         # the lap walk paints this case too, but without this write
         # verify_family took 15 % longer on the sweep benchmark's specs
         if lo <= v0 and end <= hi:  # in the window, with no wrap: one write
             np.ndarray((rows, width), np.bool_, window, v0 - lo, (step, 1))[...] = True
+            wrote |= width > 0  # 0 only for the whole of an empty window
             continue
         for t in range((v0 - hi) // n + 1, (end - lo - 1) // n + 1):
             a, b = t * n + lo, t * n + hi
             # rows first .. last lie wholly in [a, b); the row before first
             # starts below a, the row after last ends past b
-            first, last = -((v0 - a) // step), (b - width - v0) // step
-            if first > 0 and v0 + (first - 1) * step + width > a:
-                window[:min(v0 + (first - 1) * step + width, b) - a] = True
-            first, last = max(first, 0), min(last, rows - 1)
-            if first <= last:
-                np.ndarray((last - first + 1, width), np.bool_, window,
-                           v0 + first * step - a, (step, 1))[...] = True
-            start = v0 + (last + 1) * step
-            if last + 1 < rows and a <= start < b:
-                window[start - a:b - a] = True
+            first = max(-((v0 - a) // step), 0)
+            last = min((b - width - v0) // step, rows - 1)
+            # the two rows across the edges, clipped to [a, b), and the rows inside
+            for u, k in ((first - 1, 1), (last + 1, 1), (first, last - first + 1)):
+                start, stop = max(v0 + u * step, a), min(v0 + u * step + width, b)
+                if k > 0 and 0 <= u and u + k <= rows and start < stop:
+                    np.ndarray((k, stop - start), np.bool_, window, start - a,
+                               (step, 1))[...] = True
+                    wrote = True
+    return wrote
 
 
 def _image(q: int, rect, sign: int = 1) -> tuple[int, int, int]:
@@ -301,11 +311,8 @@ def _image(q: int, rect, sign: int = 1) -> tuple[int, int, int]:
 
 def _union(n: int, q: int, rects) -> ResidueSet:
     """The residues of the rectangles, painted into a window over their hull."""
-    if not rects:
-        return ResidueSet.of(n, ())
-    ends = [_ends(n, q, r) for r in rects]
-    lo = min(e[0] for e in ends)
-    window = np.zeros(max(e[1] for e in ends) - lo, dtype=np.bool_)
+    lo, hi = _hull(n, q, rects, n, 0)  # (n, 0) when there is no rectangle
+    window = np.zeros(max(hi - lo, 0), dtype=np.bool_)
     _paint(window, lo, n, q, rects)
     return ResidueSet.from_window(n, lo, window)
 
@@ -442,17 +449,24 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     entries; only q*n >= 2^63 raises (``cosets._check_int64_products``'s
     ``ExactnessError``).
 
-    |Z1| = |Z n (-qZ)| is counted by floor sums (``z1_count``).  The T1 /
-    T1' laws read masks over W, the least window holding Z, T1 and T1' (Z
-    itself unless a set leaves it), into which T1, T1' and the images of
-    their rectangles (``_image``) are painted, clipped to W.  As
-    q * (-q) = 1, T1 n (-qT1) is empty exactly when qT1 n T1 is, and T1'
-    is -q-stable exactly when T1' lies in -qT1', since both have |T1'|
-    members.  In cases 2-4 T1' is Z1 of the unperturbed Z; in a clean run
-    that is Z1 itself, whose laws are integer tests: -qZ1 = -qZ n -Z
-    (q^2 = -1), which is Z1 when Z = -Z, so it is stable when Z's ends sum
-    to n (``run_defining_set``'s run always does); and it partitions Z with
-    T1 when T1 lies in Z, qT1 misses Z and |T1| + |Z1| = |Z|.
+    |Z1| = |Z n (-qZ)| is counted by floor sums (``z1_count``).  Z is held
+    as its ends [zlo, zhi].  The T1 / T1' laws read masks over W, the least
+    window holding Z, T1 and T1' (``_hull``), into which T1, T1' and the
+    images of their rectangles (``_image``) are painted, clipped to W; Z
+    is the slice [zlo - lo, zhi + 1 - lo) of W.  W is Z itself unless a
+    set leaves Z, and only then is W read outside that slice.  The qT1
+    row is read only when ``_paint`` wrote into it.  As q * (-q) = 1,
+    T1 n (-qT1) is empty exactly when qT1 n T1 is, and T1' is -q-stable
+    exactly when T1' lies in -qT1', since both have |T1'| members.  T1
+    and T1' partition Z when their union covers Z's slice, nothing lies
+    outside it and T1 n T1' is empty, that is, when the union covers the
+    slice and |T1| + |T1'| = |Z|.  In cases 2-4 T1' is Z1 of the
+    unperturbed Z; in a clean run that is Z1 itself, whose laws are
+    integer tests: -qZ1 = -qZ n -Z (q^2 = -1), which is Z1 when Z = -Z,
+    so it is stable when Z's ends sum to n (``run_defining_set``'s run
+    always does); and it partitions Z with T1 when T1 lies in Z (given
+    when W is Z, else all of |T1| on Z's slice), qT1 misses Z and
+    |T1| + |Z1| = |Z|.
     """
     cf = closed_form(spec)
     n, q, s = spec.n, spec.q, spec.s
@@ -466,21 +480,22 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
     # there is no fault
     built = build_T1_prime(spec) if spec.case != 1 and fault_delta else None
 
-    ends = [(x.lo, x.lo + x.span.size) for x in (z, built) if x is not None and x.span.size]
-    ends += [_ends(n, q, r) for r in t1 + t1p]
-    lo = min(e[0] for e in ends)
-    width = max(e[1] for e in ends) - lo
-    zw, t1w, image, t1pw = np.zeros((4, width), dtype=np.bool_)  # one buffer
-    zw[zlo - lo:zhi + 1 - lo] = True
+    # W: the least window holding Z and the sets, a built set as one row
+    spans = [(built.lo, 1, built.span.size)] if built is not None and built.span.size else []
+    lo, hi = _hull(n, q, t1 + t1p + spans, zlo, zhi + 1)
+    zw = slice(zlo - lo, zhi + 1 - lo)  # Z's slots of W; all of W unless a set leaves Z
+    t1w, image, t1pw = np.zeros((3, hi - lo), dtype=np.bool_)  # one buffer
     _paint(t1w, lo, n, q, t1)
-    _paint(image, lo, n, q, [_image(q, r) for r in t1])
+    hit = _paint(image, lo, n, q, [_image(q, r) for r in t1])  # whether qT1 meets W
     z_size, z1_size = zhi + 1 - zlo, z1_count(n, q, zlo, zhi)
-    t1_disjoint = not (t1w & image).any()
+    t1_disjoint = not (hit and (t1w & image).any())
     if built is None and spec.case != 1:  # T1' = Z1, read through integer tests
         # -qZ1 = -qZ n -Z, which is Z1 when Z = -Z: when Z's ends sum to n
         stable = zlo + zhi == n
-        partition = not (np.greater(t1w, zw).any() or (image & zw).any()) \
-            and int(np.count_nonzero(t1w)) + z1_size == z_size
+        # T1 lies in Z when W is Z, or else when Z's slice holds all of it
+        t1_size = np.count_nonzero(t1w)
+        partition = bool(t1_size == z_size - z1_size and not (hit and image[zw].any())
+                         and (hi - lo == z_size or np.count_nonzero(t1w[zw]) == t1_size))
     else:
         if built is None:
             _paint(t1pw, lo, n, q, t1p)
@@ -490,7 +505,10 @@ def verify_family(spec: FamilySpec, fault_delta: int = 0) -> VerificationReport:
         else:
             t1pw[built.lo - lo:built.lo - lo + built.span.size] = built.span
             stable = is_coset_closed(n, -q % n, built)
-        partition = np.array_equal(t1w | t1pw, zw) and not (t1w & t1pw).any()
+        # a union that covers Z with |T1| + |T1'| = |Z| members has none
+        # outside Z and no overlap
+        partition = bool((t1w[zw] | t1pw[zw]).all()
+                         and np.count_nonzero(t1w) + np.count_nonzero(t1pw) == z_size)
     ea = assemble_ea_params(n, n - z_size, 2 * delta + 1, cf.c)
 
     checks = {

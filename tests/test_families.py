@@ -314,6 +314,7 @@ def test_verify_family_is_exact_on_sets_that_leave_z(monkeypatch, spec, fault_de
     laws = ref.t1_laws(n, q, z, sets["build_T1"], sets["build_T1_prime"])
     assert {name: report.checks[name] for name in laws} == laws
     assert not report.checks["t1_partition"]
+    _assert_builtin_bools(report)  # the reads outside Z and of the q image
     monkeypatch.undo()  # the other checks and the sizes do not move
     plain = verify_family(spec, fault_delta)
     assert {name: ok for name, ok in report.checks.items() if name not in laws} == \
@@ -426,6 +427,7 @@ def test_fault_t1_prime_missing_a_coset_is_not_stable(monkeypatch):
                         lambda s: [(x, 1, 1) for x in np.flatnonzero(mask).tolist()])
     report = verify_family(spec)
     assert report.failed_checks() == ["t1_prime_stable", "t1_partition"]
+    _assert_builtin_bools(report)
 
 
 def test_fault_t1_holding_the_image_of_its_own_coset_is_not_disjoint(monkeypatch):
@@ -440,19 +442,18 @@ def test_fault_t1_holding_the_image_of_its_own_coset_is_not_disjoint(monkeypatch
                         lambda s: [(x, 1, 1) for x in np.flatnonzero(t1.mask | image).tolist()])
     report = verify_family(spec)
     assert report.failed_checks() == ["t1_disjoint", "t1_partition"]
+    _assert_builtin_bools(report)
 
 
-def test_fault_t1_trading_a_coset_with_z1_breaks_the_partition(monkeypatch):
-    # cases 2-4 read a clean run's partition through counts; a T1 that
-    # trades one of its cosets for one of Z1 keeps T1 inside Z and
-    # |T1| + |Z1| = |Z|, so only qT1 n Z = {} (T1 n Z1 = {}) can see it
-    spec = FamilySpec(2, 1, 2, 1)  # q = 11, n = 61
+def _trade_a_t1_coset_for_one_of_z1(monkeypatch, spec, x=None):
+    # a T1 that trades its coset {x, n - x} (by default its least one) for
+    # one of Z1 (= T1') keeps T1 inside Z and |T1| + |Z1| = |Z|
     n, q = spec.n, spec.q
     assert verify_family(spec).passed
     t1 = set(build_T1(spec))
     z = build_defining_set(spec)
     z1 = set(decompose(n, q, z))
-    x, y = min(t1), min(z1)
+    x, y = min(t1) if x is None else x, min(z1)
     traded = (t1 - {x, n - x}) | {y, n - y}
     assert len(traded) == len(t1) and traded <= set(z)
     monkeypatch.setattr(families, "_t1_rectangles",
@@ -461,6 +462,62 @@ def test_fault_t1_trading_a_coset_with_z1_breaks_the_partition(monkeypatch):
     laws = ref.t1_laws(n, q, z, traded, z1)
     assert {name: report.checks[name] for name in laws} == laws
     assert not report.checks["t1_partition"]
+    _assert_builtin_bools(report)
+
+
+def test_fault_t1_trading_a_coset_with_z1_breaks_the_partition(monkeypatch):
+    # cases 2-4 read a clean run's partition through counts, so only
+    # qT1 n Z = {} (T1 n Z1 = {}) can see the trade
+    _trade_a_t1_coset_for_one_of_z1(monkeypatch, FamilySpec(2, 1, 2, 1))  # q = 11, n = 61
+
+
+def test_fault_case_1_t1_trading_a_coset_with_t1_prime_breaks_the_partition(monkeypatch):
+    # case 1 reads T1 u T1' on Z's slice; the coset {28, 57} lies next to
+    # Z's ends 27 and 58, so only the cover away from the ends can see it
+    _trade_a_t1_coset_for_one_of_z1(monkeypatch, FamilySpec(1, 1, 3, 1), x=28)  # [[85,33,33;12]]_13
+
+
+def test_fault_t1_overlapping_t1_prime_breaks_the_partition(monkeypatch):
+    # a T1 that also holds one coset of case 1's T1' leaves T1 u T1' = Z,
+    # so only T1 n T1' = {} can see it
+    spec = FamilySpec(1, 1, 3, 1)  # [[85,33,33;12]]_13
+    n, q = spec.n, spec.q
+    assert verify_family(spec).passed
+    t1, t1p = set(build_T1(spec)), set(build_T1_prime(spec))
+    y = min(t1p)
+    overlapping = t1 | {y, n - y}
+    z = build_defining_set(spec)
+    assert overlapping | t1p == set(z) and overlapping & t1p
+    monkeypatch.setattr(families, "_t1_rectangles",
+                        lambda s: [(v, 1, 1) for v in sorted(overlapping)])
+    report = verify_family(spec)
+    laws = ref.t1_laws(n, q, z, overlapping, t1p)
+    assert {name: report.checks[name] for name in laws} == laws
+    assert not report.checks["t1_partition"]
+    _assert_builtin_bools(report)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(1, 1, 3, 1),   # [[85,33,33;12]]_13: T1' from its union
+    FamilySpec(2, 1, 2, 1),   # q = 11, n = 61: T1' is Z1, read through counts
+])
+def test_fault_t1_trading_the_end_of_z_for_a_residue_outside_it(monkeypatch, spec):
+    # a T1 that trades Z's last member for 1 keeps |T1|, and q * 1 misses Z,
+    # so only the last slot of Z's slice (case 1) and the member of T1
+    # outside that slice (cases 2-4) can see it
+    n, q = spec.n, spec.q
+    z = build_defining_set(spec)
+    t1 = set(build_T1(spec))
+    zhi = max(z)
+    assert zhi in t1 and 1 not in z and q % n not in z
+    traded = (t1 - {zhi}) | {1}
+    monkeypatch.setattr(families, "_t1_rectangles",
+                        lambda s: [(v, 1, 1) for v in sorted(traded)])
+    report = verify_family(spec)
+    laws = ref.t1_laws(n, q, z, traded, build_T1_prime(spec))
+    assert {name: report.checks[name] for name in laws} == laws
+    assert not report.checks["t1_partition"]
+    _assert_builtin_bools(report)
 
 
 def test_decomposition_matches_closed_form_sample():

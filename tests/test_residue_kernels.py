@@ -387,9 +387,10 @@ def test_painter_clips_to_its_window_like_the_reference(case):
     # laps past n that miss it, against the residues one at a time
     n, q, rect, lo, size = case
     window = np.zeros(size, dtype=np.bool_)
-    _paint(window, lo, n, q, [rect])
+    wrote = _paint(window, lo, n, q, [rect])
     expected = sorted(x for x in _residues(n, q, rect) if lo <= x < lo + size)
     assert (np.flatnonzero(window) + lo).tolist() == expected
+    assert type(wrote) is bool and wrote == window.any()  # whether it set a slot
 
 
 def test_painter_edges_match_the_reference():
@@ -406,12 +407,13 @@ def test_painter_edges_match_the_reference():
     for rect in cases:
         for lo, size in ((0, n), (20, 25), (20, 5), (0, 1), (60, 1), (25, 0), (33, 40)):
             window = np.zeros(size, dtype=np.bool_)
-            _paint(window, lo, n, q, [rect])
+            wrote = _paint(window, lo, n, q, [rect])
             expected = sorted(x for x in _residues(n, q, rect) if lo <= x < lo + size)
             assert (np.flatnonzero(window) + lo).tolist() == expected, (rect, lo, size)
+            assert wrote is bool(window.any()), (rect, lo, size)
     # q = 0 mod n: every row is the same
     window = np.zeros(13, dtype=np.bool_)
-    _paint(window, 0, 13, 26, [(11, 5, 3)])
+    assert _paint(window, 0, 13, 26, [(11, 5, 3)]) is True
     assert np.flatnonzero(window).tolist() == [0, 11, 12]
 
 
